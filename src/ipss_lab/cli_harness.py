@@ -541,20 +541,22 @@ def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         slack=float(opt.get("slack", 0.1)),
         seed=cfg.seed,
     )
-    report = cc.check_converse_properties(dsys, theta1, theta2, conv_cfg, plan)
+    # one rho and one Lipschitz-weight table serve the checks and the export
+    top = max(plan.states) * 4.0 + 1.0
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 200)])
+    rho = cc.regularized_rho(theta2, grid)
+    mrk = cc.build_mrk_table(dsys, theta1, conv_cfg)
+    report = cc.check_converse_properties(dsys, theta1, theta2, conv_cfg, plan,
+                                          rho=rho, mrk_table=mrk)
     payload = {"operation": "converse", "all_ok": report.all_ok, **report.to_json()}
     path = out / f"{cfg.prefix}_converse.json"
     _write_json(path, payload)
     paths = [str(path)]
     if opt.get("export_candidate", False):
-        top = max(plan.states) * 4.0 + 1.0
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 200)])
-        rho = cc.regularized_rho(theta2, grid)
-        mrk = cc.build_mrk_table(dsys, theta1, conv_cfg)
         ev = cc.ConverseEvaluator(dsys, theta1, rho, conv_cfg, mrk)
         cand = lt.LyapunovCandidate(
             eval=lambda t, x, _ev=ev: _ev.value(float(t), np.atleast_1d(x)),
-            alpha1=theta1, alpha2=theta1, name="converse_export")
+            alpha1=ev.alpha1_table(grid), alpha2=theta1, name="converse_export")
         t_grid = np.linspace(0.0, 2.0, int(opt.get("export_t_points", 3)))
         x_grid = np.linspace(-max(plan.states), max(plan.states),
                              int(opt.get("export_x_points", 9)))

@@ -18,7 +18,6 @@ carries explicit slack.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .comparison_functions import KLBound, MonotoneFn, apply_inverse, make_table
 from .errors import ModelError, ParameterError
 from .lyapunov_tools import LyapunovCandidate
 from .signals import constant_signal, make_signal
-from .simulator import SystemDef, lipschitz_probe, simulate
+from .simulator import SystemDef, lipschitz_probe, simulate_batch
 
 __all__ = [
     "DisturbedSystem",
@@ -55,6 +54,8 @@ class DisturbedSystem:
     ``urgas_beta`` is the declared uniform decay envelope; probe
     trajectories are checked against it and a violation is a model error.
     ``urls_epsilon`` maps an initial-state radius to a uniform state bound.
+    ``rhs_d`` acts row-wise on ``(B, n)`` states with ``(B, m)``
+    disturbances, as ``SystemDef.rhs`` does.
     """
 
     rhs_d: Callable
@@ -209,11 +210,11 @@ def wk_estimate(sys: DisturbedSystem, k: int, t0: float, xi, theta1: MonotoneFn,
     span = horizon_for(k, theta1, R)
     batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
                               cfg.pieces_per_horizon, cfg.seed)
-    sysdef = sys.as_systemdef()
+    trajs = simulate_batch(sys.as_systemdef(), t0, [xi] * len(batch), batch,
+                           t0 + span, cfg.sim_step)
     best = 0.0
     inv_k = 1.0 / k
-    for d in batch:
-        traj = simulate(sysdef, t0, xi, d, t0 + span, cfg.sim_step)
+    for traj in trajs:
         if traj.blown_up:
             raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
         _check_urgas(traj, sys.urgas_beta, R, t0)
@@ -226,9 +227,9 @@ def wk_estimate(sys: DisturbedSystem, k: int, t0: float, xi, theta1: MonotoneFn,
 class ConverseEvaluator:
     """Caching evaluator of the truncated layer series.
 
-    Layer values are cached by ``(t0, state, k)`` behind a lock so the
-    candidate returned by the pipeline can be queried repeatedly (and from
-    threads) without resimulating.
+    Layer values are cached by ``(t0, state, k)`` so the candidate
+    returned by the pipeline can be queried repeatedly without
+    resimulating.
     """
 
     def __init__(self, sys: DisturbedSystem, theta1: MonotoneFn, rho: MonotoneFn,
@@ -239,7 +240,6 @@ class ConverseEvaluator:
         self.cfg = cfg
         self.mrk_table = mrk_table
         self._cache = {}
-        self._lock = threading.Lock()
         diag = [float(mrk_table(k, k)) for k in range(1, cfg.k_max + 1)]
         if any(b < a - 1e-12 for a, b in zip(diag, diag[1:])):
             raise ParameterError("mrk_table must be nondecreasing along the diagonal")
@@ -247,13 +247,10 @@ class ConverseEvaluator:
 
     def wk(self, t0: float, xi, k: int) -> float:
         key = (float(t0), tuple(float(v) for v in np.atleast_1d(xi)), int(k))
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        val = wk_estimate(self.sys, k, t0, xi, self.theta1, self.rho, self.cfg)
-        with self._lock:
-            self._cache[key] = val
-        return val
+        if key not in self._cache:
+            self._cache[key] = wk_estimate(self.sys, k, t0, xi, self.theta1, self.rho,
+                                           self.cfg)
+        return self._cache[key]
 
     def value(self, t0: float, xi) -> float:
         return sum(w * self.wk(t0, xi, k)
@@ -268,6 +265,18 @@ class ConverseEvaluator:
         rho_r = float(self.rho.eval(r))
         return sum(w * max(rho_r - 1.0 / k, 0.0)
                    for k, w in enumerate(self.weights, start=1))
+
+    def alpha1_table(self, rho_grid: Sequence[float]) -> MonotoneFn:
+        """:meth:`alpha1_value` as a monotone table over ``rho_grid``.
+
+        The series is piecewise linear with kinks at the rho-table nodes and
+        the layer activation radii, so a table with nodes exactly there is
+        exact up to rounding.
+        """
+        kinks = {float(apply_inverse(self.rho, 1.0 / k)) for k in range(1, self.cfg.k_max + 1)}
+        r_grid = sorted(set(float(r) for r in rho_grid) | kinks)
+        a1_vals = np.maximum.accumulate([self.alpha1_value(r) for r in r_grid])
+        return make_table_fn(r_grid, a1_vals, class_tag="Kinf")
 
 
 def converse_V(sys: DisturbedSystem, t0: float, xi, theta1: MonotoneFn,
@@ -411,30 +420,32 @@ def check_converse_properties(sys: DisturbedSystem, theta1: MonotoneFn,
     decay_ok = True
     sysdef = sys.as_systemdef()
     for t0 in plan.t0_values:
+        t_end = t0 + plan.decay_horizon
+        runs = []
         for s in plan.states:
             xi = np.zeros(sys.n)
             xi[0] = s
             v0 = ev.value(t0, xi)
-            if v0 <= 1e-12:
-                continue
-            for dc in plan.constant_disturbances:
-                d = constant_signal(np.full(sys.m, dc), t0 + plan.decay_horizon)
-                traj = simulate(sysdef, t0, xi, d, t0 + plan.decay_horizon, cfg.sim_step)
-                eval_ts = np.linspace(t0, t0 + plan.decay_horizon,
-                                      plan.decay_eval_points + 1)[1:]
-                for te in eval_ts:
-                    idx = int(np.searchsorted(traj.times, te))
-                    idx = min(idx, traj.times.size - 1)
-                    xt = traj.states[idx]
-                    tt = float(traj.times[idx])
-                    vt = ev.value(tt, xt)
-                    bound = math.exp(-0.5 * (tt - t0)) * v0 * (1.0 + slack)
-                    ok = vt <= bound + 1e-12
-                    decay_ok &= ok
-                    decay_rows.append({
-                        "t0": float(t0), "state": float(s), "d": float(dc),
-                        "t": tt, "value": vt, "bound": bound, "ok": ok,
-                    })
+            if v0 > 1e-12:
+                runs.extend((s, xi, v0, dc) for dc in plan.constant_disturbances)
+        trajs = simulate_batch(sysdef, t0, [r[1] for r in runs],
+                               [constant_signal(np.full(sys.m, r[3]), t_end) for r in runs],
+                               t_end, cfg.sim_step)
+        eval_ts = np.linspace(t0, t_end, plan.decay_eval_points + 1)[1:]
+        for (s, _, v0, dc), traj in zip(runs, trajs):
+            for te in eval_ts:
+                idx = int(np.searchsorted(traj.times, te))
+                idx = min(idx, traj.times.size - 1)
+                xt = traj.states[idx]
+                tt = float(traj.times[idx])
+                vt = ev.value(tt, xt)
+                bound = math.exp(-0.5 * (tt - t0)) * v0 * (1.0 + slack)
+                ok = vt <= bound + 1e-12
+                decay_ok &= ok
+                decay_rows.append({
+                    "t0": float(t0), "state": float(s), "d": float(dc),
+                    "t": tt, "value": vt, "bound": bound, "ok": ok,
+                })
 
     return ConverseReport(
         sandwich_ok=sandwich_ok,
@@ -465,7 +476,8 @@ def iss_to_dissipation_candidate(sys: SystemDef, phi: MonotoneFn, theta1: Monoto
         raise ParameterError(f"phi must be class Kinf, got {phi.class_tag}")
 
     def g_rhs(t, x, d, _f=sys.rhs, _phi=phi):
-        return _f(t, x, d * float(_phi.eval(float(np.linalg.norm(x)))))
+        # one gain per state row, so batched integration stays row-wise
+        return _f(t, x, d * _phi.eval(np.linalg.norm(x, axis=-1, keepdims=True)))
 
     def beta_eval(s, t, _t1=theta1, _t2=theta2):
         return _t2.eval(_t1.eval(s) * np.exp(-np.asarray(t, dtype=float)))
@@ -483,14 +495,6 @@ def iss_to_dissipation_candidate(sys: SystemDef, phi: MonotoneFn, theta1: Monoto
     mrk = build_mrk_table(dsys, theta1, cfg)
     ev = ConverseEvaluator(dsys, theta1, rho, cfg, mrk)
 
-    # lower sandwich as a monotone table of the truncated layer series; the
-    # series is piecewise linear with kinks at the rho-table nodes and the
-    # layer activation radii, so sampling exactly there makes the table exact
-    kinks = [float(apply_inverse(rho, 1.0 / k)) for k in range(1, cfg.k_max + 1)]
-    r_grid = np.unique(np.concatenate([np.asarray(rho_grid, dtype=float), kinks]))
-    a1_vals = np.maximum.accumulate([ev.alpha1_value(float(r)) for r in r_grid])
-    alpha1 = make_table_fn(r_grid, a1_vals, class_tag="Kinf")
-
     def candidate_eval(t, x, _ev=ev):
         try:
             return _ev.value(float(t), np.atleast_1d(x))
@@ -502,7 +506,7 @@ def iss_to_dissipation_candidate(sys: SystemDef, phi: MonotoneFn, theta1: Monoto
 
     return LyapunovCandidate(
         eval=candidate_eval,
-        alpha1=alpha1,
+        alpha1=ev.alpha1_table(rho_grid),
         alpha2=theta1,
         lipschitz_hint=None,
         name="converse_series",

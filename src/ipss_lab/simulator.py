@@ -7,7 +7,8 @@ inputs and dynamics continuous off the declared set, the right-hand side
 is smooth on every sub-interval, so the method keeps its full order.
 
 Blow-up is modeled by a hard threshold on the state norm; exceeding it
-stops integration and marks the trajectory.
+stops integration and marks the trajectory.  One step loop serves a
+single state and a batch of states that share their anchor grid.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "Trajectory",
     "LipschitzReport",
     "simulate",
+    "simulate_batch",
     "counterexample_system",
     "linear_test_system",
     "perturbed_decay_system",
@@ -43,6 +45,9 @@ BLOWUP_THRESHOLD = 1e9
 class SystemDef:
     """Time-varying dynamics ``xdot = rhs(t, x, u)``.
 
+    ``rhs`` acts row-wise: given states of shape ``(B, n)`` and inputs of
+    shape ``(B, m)`` it returns the ``(B, n)`` stack of the per-row values,
+    as :func:`simulate_batch` passes them (and checks once per call).
     ``discontinuity_times`` samples the zero-measure set where the dynamics
     may jump in ``t``; the integrator lands on them exactly.  When
     ``lipschitz_hint`` is present, solutions are treated as unique;
@@ -93,6 +98,64 @@ def _anchor_grid(t0: float, t_end: float, u: Signal, sys: SystemDef,
     return sorted(anchors)
 
 
+def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) -> None:
+    if step <= 0:
+        raise ParameterError(f"step must be positive, got {step}")
+    if t_end <= t0:
+        raise ParameterError(f"t_end {t_end} must exceed t0 {t0}")
+    if t0 < 0:
+        raise ParameterError(f"t0 must be nonnegative, got {t0}")
+    if u.dim != sys.m:
+        raise ParameterError(f"input dim {u.dim} does not match system m {sys.m}")
+
+
+def _rk4(rhs, x, anchors: list, step: float, inputs, limit2: float):
+    """RK4 steps over ``anchors`` for a state of shape ``(n,)`` or ``(B, n)``.
+
+    ``inputs`` yields the input on each anchor segment, of shape ``(m,)``
+    or ``(B, m)``.  Stops after the first step whose squared norm (summed
+    over all rows of a batch) is not ``<= limit2``; a single state that
+    turns nonfinite raises :class:`DynamicsError` instead.  Returns the
+    time list, the state list and the stopping time (``None`` at the end).
+    """
+    batched = x.ndim == 2
+    vdot = np.vdot  # x @ x on one state, and the flattened sum over a batch
+    times = [anchors[0]]
+    states = [x]
+    for seg_a, seg_b, u_val in zip(anchors, anchors[1:], inputs):
+        span = seg_b - seg_a
+        nsub = max(1, int(math.ceil(span / step - 1e-12)))
+        h = span / nsub
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        t = seg_a
+        for j in range(nsub):
+            k1 = rhs(t, x, u_val)
+            k2 = rhs(t + h2, x + h2 * k1, u_val)
+            k3 = rhs(t + h2, x + h2 * k2, u_val)
+            k4 = rhs(t + h, x + h * k3, u_val)
+            x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            t = seg_a + (j + 1) * h if j + 1 < nsub else seg_b
+            nrm2 = float(vdot(x, x))
+            if not math.isfinite(nrm2) and not batched:
+                raise DynamicsError(
+                    f"nonfinite state update at t={t} (x={states[-1]}, u={u_val})"
+                )
+            times.append(t)
+            states.append(x)
+            if not nrm2 <= limit2:
+                return times, states, t
+    return times, states, None
+
+
+def _simulate_one(rhs, xi: np.ndarray, anchors: list, u: Signal, step: float,
+                  thresh2: float) -> Trajectory:
+    times, states, stop = _rk4(rhs, xi, anchors, step,
+                               (u.eval(a) for a in anchors[:-1]), thresh2)
+    return Trajectory(times=np.asarray(times), states=np.asarray(states),
+                      blown_up=stop is not None, blowup_time=stop)
+
+
 def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
              step: float, include_times: Sequence[float] = (),
              blowup_threshold: float = BLOWUP_THRESHOLD) -> Trajectory:
@@ -103,53 +166,73 @@ def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
     input is sampled at the left end of each sub-step, consistent with
     right-open piecewise-constant semantics.
     """
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    if t_end <= t0:
-        raise ParameterError(f"t_end {t_end} must exceed t0 {t0}")
-    if t0 < 0:
-        raise ParameterError(f"t0 must be nonnegative, got {t0}")
-    if u.dim != sys.m:
-        raise ParameterError(f"input dim {u.dim} does not match system m {sys.m}")
-    xi = np.asarray(xi, dtype=float).reshape(sys.n)
-
-    rhs = sys.rhs
+    _check_run(sys, t0, u, t_end, step)
+    xi = np.array(xi, dtype=float).reshape(sys.n)
     anchors = _anchor_grid(t0, t_end, u, sys, include_times)
-    times = [t0]
-    states = [xi.copy()]
-    x = xi.copy()
-    thresh2 = blowup_threshold * blowup_threshold
+    return _simulate_one(sys.rhs, xi, anchors, u, step,
+                         blowup_threshold * blowup_threshold)
 
-    for seg_a, seg_b in zip(anchors, anchors[1:]):
-        span = seg_b - seg_a
-        nsub = max(1, int(math.ceil(span / step - 1e-12)))
-        h = span / nsub
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        u_val = u.eval(seg_a)  # constant across the whole segment
-        t = seg_a
-        for j in range(nsub):
-            k1 = rhs(t, x, u_val)
-            k2 = rhs(t + h2, x + h2 * k1, u_val)
-            k3 = rhs(t + h2, x + h2 * k2, u_val)
-            k4 = rhs(t + h, x + h * k3, u_val)
-            x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            t = seg_a + (j + 1) * h if j + 1 < nsub else seg_b
-            nrm2 = float(x @ x)
-            if not math.isfinite(nrm2):
-                raise DynamicsError(
-                    f"nonfinite state update at t={t} (x={states[-1]}, u={u_val})"
-                )
-            times.append(t)
-            states.append(x)
-            if nrm2 > thresh2:
-                return Trajectory(
-                    times=np.asarray(times),
-                    states=np.asarray(states),
-                    blown_up=True,
-                    blowup_time=t,
-                )
-    return Trajectory(times=np.asarray(times), states=np.asarray(states))
+
+def _acts_rowwise(rhs, t0: float, xs: list, us: list) -> bool:
+    """Whether one batched ``rhs`` call at the start equals the per-row calls."""
+    u0 = [u.eval(t0) for u in us]
+    rows = [rhs(t0, x, v) for x, v in zip(xs, u0)]
+    try:
+        batched = rhs(t0, np.stack(xs), np.stack(u0))
+    except (ValueError, TypeError, IndexError):  # the rhs rejects a 2-D state
+        return False
+    return np.array_equal(batched, rows)
+
+
+def simulate_batch(sys: SystemDef, t0: float, xis, us: Sequence[Signal], t_end: float,
+                   step: float, include_times: Sequence[float] = ()) -> list:
+    """:func:`simulate` for the members ``(xis[i], us[i])``, one list entry each.
+
+    Members with identical anchor grids advance together as one ``(B, n)``
+    state with ``(B, m)`` inputs, so each takes exactly the float steps
+    that :func:`simulate` takes for it alone and gets a bit-identical
+    trajectory.  That needs ``sys.rhs`` to act row-wise; one batched call
+    at the start states is compared exactly with the per-row calls, and on
+    any difference every member is integrated on its own.  A group in
+    which some state nears the blow-up threshold or turns nonfinite is
+    rerun member by member, so blow-up flags and times are per member; the
+    :class:`DynamicsError` of the first failing member (in input order) is
+    raised after all members ran.
+    """
+    if len(xis) != len(us):
+        raise ParameterError(f"{len(xis)} initial states for {len(us)} inputs")
+    for u in us:
+        _check_run(sys, t0, u, t_end, step)
+    xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
+    thresh2 = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
+    groups = {}
+    for i, u in enumerate(us):
+        groups.setdefault(tuple(_anchor_grid(t0, t_end, u, sys, include_times)), []).append(i)
+    rowwise = len(us) < 2 or _acts_rowwise(sys.rhs, t0, xs, us)
+
+    trajs = [None] * len(us)
+    errors = {}
+    for grid, members in groups.items():
+        anchors = list(grid)
+        if rowwise and len(members) > 1:
+            # the summed squared norm bounds every row's; the margin keeps
+            # rounding from hiding a blow-up that simulate would report
+            inputs = (np.stack([us[i].eval(a) for i in members]) for a in anchors[:-1])
+            times, states, stop = _rk4(sys.rhs, np.stack([xs[i] for i in members]), anchors,
+                                       step, inputs, thresh2 * (1.0 - 1e-9))
+            if stop is None:
+                times, per_member = np.asarray(times), np.stack(states, axis=1)
+                for row, i in enumerate(members):
+                    trajs[i] = Trajectory(times=times.copy(), states=per_member[row])
+                continue
+        for i in members:
+            try:
+                trajs[i] = _simulate_one(sys.rhs, xs[i], anchors, us[i], step, thresh2)
+            except DynamicsError as exc:
+                errors[i] = exc
+    if errors:
+        raise errors[min(errors)]
+    return trajs
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +375,8 @@ def lipschitz_probe(sys: SystemDef, disturbance_map: Optional[Callable], R: floa
         d = _random_disturbance(rng, sys.m, t0, T + h + 1.0, pieces)
         query = t0 + np.linspace(0.0, T, query_points)
         try:
-            tr1 = simulate(g_sys, t0, xi1, d, t0 + T, step, include_times=query)
-            tr2 = simulate(g_sys, t0, xi2, d, t0 + T, step, include_times=query)
+            tr1, tr2 = simulate_batch(g_sys, t0, [xi1, xi2], [d, d], t0 + T, step,
+                                      include_times=query)
             s_ratio = 0.0
             sep0 = float(np.linalg.norm(xi1 - xi2))
             if tr1.blown_up or tr2.blown_up:

@@ -11,8 +11,6 @@ the falsifier searches structured input families for counterexamples.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -469,44 +467,31 @@ def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
     Up to ``budget`` candidates are simulated and checked against the
     certificate; candidates with negative margin are collected and the
     minimal-margin candidate reported.  Candidate order is deterministic
-    and results merge by (margin, index), so the outcome is reproducible
-    regardless of the thread count (``IPSS_LAB_THREADS``).
+    and ties in margin go to the lower index, so the outcome is
+    reproducible.
     """
     if budget < 1:
         raise ParameterError("budget must be at least 1")
-    candidates = []
-    for idx, cand in enumerate(_family_candidates(family)):
+    results = []
+    for idx, (t0, xi, u, step_hint, t_end, desc) in enumerate(_family_candidates(family)):
         if idx >= budget:
             break
-        candidates.append((idx,) + cand)
-
-    def evaluate(entry):
-        idx, t0, xi, u, step_hint, t_end, desc = entry
         use_step = step_hint if step_hint is not None else step
         xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
         traj = simulate(sys, t0, xi_vec, u, t_end, use_step)
         report = check_envelope(traj, cert, u, float(np.linalg.norm(xi_vec)),
                                 t0, tolerance)
-        peak = float(np.max(traj.norms()))
-        return {
+        results.append({
             "index": idx,
             "t0": float(t0),
             "xi": [float(v) for v in xi_vec],
             "input_ref": desc,
             "margin": report.margin,
             "worst_time": report.worst_time,
-            "peak_state_norm": peak,
+            "peak_state_norm": float(np.max(traj.norms())),
             "satisfied": report.satisfied,
             "measure": report.measure,
-        }
-
-    n_threads = max(1, int(os.environ.get("IPSS_LAB_THREADS", "1")))
-    if n_threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(c) for c in candidates]
-    results.sort(key=lambda r: r["index"])
+        })
 
     worst = min(results, key=lambda r: (r["margin"], r["index"])) if results else None
     violations = tuple(r for r in results if r["margin"] < 0.0)

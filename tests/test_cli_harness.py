@@ -104,6 +104,26 @@ class TestOperations:
         assert arts.summary["amplification"] == pytest.approx(2.58198, abs=1e-4)
         assert arts.summary["min_margin"] >= -1e-6
 
+    def test_converse_export_sandwich_holds(self, tmp_path):
+        """The exported table lies between its declared alpha1 and alpha2."""
+        import numpy as np
+
+        from ipss_lab.comparison_functions import monotone_from_spec
+
+        raw = load_bundled("converse_demo.json")
+        raw["options"]["disturbance_samples"] = 8
+        raw["options"]["k_max"] = 3
+        arts = run_config(raw, tmp_path)
+        cand_path = [p for p in arts.paths if p.endswith("_candidate.json")][0]
+        table = json.loads(Path(cand_path).read_text())
+        r = np.abs(np.asarray(table["x_grid"]))
+        V = np.asarray(table["values"])
+        lo = monotone_from_spec(table["alpha1"]).eval(r)
+        hi = monotone_from_spec(table["alpha2"]).eval(r)
+        assert np.max(V[:, r == 3.0]) > 0.1  # the check has something to bound
+        assert np.all(lo <= V + 1e-12)
+        assert np.all(V <= hi + 1e-12)
+
 
 class TestDeterminism:
     FAST_CONFIGS = (

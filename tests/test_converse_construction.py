@@ -235,6 +235,29 @@ class TestPipeline:
             assert candidate.alpha1.eval(s) <= v + 1e-9
             assert v <= candidate.alpha2.eval(s) + 1e-9
 
+    def test_row_wise_gain_reproduces_whole_state_gain(self):
+        """The closed loop's row-wise gain gives the values of the scalar form
+        ``d * phi(float(norm(x)))``, which the batch check routes per member."""
+        cfgp = ConverseConfig(k_max=2, disturbance_samples=5,
+                              pieces_per_horizon=3, sim_step=2e-2, seed=5)
+        base = linear_test_system(1.0)
+        phi = make_power_fn(0.5, 1.0)
+        cand = iss_to_dissipation_candidate(base, phi, THETA1, THETA2, cfgp)
+
+        def whole_state_rhs(t, x, d):
+            return base.rhs(t, x, d * float(phi.eval(float(np.linalg.norm(x)))))
+
+        dsys = DisturbedSystem(
+            rhs_d=whole_state_rhs, n=1, m=1,
+            urgas_beta=KLBound(kind="general",
+                               eval2=lambda s, t: THETA2.eval(
+                                   THETA1.eval(s) * np.exp(-np.asarray(t, dtype=float)))),
+            urls_epsilon=identity_fn())
+        rho = regularized_rho(THETA2, np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 240)]))
+        ev = ConverseEvaluator(dsys, THETA1, rho, cfgp, build_mrk_table(dsys, THETA1, cfgp))
+        for t, x in ((0.0, 0.4), (0.0, -1.3), (0.7, 2.5)):
+            assert cand.eval(t, [x]) == ev.value(t, np.array([x]))
+
     def test_input_free_variant_decays(self):
         """With no input coupling any gain leaves pure decay behind."""
         from ipss_lab.simulator import SystemDef

@@ -15,6 +15,7 @@ from ipss_lab.simulator import (
     lipschitz_probe,
     perturbed_decay_system,
     simulate,
+    simulate_batch,
 )
 
 
@@ -92,6 +93,71 @@ class TestSimulateSemantics:
         with pytest.raises(ParameterError):
             simulate(linear_test_system(1.0), 0.0, [1.0], zero_signal(2, 1.0),
                      1.0, 1e-2)
+
+
+def assert_same_trajectory(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert (a.blown_up, a.blowup_time) == (b.blown_up, b.blowup_time)
+
+
+class TestSimulateBatch:
+    def test_mixed_grids_bit_identical_to_simulate(self):
+        """Constant and piecewise members, several grid groups, requested times."""
+        ce = counterexample_system()
+        us = [
+            constant_signal([0.3], 4.0),
+            make_signal([(0.0, [0.9]), (1.1, [0.2])], horizon=3.5),
+            constant_signal([-0.7], 4.0),
+            make_signal([(0.0, [0.1]), (1.1, [1.4])], horizon=3.5),
+            make_signal([(0.0, [0.5]), (0.6, [0.0]), (2.9, [2.0])], horizon=4.0),
+        ]
+        xis = [[0.5], [-1.0], [2.0], [0.0], [0.25]]
+        include = (0.37, 1.5)
+        batch = simulate_batch(ce, 0.2, xis, us, 4.0, 7e-3, include_times=include)
+        assert len(batch) == len(us)
+        for xi, u, tr in zip(xis, us, batch):
+            assert_same_trajectory(tr, simulate(ce, 0.2, xi, u, 4.0, 7e-3,
+                                                include_times=include))
+
+    def test_blowup_is_per_member(self):
+        sq = SystemDef(rhs=lambda t, x, u: x ** 2 + u, n=1, m=1)
+        us = [zero_signal(1, 1.0)] * 3
+        xis = [[0.1], [2.0], [-0.5]]
+        batch = simulate_batch(sq, 0.0, xis, us, 1.0, 1e-3)
+        assert [tr.blown_up for tr in batch] == [False, True, False]
+        assert batch[1].blowup_time == pytest.approx(0.5, abs=0.01)
+        for xi, u, tr in zip(xis, us, batch):
+            assert_same_trajectory(tr, simulate(sq, 0.0, xi, u, 1.0, 1e-3))
+
+    def test_nonfinite_member_raises_like_simulate(self):
+        bad = SystemDef(rhs=lambda t, x, u: x * np.where(x > 1.0, np.nan, -1.0),
+                        n=1, m=1)
+        u = zero_signal(1, 1.0)
+        with pytest.raises(DynamicsError) as single:
+            simulate(bad, 0.0, [2.0], u, 1.0, 1e-2)
+        with pytest.raises(DynamicsError) as batched:
+            simulate_batch(bad, 0.0, [[0.5], [2.0], [3.0]], [u] * 3, 1.0, 1e-2)
+        assert str(batched.value) == str(single.value)
+
+    ROT = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+
+    @pytest.mark.parametrize("rhs", [
+        lambda t, x, u: TestSimulateBatch.ROT @ x + u,  # broadcasts silently on (2, 2)
+        lambda t, x, u: -x + float(u[0]) * np.ones(2),  # rejects a (2, 2) input
+    ])
+    def test_rhs_not_row_wise_falls_back_to_members(self, rhs):
+        sysd = SystemDef(rhs=rhs, n=2, m=2)
+        us = [constant_signal([0.5, 0.0], 2.0), constant_signal([-0.5, 0.0], 2.0)]
+        xis = [[1.0, 0.0], [0.3, -2.0]]
+        batch = simulate_batch(sysd, 0.0, xis, us, 2.0, 1e-2)
+        for xi, u, tr in zip(xis, us, batch):
+            assert_same_trajectory(tr, simulate(sysd, 0.0, xi, u, 2.0, 1e-2))
+
+    def test_mismatched_members_rejected(self):
+        with pytest.raises(ParameterError):
+            simulate_batch(linear_test_system(1.0), 0.0, [[1.0]],
+                           [zero_signal(1, 1.0)] * 2, 1.0, 1e-2)
 
 
 class TestBuiltInSystems:

@@ -244,15 +244,3 @@ class TestFalsify:
         r2 = falsify(ce, cert, family, budget=2, seed=5)
         assert r1.n_evaluated == 2
         assert r1.to_json() == r2.to_json()
-
-    def test_thread_pool_merge_is_deterministic(self, monkeypatch):
-        """A multi-threaded run reports exactly what the serial run does."""
-        ce = counterexample_system()
-        cert = Certificate(kind="ISS", beta=EXP_BETA, gamma=IDENT)
-        family = InputFamilySpec(family="constants", t0_values=(0.0, 5.0),
-                                 xi_values=(0.0, 0.5), levels=(0.1, 1.0),
-                                 horizon=5.0)
-        serial = falsify(ce, cert, family, budget=8, seed=5)
-        monkeypatch.setenv("IPSS_LAB_THREADS", "4")
-        threaded = falsify(ce, cert, family, budget=8, seed=5)
-        assert serial.to_json() == threaded.to_json()
