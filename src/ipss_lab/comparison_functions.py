@@ -404,7 +404,24 @@ def klbound_to_spec(b: KLBound, s_grid=None, t_grid=None) -> dict:
     return {"kind": "table2d", "s": s_grid, "t": t_grid, "values": vals}
 
 
+def _bilinear(a_grid: np.ndarray, b_grid: np.ndarray, values: np.ndarray, a, b):
+    """Bilinear interpolation of ``values[i, j]`` at ``(a, b)``, clamped at the grid edges."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    i = np.clip(np.searchsorted(a_grid, a) - 1, 0, a_grid.size - 2)
+    j = np.clip(np.searchsorted(b_grid, b) - 1, 0, b_grid.size - 2)
+    wa = np.clip((a - a_grid[i]) / (a_grid[i + 1] - a_grid[i]), 0.0, 1.0)
+    wb = np.clip((b - b_grid[j]) / (b_grid[j + 1] - b_grid[j]), 0.0, 1.0)
+    return (values[i, j] * (1 - wa) * (1 - wb) + values[i + 1, j] * wa * (1 - wb)
+            + values[i, j + 1] * (1 - wa) * wb + values[i + 1, j + 1] * wa * wb)
+
+
 def klbound_from_spec(spec: dict) -> KLBound:
+    """Rebuild a KL bound from its spec.
+
+    A ``table2d`` bound raises :class:`RangeError` beyond its ``s`` grid and
+    clamps in ``t``, which is conservative since it decreases in ``t``.
+    """
     kind = spec.get("kind")
     if kind == "exponential":
         return KLBound(kind="exponential", K=float(spec["K"]), lam=float(spec["lambda"]))
@@ -414,19 +431,13 @@ def klbound_from_spec(spec: dict) -> KLBound:
         vals = np.asarray(spec["values"], dtype=float)
 
         def _eval2(s, t, _s=s_grid, _t=t_grid, _v=vals):
-            s = np.asarray(s, dtype=float)
-            t = np.asarray(t, dtype=float)
-            # bilinear interpolation, clamped at the grid edges
-            si = np.clip(np.searchsorted(_s, s) - 1, 0, _s.size - 2)
-            ti = np.clip(np.searchsorted(_t, t) - 1, 0, _t.size - 2)
-            ws = np.clip((s - _s[si]) / (_s[si + 1] - _s[si]), 0.0, 1.0)
-            wt = np.clip((t - _t[ti]) / (_t[ti + 1] - _t[ti]), 0.0, 1.0)
-            v00 = _v[si, ti]
-            v01 = _v[si, ti + 1]
-            v10 = _v[si + 1, ti]
-            v11 = _v[si + 1, ti + 1]
-            out = (v00 * (1 - ws) * (1 - wt) + v10 * ws * (1 - wt)
-                   + v01 * (1 - ws) * wt + v11 * ws * wt)
+            s_max = float(np.max(s))
+            if s_max > _s[-1]:
+                raise RangeError(
+                    f"table2d KL bound queried at s={s_max:.6g} beyond its s grid "
+                    f"[{_s[0]:.6g}, {_s[-1]:.6g}]; re-export with an s grid reaching {s_max:.6g}"
+                )
+            out = _bilinear(_s, _t, _v, s, t)
             return float(out) if out.ndim == 0 else out
 
         return KLBound(kind="general", eval2=_eval2)

@@ -23,11 +23,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .comparison_functions import KLBound, MonotoneFn, apply_inverse, make_table_fn
+from .comparison_functions import (KLBound, MonotoneFn, _bilinear, apply_inverse,
+                                   make_table_fn, monotone_from_spec, monotone_to_spec)
 from .errors import ModelError, ParameterError
 from .lyapunov_tools import LyapunovCandidate
-from .signals import constant_signal, make_signal
-from .simulator import SystemDef, lipschitz_probe, simulate_batch
+from .signals import constant_signal
+from .simulator import SystemDef, _random_disturbance, lipschitz_probe, simulate_batch
 
 __all__ = [
     "DisturbedSystem",
@@ -164,15 +165,7 @@ def disturbance_batch(m: int, count: int, t0: float, span: float, pieces: int,
     batch = batch[:count]
     rng = np.random.default_rng(seed)
     while len(batch) < count:
-        edges = t0 + span * np.arange(pieces) / pieces
-        vals = []
-        for _ in range(pieces):
-            v = rng.standard_normal(m)
-            nv = np.linalg.norm(v)
-            v = v / nv if nv > 0 else np.zeros(m)
-            vals.append(v * rng.uniform() ** (1.0 / m))
-        sig_pieces = [(0.0, np.zeros(m))] + list(zip(edges, vals))
-        batch.append(make_signal(sig_pieces, horizon=t0 + span, dim=m))
+        batch.append(_random_disturbance(rng, m, t0, span, pieces))
     return batch
 
 
@@ -304,7 +297,7 @@ def build_mrk_table(sys: DisturbedSystem, theta1: MonotoneFn, cfg: ConverseConfi
     lbar = []
     for k in range(1, cfg.k_max + 1):
         T = max(horizon_for(k, theta1, float(k)), 0.1)
-        rep = lipschitz_probe(sysdef, None, R=float(k), T=T,
+        rep = lipschitz_probe(sysdef, R=float(k), T=T,
                               samples=probe_samples, seed=cfg.seed + 1000 + k,
                               step=probe_step)
         val = max(rep.state_ratio_max, rep.shift_ratio_max, 1e-6)
@@ -524,8 +517,6 @@ def candidate_table_to_json(candidate: LyapunovCandidate, t_grid: Sequence[float
     Only scalar state grids are supported; the export carries the sandwich
     bounds as table specs over the same state grid.
     """
-    from .comparison_functions import monotone_to_spec
-
     t_grid = [float(t) for t in t_grid]
     x_grid = [float(x) for x in x_grid]
     values = [[float(candidate.eval(t, np.array([x]))) for x in x_grid] for t in t_grid]
@@ -541,23 +532,13 @@ def candidate_table_to_json(candidate: LyapunovCandidate, t_grid: Sequence[float
 
 
 def candidate_table_from_json(d: dict) -> LyapunovCandidate:
-    """Rebuild a table candidate; evaluation is bilinear on the stored grid."""
-    from .comparison_functions import monotone_from_spec
-
+    """Rebuild a table candidate; evaluation is bilinear on the stored grid, clamped."""
     t_grid = np.asarray(d["t_grid"], dtype=float)
     x_grid = np.asarray(d["x_grid"], dtype=float)
     values = np.asarray(d["values"], dtype=float)
 
     def _eval(t, x, _t=t_grid, _x=x_grid, _v=values):
-        xv = float(np.atleast_1d(x)[0])
-        ti = int(np.clip(np.searchsorted(_t, t) - 1, 0, _t.size - 2))
-        xi = int(np.clip(np.searchsorted(_x, xv) - 1, 0, _x.size - 2))
-        wt = np.clip((t - _t[ti]) / (_t[ti + 1] - _t[ti]), 0.0, 1.0)
-        wx = np.clip((xv - _x[xi]) / (_x[xi + 1] - _x[xi]), 0.0, 1.0)
-        return float(
-            _v[ti, xi] * (1 - wt) * (1 - wx) + _v[ti + 1, xi] * wt * (1 - wx)
-            + _v[ti, xi + 1] * (1 - wt) * wx + _v[ti + 1, xi + 1] * wt * wx
-        )
+        return float(_bilinear(_t, _x, _v, t, float(np.atleast_1d(x)[0])))
 
     return LyapunovCandidate(
         eval=_eval,

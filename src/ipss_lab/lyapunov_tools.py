@@ -25,6 +25,7 @@ from .comparison_functions import (
     KLBound,
     MonotoneFn,
     apply_inverse,
+    identity_fn,
 )
 from .errors import (
     CandidateError,
@@ -43,9 +44,8 @@ __all__ = [
     "ViolationReport",
     "dini_derivative",
     "make_plan",
-    "check_dissipation_form",
+    "check_derivative_bound",
     "check_implication_form",
-    "check_iiss_form",
     "build_kappa",
     "ipss_gains_from_dissipation",
     "abs_candidate",
@@ -218,17 +218,20 @@ def _run_check(V, sys, plan, rhs_bound, margin, condition=None) -> ViolationRepo
     )
 
 
-def check_dissipation_form(V: LyapunovCandidate, sys: SystemDef, spec: DissipationSpec,
-                           plan: SamplingPlan, margin: Optional[float] = None) -> ViolationReport:
-    """Check ``D+ V <= -alpha4(|x|) + chi4(|u|)`` over the sampling plan.
+def check_derivative_bound(V: LyapunovCandidate, sys: SystemDef, alpha: MonotoneFn,
+                           chi: MonotoneFn, plan: SamplingPlan,
+                           margin: Optional[float] = None) -> ViolationReport:
+    """Check ``D+ V <= -alpha(|x|) + chi(|u|)`` over the sampling plan.
 
+    Serves the dissipation form (``alpha`` class Kinf) and the integral
+    form (``alpha`` merely positive definite) alike.
     ``margin=None`` uses the adaptive default ``1e-3 * (1 + |D+ V|)`` that
     swallows the finite-difference bias of the Dini estimate.
     """
 
     def rhs_bound(xi, mu):
-        return -float(spec.alpha4.eval(float(np.linalg.norm(xi)))) \
-            + float(spec.chi4.eval(float(np.linalg.norm(mu))))
+        return -float(alpha.eval(float(np.linalg.norm(xi)))) \
+            + float(chi.eval(float(np.linalg.norm(mu))))
 
     return _run_check(V, sys, plan, rhs_bound, margin)
 
@@ -245,18 +248,6 @@ def check_implication_form(V: LyapunovCandidate, sys: SystemDef, alpha3: Monoton
         return float(np.linalg.norm(xi)) >= float(chi3.eval(float(np.linalg.norm(mu))))
 
     return _run_check(V, sys, plan, rhs_bound, margin, condition)
-
-
-def check_iiss_form(V: LyapunovCandidate, sys: SystemDef, alpha5: MonotoneFn,
-                    chi5: MonotoneFn, plan: SamplingPlan,
-                    margin: Optional[float] = None) -> ViolationReport:
-    """Check ``D+ V <= -alpha5(|x|) + chi5(|u|)`` with merely positive alpha5."""
-
-    def rhs_bound(xi, mu):
-        return -float(alpha5.eval(float(np.linalg.norm(xi)))) \
-            + float(chi5.eval(float(np.linalg.norm(mu))))
-
-    return _run_check(V, sys, plan, rhs_bound, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +309,6 @@ class KappaBundle:
     ln_qs: np.ndarray = field(repr=False)
     a_vals: np.ndarray = field(repr=False)
     ln_kappa: np.ndarray = field(repr=False)
-
-    def kappa_eval(self, q):
-        return self.kappa.eval(q)
 
     def ln_kappa_at(self, q):
         """``ln kappa(q)`` straight from the tables; immune to underflow.
@@ -455,22 +443,19 @@ def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10
         return math.exp(float(np.interp(lq, ln_qs, ln_a)))
 
     # ln kappa increments: integral of 2/a dtau = integral of 2*tau/a(tau) dlntau
+    def cell(la: float, lb: float) -> float:
+        # Gauss-Legendre integral over [la, lb] in ln tau
+        half = 0.5 * (lb - la)
+        nodes = 0.5 * (la + lb) + half * _GL8_NODES
+        vals = np.array([2.0 * math.exp(lq) / a_of(lq) for lq in nodes])
+        return half * float(np.dot(_GL8_WEIGHTS, vals))
+
     one_idx = int(np.argmin(np.abs(qs - 1.0)))
     ln_kappa = np.zeros_like(qs)
     for i in range(one_idx, qs.size - 1):
-        la, lb = ln_qs[i], ln_qs[i + 1]
-        mid = 0.5 * (la + lb)
-        half = 0.5 * (lb - la)
-        nodes = mid + half * _GL8_NODES
-        vals = np.array([2.0 * math.exp(lq) / a_of(lq) for lq in nodes])
-        ln_kappa[i + 1] = ln_kappa[i] + half * float(np.dot(_GL8_WEIGHTS, vals))
+        ln_kappa[i + 1] = ln_kappa[i] + cell(ln_qs[i], ln_qs[i + 1])
     for i in range(one_idx, 0, -1):
-        la, lb = ln_qs[i - 1], ln_qs[i]
-        mid = 0.5 * (la + lb)
-        half = 0.5 * (lb - la)
-        nodes = mid + half * _GL8_NODES
-        vals = np.array([2.0 * math.exp(lq) / a_of(lq) for lq in nodes])
-        ln_kappa[i - 1] = ln_kappa[i] - half * float(np.dot(_GL8_WEIGHTS, vals))
+        ln_kappa[i - 1] = ln_kappa[i] - cell(ln_qs[i - 1], ln_qs[i])
 
     return _bundle_from_tables(sigma, qs, a_vals, ln_kappa, q_min, q_max, quadrature_tol)
 
@@ -623,8 +608,6 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
 
 def abs_candidate() -> LyapunovCandidate:
     """The scalar candidate ``V(t, x) = |x|`` with identity sandwich bounds."""
-    from .comparison_functions import identity_fn
-
     return LyapunovCandidate(
         eval=lambda t, x: float(np.linalg.norm(x)),
         alpha1=identity_fn(),

@@ -11,7 +11,7 @@ the falsifier searches structured input families for counterexamples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,9 @@ from .signals import (
     Signal,
     avg_power_norm,
     constant_signal,
+    cumulative_energy,
     make_signal,
+    pulse_train,
     restrict,
     rho_energy,
     sup_norm,
@@ -104,7 +106,12 @@ class Certificate:
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Minimal slack of a certified bound along one trajectory."""
+    """Minimal slack of a certified bound along one trajectory.
+
+    ``bounds`` and ``margins`` hold the bound and ``bound - |x|`` at every
+    trajectory grid time; both are ``None`` when the check stopped early
+    (blow-up or a diverged input measure).
+    """
 
     margin: float
     worst_time: float
@@ -112,6 +119,8 @@ class EnvelopeReport:
     tolerance: float
     measure: Optional[float] = None
     note: str = ""
+    bounds: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    margins: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def _input_measure(cert: Certificate, u: Signal, t0: float, t_end: float):
@@ -134,10 +143,11 @@ def check_envelope(traj: Trajectory, cert: Certificate, u: Signal, xi_norm: floa
                    t0: float, tolerance: Optional[float] = None) -> EnvelopeReport:
     """Evaluate the certified bound at every trajectory grid time.
 
-    Returns the minimal ``bound - |x|`` margin and where it occurs.  A
-    blown-up trajectory fails outright.  When ``tolerance`` is omitted it
-    defaults to ``1e-6 * (1 + bound)`` at the worst point, matching the
-    combined integrator and quadrature error scales.
+    Returns the minimal ``bound - |x|`` margin, where it occurs, and the
+    per-sample bound and margin arrays.  A blown-up trajectory fails
+    outright.  When ``tolerance`` is omitted it defaults to
+    ``1e-6 * (1 + bound)`` at the worst point, matching the combined
+    integrator and quadrature error scales.
     """
     if traj.blown_up:
         return EnvelopeReport(
@@ -180,6 +190,8 @@ def check_envelope(traj: Trajectory, cert: Certificate, u: Signal, xi_norm: floa
         satisfied=margin >= -tol,
         tolerance=float(tol),
         measure=measure_val,
+        bounds=bounds,
+        margins=margins,
     )
 
 
@@ -265,15 +277,13 @@ class OracleReport:
     worst_pair: tuple
     lambda_tilde: float
     amplification: float
-    converged: bool
-    iterations: int
     grid_step: float
     n_grid: int
 
 
 def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
                   h_profile: Signal, grid_step: float, t_max: float = 20.0,
-                  g0: float = 1.0, max_iterations: int = 1000) -> OracleReport:
+                  g0: float = 1.0) -> OracleReport:
     """Saturate the decay-plus-integral inequality and check its window form.
 
     Builds the pointwise-largest grid sequence ``g`` consistent with
@@ -290,9 +300,6 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
     lambda_tilde, amplification = exponential_window_bound(K, lam, T)
     n = int(round(t_max / grid_step))
     ts = grid_step * np.arange(n + 1)
-
-    from .signals import cumulative_energy
-
     knots, cum = cumulative_energy(h_profile, None)
     H = np.interp(ts, knots, cum, right=float(cum[-1]))
 
@@ -304,29 +311,6 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
             eta.eval(H[i] - H[:i]), dtype=float
         )
         g[i] = float(np.min(cand))
-
-    # one verification sweep confirms the fixed point
-    iterations = 1
-    converged = True
-    resid = 0.0
-    for i in range(1, n + 1):
-        cand = K * g[:i] * np.exp(-lam * (ts[i] - ts[:i])) + np.asarray(
-            eta.eval(H[i] - H[:i]), dtype=float
-        )
-        resid = max(resid, float(g[i] - np.min(cand)))
-    while resid > 1e-12 * max(1.0, float(np.max(g))) and iterations < max_iterations:
-        iterations += 1
-        changed = 0.0
-        for i in range(1, n + 1):
-            cand = K * g[:i] * np.exp(-lam * (ts[i] - ts[:i])) + np.asarray(
-                eta.eval(H[i] - H[:i]), dtype=float
-            )
-            new = min(g[i], float(np.min(cand)))
-            changed = max(changed, g[i] - new)
-            g[i] = new
-        resid = changed
-        if iterations >= max_iterations and resid > 1e-12:
-            converged = False
 
     # windowed-bound check over all grid pairs
     min_slack = math.inf
@@ -349,8 +333,6 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
         worst_pair=worst,
         lambda_tilde=lambda_tilde,
         amplification=amplification,
-        converged=converged,
-        iterations=iterations,
         grid_step=float(grid_step),
         n_grid=n + 1,
     )
@@ -395,7 +377,6 @@ class FalsificationReport:
     worst: Optional[dict]
     violations: tuple
     n_evaluated: int
-    seed: int
 
     @property
     def falsified(self) -> bool:
@@ -406,7 +387,6 @@ class FalsificationReport:
             "worst": dict(self.worst) if self.worst else None,
             "violations": [dict(v) for v in self.violations],
             "n_evaluated": self.n_evaluated,
-            "seed": self.seed,
         }
 
 
@@ -420,8 +400,6 @@ def _family_candidates(family: InputFamilySpec):
                     u = constant_signal([c], t_end)
                     yield t0, xi, u, None, t_end, f"constant(c={c})"
     elif family.family == "pulse_trains":
-        from .signals import pulse_train
-
         for t0 in family.t0_values:
             for xi in family.xi_values:
                 u = pulse_train(family.tau, family.count)
@@ -460,7 +438,7 @@ def _family_candidates(family: InputFamilySpec):
 
 
 def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
-            budget: int, seed: int, step: float = 1e-3,
+            budget: int, step: float = 1e-3,
             tolerance: Optional[float] = None) -> FalsificationReport:
     """Search the family for envelope violations, deterministically.
 
@@ -499,7 +477,6 @@ def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
         worst=worst,
         violations=violations,
         n_evaluated=len(results),
-        seed=seed,
     )
 
 

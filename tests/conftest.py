@@ -5,8 +5,28 @@ window integrals are summed piece by piece per window, and the window-end
 search scans a dense grid augmented with the kink candidates.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    """Send hypothesis's cache of source constants to a temporary directory.
+
+    Hypothesis writes it under ``.hypothesis/`` in the working directory
+    while collecting property tests; they keep no example database.
+    """
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="ipss-hypothesis-")
+    configuration.set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 def window_integral_direct(u, rho, lo, hi):

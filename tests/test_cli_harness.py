@@ -2,17 +2,24 @@
 
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from ipss_lab import comparison_functions as cf
+from ipss_lab import signals as sig
+from ipss_lab import simulator as sm
+from ipss_lab import stability_certificates as sc
 from ipss_lab.cli_harness import (
     ExperimentConfig,
+    _run_envelope_sims,
     main,
     run_experiment,
     validate_config,
 )
+from ipss_lab.errors import RangeError
 
 CONFIG_DIR = resources.files("ipss_lab") / "configs"
 
@@ -125,6 +132,38 @@ class TestOperations:
         assert np.all(V <= hi + 1e-12)
 
 
+class TestEnvelopeRows:
+    """``_run_envelope_sims`` writes what ``check_envelope`` computed."""
+
+    CERT = sc.Certificate(kind="ISS", beta=cf.KLBound(kind="exponential", K=1.0, lam=1.0),
+                          gamma=cf.identity_fn())
+
+    def test_rows_are_check_envelope_arrays_at_csv_stride(self):
+        system = sm.linear_test_system(1.0)
+        scenarios = [(1.5, sig.make_signal([(0.0, [1.0]), (2.0, [-0.5])], horizon=4.0)),
+                     (-0.5, sig.constant_signal([0.25], 3.0))]
+        rows, min_margin = _run_envelope_sims(system, self.CERT, scenarios, 0.0, 1e-2)
+        expected, margins = [], []
+        for idx, (xi, u) in enumerate(scenarios):
+            traj = sm.simulate(system, 0.0, [xi], u, u.horizon, 1e-2)
+            rep = sc.check_envelope(traj, self.CERT, u, abs(xi), 0.0)
+            norms = traj.norms()
+            stride = max(1, norms.size // 200)  # 2 on the first run's 401 samples
+            expected += [(idx, traj.times[j], norms[j], rep.bounds[j], rep.margins[j])
+                         for j in range(0, norms.size, stride)]
+            margins.append(rep.margin)
+        assert rows == expected
+        assert min_margin == min(margins)
+
+    def test_blown_up_scenario_gives_no_rows(self):
+        """A blown-up run fails outright instead of writing gain-free bounds."""
+        square = sm.SystemDef(rhs=lambda t, x, u: x ** 2, n=1, m=1)
+        scenarios = [(2.0, sig.zero_signal(1, 1.0)), (0.1, sig.zero_signal(1, 1.0))]
+        rows, min_margin = _run_envelope_sims(square, self.CERT, scenarios, 0.0, 1e-3)
+        assert min_margin == -math.inf
+        assert rows and {r[0] for r in rows} == {1}
+
+
 class TestDeterminism:
     FAST_CONFIGS = (
         "linear_simulate.json",
@@ -167,3 +206,14 @@ class TestDeterminism:
         r1 = sc.check_envelope(traj, cert, u, 1.0, 0.0)
         r2 = sc.check_envelope(traj, cert2, u, 1.0, 0.0)
         assert abs(r1.margin - r2.margin) < 1e-12
+
+    def test_reloaded_table_beta_refuses_s_beyond_grid(self, tmp_path):
+        """Clamping s gave beta(20, 0) = beta(100, 0) = 12.55 < s on reload."""
+        arts = run_config(load_bundled("linear_ipss.json"), tmp_path)
+        cert_path = [p for p in arts.paths if p.endswith("certificate.json")][0]
+        spec = json.loads(Path(cert_path).read_text())
+        beta = sc.certificate_from_json(spec).beta
+        assert beta.eval(spec["beta"]["s"][-1], 0.0) == spec["beta"]["values"][-1][0]
+        for s in (20.0, 100.0):
+            with pytest.raises(RangeError, match="beyond its s grid"):
+                beta.eval(s, 0.0)

@@ -263,3 +263,26 @@ class TestKLBound:
             for t in t_grid:
                 assert b2.eval(float(s), float(t)) == pytest.approx(
                     b.eval(float(s), float(t)), rel=1e-12)
+
+    def test_table2d_reproduces_bilinear_samples_between_nodes(self, rng):
+        def f(s, t):
+            return 0.5 + 1.25 * s - 0.75 * t + 0.375 * s * t
+
+        s_grid = [0.0, 0.3, 1.0, 2.5, 6.0]
+        t_grid = [0.0, 0.5, 2.0, 5.0]
+        b = klbound_from_spec({"kind": "table2d", "s": s_grid, "t": t_grid,
+                               "values": [[f(s, t) for t in t_grid] for s in s_grid]})
+        s, t = rng.uniform(0.0, 6.0, 200), rng.uniform(0.0, 5.0, 200)
+        np.testing.assert_allclose(b.eval(s, t), f(s, t), rtol=1e-12, atol=1e-12)
+        assert b.eval(float(s[0]), float(t[0])) == pytest.approx(f(s[0], t[0]), rel=1e-12)
+
+    def test_table2d_refuses_s_beyond_grid_and_clamps_t(self):
+        """Clamping s would understate the bound; clamping t overstates it."""
+        b = klbound_from_spec({"kind": "table2d", "s": [0.0, 1.0, 2.0], "t": [0.0, 1.0],
+                               "values": [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]]})
+        with pytest.raises(RangeError, match=r"s=2.5 beyond its s grid \[0, 2\]"):
+            b.eval(2.5, 0.0)
+        with pytest.raises(RangeError):
+            b.eval(np.array([1.0, 3.0]), 0.0)
+        assert b.eval(2.0, 0.0) == 2.0
+        assert b.eval(2.0, 7.0) == b.eval(2.0, 1.0) == 1.0

@@ -30,7 +30,7 @@ from ipss_lab.converse_construction import (
 from ipss_lab.errors import ModelError
 from ipss_lab.lyapunov_tools import (
     DissipationSpec,
-    check_dissipation_form,
+    check_derivative_bound,
     make_plan,
 )
 from ipss_lab.signals import constant_signal
@@ -323,7 +323,7 @@ class TestPipeline:
         plan = make_plan(1, 1, times=[0.0, 0.7], radii=[0.5, 1.2, 2.5],
                          dirs_per_radius=2, mu_radii=[0.2, 1.0],
                          mu_dirs_per_radius=1, seed=7, h0=1e-3, levels=5)
-        rep = check_dissipation_form(candidate, sysd, spec, plan, margin=0.1)
+        rep = check_derivative_bound(candidate, sysd, spec.alpha4, spec.chi4, plan, margin=0.1)
         assert rep.passed
 
 
@@ -356,3 +356,18 @@ class TestCandidateTableExport:
             for j, x in enumerate(x_grid):
                 assert clone.eval(t, [x]) == pytest.approx(
                     table["values"][i][j], rel=1e-12)
+
+    def test_bilinear_samples_reproduced_between_nodes(self, rng):
+        def f(t, x):
+            return 0.5 - 1.25 * t + 2.0 * x + 0.75 * t * x
+
+        t_grid = [0.0, 0.5, 2.0]
+        x_grid = [-3.0, -1.0, 0.25, 3.0]
+        clone = candidate_table_from_json({
+            "t_grid": t_grid, "x_grid": x_grid,
+            "values": [[f(t, x) for x in x_grid] for t in t_grid],
+            "alpha1": {"kind": "power", "c": 1.0, "p": 1.0},
+            "alpha2": {"kind": "power", "c": 1.0, "p": 1.0},
+        })
+        for t, x in zip(rng.uniform(0.0, 2.0, 100), rng.uniform(-3.0, 3.0, 100)):
+            assert clone.eval(t, [x]) == pytest.approx(f(t, x), rel=1e-12, abs=1e-12)

@@ -18,8 +18,7 @@ from ipss_lab.lyapunov_tools import (
     LyapunovCandidate,
     abs_candidate,
     build_kappa,
-    check_dissipation_form,
-    check_iiss_form,
+    check_derivative_bound,
     check_implication_form,
     dini_derivative,
     ipss_gains_from_dissipation,
@@ -107,14 +106,14 @@ def small_plan(seed=3):
 class TestFormChecks:
     def test_linear_dissipation_passes(self):
         spec = DissipationSpec(alpha4=IDENT, chi4=IDENT)
-        rep = check_dissipation_form(abs_candidate(), linear_test_system(1.0),
-                                     spec, small_plan(), margin=1e-3)
+        rep = check_derivative_bound(abs_candidate(), linear_test_system(1.0),
+                                     spec.alpha4, spec.chi4, small_plan(), margin=1e-3)
         assert rep.passed
 
     def test_doubled_decay_fails(self):
         spec = DissipationSpec(alpha4=make_power_fn(2.0, 1.0), chi4=IDENT)
-        rep = check_dissipation_form(abs_candidate(), linear_test_system(1.0),
-                                     spec, small_plan(), margin=1e-3)
+        rep = check_derivative_bound(abs_candidate(), linear_test_system(1.0),
+                                     spec.alpha4, spec.chi4, small_plan(), margin=1e-3)
         assert not rep.passed
         worst = rep.entries[0]
         assert worst["gap"] > 0
@@ -126,8 +125,8 @@ class TestFormChecks:
                          mu_radii=np.geomspace(0.1, 5.0, 3), mu_dirs_per_radius=2,
                          seed=5)
         spec = DissipationSpec(alpha4=IDENT, chi4=IDENT)
-        rep = check_dissipation_form(abs_candidate(), counterexample_system(),
-                                     spec, plan, margin=1e-3)
+        rep = check_derivative_bound(abs_candidate(), counterexample_system(),
+                                     spec.alpha4, spec.chi4, plan, margin=1e-3)
         assert not rep.passed
 
     def test_dissipation_implies_implication(self):
@@ -135,30 +134,29 @@ class TestFormChecks:
         sysd = linear_test_system(1.0)
         plan = small_plan()
         spec = DissipationSpec(alpha4=IDENT, chi4=IDENT)
-        assert check_dissipation_form(abs_candidate(), sysd, spec, plan,
-                                      margin=1e-3).passed
+        assert check_derivative_bound(abs_candidate(), sysd, spec.alpha4, spec.chi4,
+                                      plan, margin=1e-3).passed
         chi3 = compose(inverse_fn(IDENT), scale_fn(IDENT, 2.0))
         alpha3 = scale_fn(IDENT, 0.5)
         assert check_implication_form(abs_candidate(), sysd, alpha3, chi3,
                                       plan, margin=1e-3).passed
 
     def test_iiss_form_shares_contract(self):
-        rep = check_iiss_form(abs_candidate(), linear_test_system(1.0),
-                              IDENT, IDENT, small_plan(), margin=1e-3)
+        rep = check_derivative_bound(abs_candidate(), linear_test_system(1.0),
+                                     IDENT, IDENT, small_plan(), margin=1e-3)
         assert rep.passed
 
     def test_plan_on_discontinuity_rejected(self):
         sysd = SystemDef(rhs=lambda t, x, u: -x, n=1, m=1,
                          discontinuity_times=(1.0,))
         with pytest.raises(PlanError):
-            check_dissipation_form(abs_candidate(), sysd,
-                                   DissipationSpec(alpha4=IDENT, chi4=IDENT),
+            check_derivative_bound(abs_candidate(), sysd, IDENT, IDENT,
                                    small_plan(), margin=1e-3)
 
     def test_report_json_shape(self):
         spec = DissipationSpec(alpha4=make_power_fn(2.0, 1.0), chi4=IDENT)
-        rep = check_dissipation_form(abs_candidate(), linear_test_system(1.0),
-                                     spec, small_plan(), margin=1e-3)
+        rep = check_derivative_bound(abs_candidate(), linear_test_system(1.0),
+                                     spec.alpha4, spec.chi4, small_plan(), margin=1e-3)
         entry = rep.to_json()[0]
         assert set(entry) == {"t", "xi", "mu", "lhs", "rhs", "gap"}
 

@@ -196,7 +196,7 @@ class TestBuiltInSystems:
 class TestLipschitzProbe:
     def test_contraction_state_ratio(self):
         """Disturbed contraction keeps the sensitivity ratio at one."""
-        rep = lipschitz_probe(perturbed_decay_system(), None, R=2.0, T=2.0,
+        rep = lipschitz_probe(perturbed_decay_system(), R=2.0, T=2.0,
                               samples=20, seed=9, step=2e-3)
         assert rep.valid
         assert rep.state_ratio_max <= 1.0 + 1e-6
@@ -206,16 +206,16 @@ class TestLipschitzProbe:
         pure = SystemDef(rhs=lambda t, x, d: -x, n=1, m=1,
                          lipschitz_hint=lambda R: 1.0)
         R = 2.0
-        rep = lipschitz_probe(pure, None, R=R, T=2.0, samples=15, seed=4,
+        rep = lipschitz_probe(pure, R=R, T=2.0, samples=15, seed=4,
                               step=2e-3)
         assert rep.shift_ratio_max <= R * (1.0 + 1e-3)
 
     def test_identical_states_give_zero_numerator(self):
-        rep = lipschitz_probe(perturbed_decay_system(), None, R=1e-12, T=1.0,
+        rep = lipschitz_probe(perturbed_decay_system(), R=1e-12, T=1.0,
                               samples=5, seed=1, step=5e-3)
         assert rep.state_ratio_max <= 1.0 + 1e-6
 
     def test_uniqueness_flag_follows_hint(self):
-        rep = lipschitz_probe(counterexample_system(), None, R=1.0, T=1.0,
+        rep = lipschitz_probe(counterexample_system(), R=1.0, T=1.0,
                               samples=3, seed=2, step=5e-3)
         assert not rep.uniqueness_tested
