@@ -503,13 +503,8 @@ def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     K = float(opt.get("urgas_K", 1.0))
     lam = float(opt.get("urgas_lambda", 0.5))
     theta1, theta2 = cf.sontag_factorize_exponential(K, lam)
-    beta = cf.KLBound(kind="exponential", K=K, lam=lam)
-    dsys = cc.DisturbedSystem(
-        rhs_d=base.rhs, n=base.n, m=base.m, urgas_beta=beta,
-        urls_epsilon=cf.MonotoneFn(
-            eval=lambda s, _K=K: _K * np.asarray(s, dtype=float) if np.ndim(s) else _K * float(s),
-            class_tag="Kinf"),
-    )
+    dsys = cc.DisturbedSystem(rhs_d=base.rhs, n=base.n, m=base.m,
+                              urgas_beta=cf.KLBound(kind="exponential", K=K, lam=lam))
     conv_cfg = cc.ConverseConfig(
         k_max=int(opt.get("k_max", 5)),
         disturbance_samples=int(opt.get("disturbance_samples", 16)),
@@ -525,22 +520,18 @@ def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         slack=float(opt.get("slack", 0.1)),
         seed=cfg.seed,
     )
-    # one rho and one Lipschitz-weight table serve the checks and the export
+    # one evaluator serves the checks and the export, so layers are computed once
     top = max(plan.states) * 4.0 + 1.0
     grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 200)])
-    rho = cc.regularized_rho(theta2, grid)
-    mrk = cc.build_mrk_table(dsys, theta1, conv_cfg)
-    report = cc.check_converse_properties(dsys, theta1, theta2, conv_cfg, plan,
-                                          rho=rho, mrk_table=mrk)
+    ev = cc.ConverseEvaluator(dsys, theta1, cc.regularized_rho(theta2, grid), conv_cfg,
+                              cc.build_mrk_table(dsys, theta1, conv_cfg))
+    report = cc.check_converse_properties(ev, plan)
     payload = {"operation": "converse", "all_ok": report.all_ok, **report.to_json()}
     path = out / f"{cfg.prefix}_converse.json"
     _write_json(path, payload)
     paths = [str(path)]
     if opt.get("export_candidate", False):
-        ev = cc.ConverseEvaluator(dsys, theta1, rho, conv_cfg, mrk)
-        cand = lt.LyapunovCandidate(
-            eval=lambda t, x, _ev=ev: _ev.value(float(t), np.atleast_1d(x)),
-            alpha1=ev.alpha1_table(grid), alpha2=theta1, name="converse_export")
+        cand = ev.candidate(grid, "converse_export")
         t_grid = np.linspace(0.0, 2.0, int(opt.get("export_t_points", 3)))
         x_grid = np.linspace(-max(plan.states), max(plan.states),
                              int(opt.get("export_x_points", 9)))

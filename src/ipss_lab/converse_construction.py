@@ -18,7 +18,7 @@ carries explicit slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "ConverseEvaluator",
     "regularized_rho",
     "wk_estimate",
-    "converse_V",
     "check_converse_properties",
     "iss_to_dissipation_candidate",
     "build_mrk_table",
@@ -54,7 +53,6 @@ class DisturbedSystem:
 
     ``urgas_beta`` is the declared uniform decay envelope; probe
     trajectories are checked against it and a violation is a model error.
-    ``urls_epsilon`` maps an initial-state radius to a uniform state bound.
     ``rhs_d`` acts row-wise on ``(B, n)`` states with ``(B, m)``
     disturbances, as ``SystemDef.rhs`` does.
     """
@@ -63,7 +61,6 @@ class DisturbedSystem:
     n: int
     m: int
     urgas_beta: KLBound
-    urls_epsilon: MonotoneFn
 
     def as_systemdef(self) -> SystemDef:
         return SystemDef(rhs=self.rhs_d, n=self.n, m=self.m, name="disturbed")
@@ -220,9 +217,9 @@ def wk_estimate(sys: DisturbedSystem, k: int, t0: float, xi, theta1: MonotoneFn,
 class ConverseEvaluator:
     """Caching evaluator of the truncated layer series.
 
-    Layer values are cached by ``(t0, state, k)`` so the candidate
-    returned by the pipeline can be queried repeatedly without
-    resimulating.
+    The one assembly of the construction: the property checks, the
+    candidate and its table export all query it.  Layer values are cached
+    by ``(t0, state, k)``, so no layer is simulated twice in a run.
     """
 
     def __init__(self, sys: DisturbedSystem, theta1: MonotoneFn, rho: MonotoneFn,
@@ -271,17 +268,14 @@ class ConverseEvaluator:
         a1_vals = np.maximum.accumulate([self.alpha1_value(r) for r in r_grid])
         return make_table_fn(r_grid, a1_vals, class_tag="Kinf")
 
-
-def converse_V(sys: DisturbedSystem, t0: float, xi, theta1: MonotoneFn,
-               rho: MonotoneFn, cfg: ConverseConfig,
-               mrk_table: Callable) -> tuple[float, float]:
-    """Truncated series value at ``(t0, xi)`` plus its geometric tail bound.
-
-    The tail bound ``2^{-k_max} * theta1(|xi|)`` dominates the dropped
-    layers regardless of the Lipschitz weights.
-    """
-    ev = ConverseEvaluator(sys, theta1, rho, cfg, mrk_table)
-    return ev.value(t0, xi), ev.tail_bound(xi)
+    def candidate(self, rho_grid: Sequence[float], name: str) -> LyapunovCandidate:
+        """The series as a candidate, sandwiched by :meth:`alpha1_table` and ``theta1``."""
+        return LyapunovCandidate(
+            eval=lambda t, x: self.value(float(t), np.atleast_1d(x)),
+            alpha1=self.alpha1_table(rho_grid),
+            alpha2=self.theta1,
+            name=name,
+        )
 
 
 def build_mrk_table(sys: DisturbedSystem, theta1: MonotoneFn, cfg: ConverseConfig,
@@ -353,24 +347,15 @@ class ConverseReport:
         }
 
 
-def check_converse_properties(sys: DisturbedSystem, theta1: MonotoneFn,
-                              theta2: MonotoneFn, cfg: ConverseConfig,
-                              plan: ConverseProbePlan,
-                              rho: Optional[MonotoneFn] = None,
-                              mrk_table: Optional[Callable] = None) -> ConverseReport:
-    """Probe the sandwich, Lipschitz and decay properties of the construction.
+def check_converse_properties(ev: ConverseEvaluator,
+                              plan: ConverseProbePlan) -> ConverseReport:
+    """Probe the sandwich, Lipschitz and decay properties of the series in ``ev``.
 
     The decay check follows constant-disturbance trajectories and accepts
     ``V(t, x(t)) <= e^{-(t-t0)/2} V(t0, xi) (1 + slack)``; the slack covers
     the one-sided sampling of both sides.
     """
-    if rho is None:
-        top = max(plan.states) * 4.0 + 1.0
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 200)])
-        rho = regularized_rho(theta2, grid)
-    if mrk_table is None:
-        mrk_table = build_mrk_table(sys, theta1, cfg)
-    ev = ConverseEvaluator(sys, theta1, rho, cfg, mrk_table)
+    sys, theta1, cfg, mrk_table = ev.sys, ev.theta1, ev.cfg, ev.mrk_table
     slack = plan.slack
 
     sandwich_rows = []
@@ -475,35 +460,24 @@ def iss_to_dissipation_candidate(sys: SystemDef, phi: MonotoneFn, theta1: Monoto
     def beta_eval(s, t, _t1=theta1, _t2=theta2):
         return _t2.eval(_t1.eval(s) * np.exp(-np.asarray(t, dtype=float)))
 
-    urgas_beta = KLBound(kind="general", eval2=beta_eval)
-    urls_eps = MonotoneFn(
-        eval=lambda s, _t1=theta1, _t2=theta2: _t2.eval(_t1.eval(s)),
-        class_tag="Kinf",
-    )
     dsys = DisturbedSystem(rhs_d=g_rhs, n=sys.n, m=sys.m,
-                           urgas_beta=urgas_beta, urls_epsilon=urls_eps)
+                           urgas_beta=KLBound(kind="general", eval2=beta_eval))
     if rho_grid is None:
         rho_grid = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 240)])
-    rho = regularized_rho(theta2, rho_grid)
-    mrk = build_mrk_table(dsys, theta1, cfg)
-    ev = ConverseEvaluator(dsys, theta1, rho, cfg, mrk)
+    ev = ConverseEvaluator(dsys, theta1, regularized_rho(theta2, rho_grid), cfg,
+                           build_mrk_table(dsys, theta1, cfg))
+    cand = ev.candidate(rho_grid, "converse_series")
 
-    def candidate_eval(t, x, _ev=ev):
+    def candidate_eval(t, x, _eval=cand.eval):
         try:
-            return _ev.value(float(t), np.atleast_1d(x))
+            return _eval(t, x)
         except ModelError as exc:
             raise ModelError(
                 f"closed-loop decay envelope failed; the supplied gain phi is "
                 f"inadequate for this system ({exc})"
             ) from exc
 
-    return LyapunovCandidate(
-        eval=candidate_eval,
-        alpha1=ev.alpha1_table(rho_grid),
-        alpha2=theta1,
-        lipschitz_hint=None,
-        name="converse_series",
-    )
+    return replace(cand, eval=candidate_eval)
 
 
 # ---------------------------------------------------------------------------

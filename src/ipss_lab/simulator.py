@@ -148,29 +148,17 @@ def _rk4(rhs, x, anchors: list, step: float, inputs, limit2: float):
     return times, states, None
 
 
-def _simulate_one(rhs, xi: np.ndarray, anchors: list, u: Signal, step: float,
-                  thresh2: float) -> Trajectory:
-    times, states, stop = _rk4(rhs, xi, anchors, step,
-                               (u.eval(a) for a in anchors[:-1]), thresh2)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
-                      blown_up=stop is not None, blowup_time=stop)
-
-
 def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
-             step: float, include_times: Sequence[float] = (),
-             blowup_threshold: float = BLOWUP_THRESHOLD) -> Trajectory:
+             step: float, include_times: Sequence[float] = ()) -> Trajectory:
     """Integrate ``xdot = rhs(t, x, u(t))`` from ``(t0, xi)`` to ``t_end``.
 
     Sub-steps are shortened so that every anchor (input breakpoint, input
     horizon, declared discontinuity, requested time) is hit exactly; the
     input is sampled at the left end of each sub-step, consistent with
-    right-open piecewise-constant semantics.
+    right-open piecewise-constant semantics.  This is :func:`simulate_batch`
+    for a batch of one.
     """
-    _check_run(sys, t0, u, t_end, step)
-    xi = np.array(xi, dtype=float).reshape(sys.n)
-    anchors = _anchor_grid(t0, t_end, u, sys, include_times)
-    return _simulate_one(sys.rhs, xi, anchors, u, step,
-                         blowup_threshold * blowup_threshold)
+    return simulate_batch(sys, t0, [xi], [u], t_end, step, include_times)[0]
 
 
 def _acts_rowwise(rhs, t0: float, xs: list, us: list) -> bool:
@@ -227,9 +215,13 @@ def simulate_batch(sys: SystemDef, t0: float, xis, us: Sequence[Signal], t_end: 
                 continue
         for i in members:
             try:
-                trajs[i] = _simulate_one(sys.rhs, xs[i], anchors, us[i], step, thresh2)
+                times, states, stop = _rk4(sys.rhs, xs[i], anchors, step,
+                                           (us[i].eval(a) for a in anchors[:-1]), thresh2)
             except DynamicsError as exc:
                 errors[i] = exc
+                continue
+            trajs[i] = Trajectory(times=np.asarray(times), states=np.asarray(states),
+                                  blown_up=stop is not None, blowup_time=stop)
     if errors:
         raise errors[min(errors)]
     return trajs
@@ -311,7 +303,6 @@ class LipschitzReport:
     shift_ratio_max: float
     n_valid: int
     n_blowups: int
-    samples: tuple
     seed: int
     uniqueness_tested: bool
 
@@ -356,7 +347,6 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
     state_max = 0.0
     shift_max = 0.0
     n_blow = 0
-    rows = []
     for _ in range(samples):
         t0 = float(rng.uniform(0.0, T))
         xi1 = _random_ball(rng, sys.n, R)
@@ -367,12 +357,11 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
         try:
             tr1, tr2 = simulate_batch(sys, t0, [xi1, xi2], [d, d], t0 + T, step,
                                       include_times=query)
-            s_ratio = 0.0
-            sep0 = float(np.linalg.norm(xi1 - xi2))
             if tr1.blown_up or tr2.blown_up:
                 n_blow += 1
-                rows.append((t0, float("nan"), float("nan")))
                 continue
+            s_ratio = 0.0
+            sep0 = float(np.linalg.norm(xi1 - xi2))
             if sep0 > 0:
                 diffs = np.linalg.norm(tr1.states - tr2.states, axis=1)
                 s_ratio = float(np.max(diffs)) / sep0
@@ -382,23 +371,19 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
                                include_times=query + h)
                 if tr3.blown_up:
                     n_blow += 1
-                    rows.append((t0, s_ratio, float("nan")))
                     continue
                 a = np.vstack([tr1.state_at(q) for q in query])
                 b = np.vstack([tr3.state_at(q + h) for q in query])
                 h_ratio = float(np.max(np.linalg.norm(a - b, axis=1))) / h
             state_max = max(state_max, s_ratio)
             shift_max = max(shift_max, h_ratio)
-            rows.append((t0, s_ratio, h_ratio))
         except DynamicsError:
             n_blow += 1
-            rows.append((t0, float("nan"), float("nan")))
     return LipschitzReport(
         state_ratio_max=state_max,
         shift_ratio_max=shift_max,
         n_valid=samples - n_blow,
         n_blowups=n_blow,
-        samples=tuple(rows),
         seed=seed,
         uniqueness_tested=sys.lipschitz_hint is not None,
     )

@@ -21,8 +21,10 @@ from ipss_lab.comparison_functions import (
 )
 from ipss_lab.converse_construction import (
     ConverseConfig,
+    ConverseEvaluator,
     ConverseProbePlan,
     DisturbedSystem,
+    build_mrk_table,
     check_converse_properties,
     regularized_rho,
     wk_estimate,
@@ -248,7 +250,6 @@ def test_criterion_7_converse_construction():
         dsys = DisturbedSystem(
             rhs_d=perturbed_decay_system().rhs, n=1, m=1,
             urgas_beta=KLBound(kind="exponential", K=1.0, lam=0.5),
-            urls_epsilon=IDENT,
         )
         grid = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 300)])
         rho = regularized_rho(theta2, grid)
@@ -269,8 +270,8 @@ def test_criterion_7_converse_construction():
                                  decay_eval_points=4,
                                  constant_disturbances=(-1.0, 0.0, 1.0),
                                  lipschitz_pairs=6, slack=0.1, seed=2)
-        report = check_converse_properties(dsys, theta1, theta2, cfg, plan,
-                                           rho=rho)
+        ev = ConverseEvaluator(dsys, theta1, rho, cfg, build_mrk_table(dsys, theta1, cfg))
+        report = check_converse_properties(ev, plan)
         assert report.sandwich_ok
         assert report.decay_ok
 

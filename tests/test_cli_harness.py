@@ -131,6 +131,35 @@ class TestOperations:
         assert np.all(lo <= V + 1e-12)
         assert np.all(V <= hi + 1e-12)
 
+    def test_converse_computes_each_layer_once(self, tmp_path, monkeypatch):
+        """The checks and the export share one evaluator: no layer is simulated
+        twice, and rho and the Lipschitz weights are built once per run."""
+        from ipss_lab import converse_construction as cc
+
+        layers, calls = [], {"build_mrk_table": 0, "regularized_rho": 0}
+        wk_estimate = cc.wk_estimate
+
+        def recording_wk(sys, k, t0, xi, *args):
+            layers.append((t0, tuple(float(v) for v in xi), k))
+            return wk_estimate(sys, k, t0, xi, *args)
+
+        monkeypatch.setattr(cc, "wk_estimate", recording_wk)
+        for name in calls:
+            def counted(*args, _fn=getattr(cc, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cc, name, counted)
+
+        raw = load_bundled("converse_demo.json")
+        raw["options"]["disturbance_samples"] = 8
+        raw["options"]["k_max"] = 3
+        assert raw["options"]["export_candidate"]
+        arts = run_config(raw, tmp_path)
+        assert any(p.endswith("_candidate.json") for p in arts.paths)
+        assert (0.0, (3.0,), 1) in layers  # queried by the checks and the export
+        assert len(layers) == len(set(layers))
+        assert calls == {"build_mrk_table": 1, "regularized_rho": 1}
+
 
 class TestEnvelopeRows:
     """``_run_envelope_sims`` writes what ``check_envelope`` computed."""

@@ -20,7 +20,6 @@ from ipss_lab.converse_construction import (
     candidate_table_from_json,
     candidate_table_to_json,
     check_converse_properties,
-    converse_V,
     disturbance_batch,
     horizon_for,
     iss_to_dissipation_candidate,
@@ -50,7 +49,6 @@ def decay_system():
     return DisturbedSystem(
         rhs_d=perturbed_decay_system().rhs, n=1, m=1,
         urgas_beta=KLBound(kind="exponential", K=1.0, lam=0.5),
-        urls_epsilon=identity_fn(),
     )
 
 
@@ -129,7 +127,6 @@ class TestWkEstimate:
         bad = DisturbedSystem(
             rhs_d=perturbed_decay_system().rhs, n=1, m=1,
             urgas_beta=KLBound(kind="exponential", K=1.0, lam=5.0),
-            urls_epsilon=identity_fn(),
         )
         with pytest.raises(ModelError):
             wk_estimate(bad, 1, 0.0, [3.0], THETA1, rho, cfg)
@@ -169,16 +166,15 @@ class TestDisturbanceBatch:
 
 class TestConverseValue:
     def test_zero_state(self, decay_system, rho, cfg_small, mrk_small):
-        v, tail = converse_V(decay_system, 0.0, [0.0], THETA1, rho, cfg_small,
-                             mrk_small)
-        assert v == 0.0
-        assert tail == 0.0
+        ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
+        assert ev.value(0.0, [0.0]) == 0.0
+        assert ev.tail_bound([0.0]) == 0.0
 
     def test_truncation_bounded_at_unit_state(self, decay_system, rho,
                                               cfg_small, mrk_small):
         """All layers vanish from |xi|=1, so V is within the dropped tail."""
-        v, tail = converse_V(decay_system, 0.0, [1.0], THETA1, rho, cfg_small,
-                             mrk_small)
+        ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
+        v, tail = ev.value(0.0, [1.0]), ev.tail_bound([1.0])
         assert v <= 0.25
         assert tail == pytest.approx(2.0 ** -cfg_small.k_max * THETA1.eval(1.0))
 
@@ -199,8 +195,10 @@ def report(decay_system):
                              decay_eval_points=4,
                              constant_disturbances=(-1.0, 0.0, 1.0),
                              lipschitz_pairs=6, slack=0.1, seed=2)
-    return check_converse_properties(decay_system, THETA1, THETA2,
-                                     small, plan)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, max(plan.states) * 4.0 + 1.0, 200)])
+    ev = ConverseEvaluator(decay_system, THETA1, regularized_rho(THETA2, grid), small,
+                           build_mrk_table(decay_system, THETA1, small))
+    return check_converse_properties(ev, plan)
 
 
 class TestConverseProperties:
@@ -251,12 +249,21 @@ class TestPipeline:
             rhs_d=whole_state_rhs, n=1, m=1,
             urgas_beta=KLBound(kind="general",
                                eval2=lambda s, t: THETA2.eval(
-                                   THETA1.eval(s) * np.exp(-np.asarray(t, dtype=float)))),
-            urls_epsilon=identity_fn())
+                                   THETA1.eval(s) * np.exp(-np.asarray(t, dtype=float)))))
         rho = regularized_rho(THETA2, np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 240)]))
         ev = ConverseEvaluator(dsys, THETA1, rho, cfgp, build_mrk_table(dsys, THETA1, cfgp))
         for t, x in ((0.0, 0.4), (0.0, -1.3), (0.7, 2.5)):
             assert cand.eval(t, [x]) == ev.value(t, np.array([x]))
+
+    def test_inadequate_gain_names_phi(self):
+        """A gain that destabilizes the closed loop fails the decay envelope at
+        evaluation, and the error names the gain."""
+        cfgp = ConverseConfig(k_max=2, disturbance_samples=4,
+                              pieces_per_horizon=3, sim_step=2e-2, seed=5)
+        cand = iss_to_dissipation_candidate(linear_test_system(1.0),
+                                            make_power_fn(5.0, 1.0), THETA1, THETA2, cfgp)
+        with pytest.raises(ModelError, match="phi is inadequate"):
+            cand.eval(0.0, [3.0])
 
     def test_input_free_variant_decays(self):
         """With no input coupling any gain leaves pure decay behind."""
@@ -343,11 +350,7 @@ def compose_kinf(outer, inner):
 class TestCandidateTableExport:
     def test_round_trip_on_nodes(self, decay_system, rho, cfg_small, mrk_small):
         ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
-        from ipss_lab.lyapunov_tools import LyapunovCandidate
-
-        cand = LyapunovCandidate(
-            eval=lambda t, x: ev.value(float(t), np.atleast_1d(x)),
-            alpha1=THETA1, alpha2=THETA1)
+        cand = ev.candidate(RHO_GRID, "converse_series")
         t_grid = [0.0, 1.0]
         x_grid = [-3.0, -1.0, 0.0, 1.0, 3.0]
         table = candidate_table_to_json(cand, t_grid, x_grid)
