@@ -304,10 +304,11 @@ def apply_inverse(f: MonotoneFn, y, tol: float = 1e-12):
 
 
 def inverse_fn(f: MonotoneFn, tol: float = 1e-12) -> MonotoneFn:
-    """Wrap ``f^{-1}`` as a MonotoneFn (same class tag as ``f``)."""
+    """Wrap ``f^{-1}`` as a MonotoneFn (same class tag as ``f``, inverse ``f``)."""
     return MonotoneFn(
         eval=lambda y, _f=f, _t=tol: apply_inverse(_f, y, _t),
         class_tag=f.class_tag,
+        inverse=f.eval,
         domain_hint=float(f.eval(f.domain_hint)),
     )
 
@@ -393,15 +394,16 @@ def monotone_from_spec(spec: dict) -> MonotoneFn:
 
 
 def klbound_to_spec(b: KLBound, s_grid=None, t_grid=None) -> dict:
-    """JSON spec for a KL bound; general bounds are sampled on the grids."""
+    """JSON spec for a KL bound; a general one is sampled in one array call on the grids."""
     if b.kind == "exponential":
         return {"kind": "exponential", "K": b.K, "lambda": b.lam}
     if s_grid is None or t_grid is None:
         raise ParameterError("general KL bound export needs s and t sample grids")
-    s_grid = [float(s) for s in s_grid]
-    t_grid = [float(t) for t in t_grid]
-    vals = [[float(b.eval(s, t)) for t in t_grid] for s in s_grid]
-    return {"kind": "table2d", "s": s_grid, "t": t_grid, "values": vals}
+    s = np.asarray(s_grid, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
+    vals = np.asarray(b.eval(np.repeat(s, t.size), np.tile(t, s.size)), dtype=float)
+    return {"kind": "table2d", "s": s.tolist(), "t": t.tolist(),
+            "values": vals.reshape(s.size, t.size).tolist()}
 
 
 def _bilinear(a_grid: np.ndarray, b_grid: np.ndarray, values: np.ndarray, a, b):

@@ -314,14 +314,23 @@ class KappaBundle:
         """``ln kappa(q)`` straight from the tables; immune to underflow.
 
         Defined on ``[q_min/10, q_max]`` like the regular evaluation but
-        without the conversion through ``exp``.
+        without the conversion through ``exp``; ``ln kappa(0)`` is ``-inf``,
+        and a positive ``q`` below ``q_min/10`` raises :class:`RangeError`.
         """
         q_arr = np.asarray(q, dtype=float)
-        if np.any(q_arr <= 0):
-            raise ParameterError("ln kappa needs strictly positive arguments")
+        if np.any(q_arr < 0):
+            raise ParameterError("ln kappa needs nonnegative arguments")
         if np.any(q_arr > self.qs[-1] * (1.0 + 1e-12)):
             raise RangeError(f"ln kappa beyond q_max={self.q_max:.3e}")
-        lq = np.log(q_arr)
+        low = (q_arr > 0) & (q_arr < self.q_min / 10.0)
+        if np.any(low):
+            bad = float(np.min(q_arr[low]))
+            raise RangeError(
+                f"ln kappa at {bad:.6e} is below the extrapolation floor "
+                f"q_min/10={self.q_min / 10:.3e}; rebuild the bundle with q_min <= {bad:.3e}"
+            )
+        with np.errstate(divide="ignore"):
+            lq = np.log(q_arr)
         slope0 = 2.0 * self.qs[0] / self.a_vals[0]
         out = np.where(
             lq < self.ln_qs[0],
@@ -330,44 +339,43 @@ class KappaBundle:
         )
         return float(out) if np.ndim(q) == 0 else out
 
-    def kappa_prime(self, q):
-        """Analytic derivative from the tables: ``kappa'(q) = 2*kappa(q)/a(q)``."""
-        q_arr = np.asarray(q, dtype=float)
-        out = 2.0 * np.asarray(self.kappa.eval(q_arr)) / np.asarray(self.a_fn.eval(q_arr))
-        return float(out) if np.ndim(q) == 0 else out
-
     def kappa_inv(self, y):
-        """Exact inverse of the tabulated ``kappa`` (closed form per cell)."""
-        scalar = np.ndim(y) == 0
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y_arr)
+        """Exact inverse of the tabulated ``kappa``: :meth:`kappa_inv_ln` at ``ln y``."""
+        y_arr = np.asarray(y, dtype=float)
+        if np.any(y_arr < 0):
+            raise ParameterError(f"cannot invert kappa at negative value {float(np.min(y_arr))}")
+        with np.errstate(divide="ignore"):
+            return self.kappa_inv_ln(np.log(y_arr))
+
+    def kappa_inv_ln(self, ln_y):
+        """``kappa^{-1}(e^{ln_y})`` for any array shape, closed form per table cell.
+
+        Works from ``ln y``, so values far below the smallest float invert
+        without underflow; ``ln_y = -inf`` gives 0.
+        """
+        ln_y = np.asarray(ln_y, dtype=float)
+        if np.any(ln_y > self.ln_kappa[-1]):
+            bad = float(np.max(ln_y))
+            raise RangeError(
+                f"kappa inverse at ln y={bad:.6g} exceeds ln kappa(q_max)={self.ln_kappa[-1]:.6g}; "
+                f"rebuild the bundle with a larger q_max than {self.q_max:.3e}"
+            )
         slope0 = 2.0 * self.qs[0] / self.a_vals[0]
         slopes = np.diff(self.ln_kappa) / np.diff(self.ln_qs)
-        for i, yv in enumerate(y_arr):
-            if yv < 0:
-                raise ParameterError(f"cannot invert kappa at negative value {yv}")
-            if yv == 0.0:
-                out[i] = 0.0
-                continue
-            ln_y = math.log(yv)
-            if ln_y < self.ln_kappa[0]:
-                ln_q = self.ln_qs[0] + (ln_y - self.ln_kappa[0]) / slope0
-                if ln_q < self.ln_qs[0] - math.log(10.0) - 1e-12:
-                    raise RangeError(
-                        f"kappa inverse at {yv} needs q below {self.q_min / 10:.3e}; "
-                        f"rebuild the bundle with q_min <= {math.exp(ln_q):.3e}"
-                    )
-                out[i] = math.exp(ln_q)
-            elif ln_y > self.ln_kappa[-1]:
-                raise RangeError(
-                    f"kappa inverse at {yv} exceeds kappa(q_max)={math.exp(self.ln_kappa[-1]):.3e}; "
-                    f"rebuild the bundle with a larger q_max than {self.q_max:.3e}"
-                )
-            else:
-                j = int(np.searchsorted(self.ln_kappa, ln_y, side="right")) - 1
-                j = min(max(j, 0), self.ln_kappa.size - 2)
-                out[i] = math.exp(self.ln_qs[j] + (ln_y - self.ln_kappa[j]) / slopes[j])
-        return float(out[0]) if scalar else out
+        j = np.clip(np.searchsorted(self.ln_kappa, ln_y, side="right") - 1,
+                    0, self.ln_kappa.size - 2)
+        ln_q = np.where(ln_y < self.ln_kappa[0],
+                        self.ln_qs[0] + (ln_y - self.ln_kappa[0]) / slope0,
+                        self.ln_qs[j] + (ln_y - self.ln_kappa[j]) / slopes[j])
+        low = (ln_q < self.ln_qs[0] - math.log(10.0) - 1e-12) & (ln_y > -np.inf)
+        if np.any(low):
+            bad = float(np.min(ln_q[low]))
+            raise RangeError(
+                f"kappa inverse at ln y={float(np.min(ln_y[low])):.6g} needs q below "
+                f"{self.q_min / 10:.3e}; rebuild the bundle with q_min <= {math.exp(bad):.3e}"
+            )
+        out = np.exp(ln_q)
+        return float(out) if out.ndim == 0 else out
 
 
 def _log_grid(q_min: float, q_max: float, per_decade: int) -> np.ndarray:
@@ -564,7 +572,9 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
         rho(s)     = kappa'(sigma^{-1}(2 chi4(s))) * chi4(s)
 
     ``rho`` is the power gauge to use in the moving-average norm of the
-    resulting certificate.
+    resulting certificate.  ``beta`` is formed in log space, so it stays
+    sound where ``kappa(alpha2(s))`` underflows; a query with
+    ``alpha2(s)`` below ``q_min/10`` raises :class:`RangeError`.
     """
     if T <= 0:
         raise ParameterError(f"window length must be positive, got {T}")
@@ -574,11 +584,9 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
     gamma_scale = 2.0 * math.exp(T) * T / (1.0 - math.exp(-T))
 
     def beta_eval(s, t):
-        s_arr = np.asarray(s, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        inner = 2.0 * np.exp(-t_arr) * np.asarray(bundle.kappa.eval(alpha2.eval(s_arr)))
-        q = bundle.kappa_inv(inner)
-        out = apply_inverse(alpha1, q)
+        # ln(2 e^{-t} kappa(alpha2(s))), never exponentiated: kappa underflows
+        ln_y = math.log(2.0) - np.asarray(t, dtype=float) + bundle.ln_kappa_at(alpha2.eval(s))
+        out = apply_inverse(alpha1, bundle.kappa_inv_ln(ln_y))
         return float(out) if np.ndim(out) == 0 else out
 
     def gamma_eval(s):
@@ -588,17 +596,11 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
         return float(out) if (np.ndim(s) == 0 and np.ndim(out) == 0) else out
 
     def rho_eval(s):
-        scalar = np.ndim(s) == 0
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        chi_vals = np.asarray([float(spec.chi4.eval(float(v))) for v in s_arr])
-        out = np.zeros_like(chi_vals)
-        pos = chi_vals > 0
-        if np.any(pos):
-            args = np.asarray([
-                float(apply_inverse(sigma, 2.0 * c)) for c in chi_vals[pos]
-            ])
-            out[pos] = np.asarray(bundle.kappa_prime(args)) * chi_vals[pos]
-        return float(out[0]) if scalar else out
+        chi = np.asarray(spec.chi4.eval(np.asarray(s, dtype=float)), dtype=float)
+        pos = chi > 0
+        args = np.where(pos, np.asarray(apply_inverse(sigma, 2.0 * chi), dtype=float), 1.0)
+        out = np.where(pos, np.asarray(bundle.kappa.derivative(args)) * chi, 0.0)
+        return float(out) if np.ndim(s) == 0 else out
 
     beta = KLBound(kind="general", eval2=beta_eval)
     gamma = MonotoneFn(eval=gamma_eval, class_tag="Kinf", domain_hint=alpha1.domain_hint)

@@ -8,7 +8,7 @@ is smooth on every sub-interval, so the method keeps its full order.
 
 Blow-up is modeled by a hard threshold on the state norm; exceeding it
 stops integration and marks the trajectory.  One step loop serves a
-single state and a batch of states that share their anchor grid.
+single state and a batch of states, each on its own anchor grid.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ BLOWUP_THRESHOLD = 1e9
 class SystemDef:
     """Time-varying dynamics ``xdot = rhs(t, x, u)``.
 
-    ``rhs`` acts row-wise: given states of shape ``(B, n)`` and inputs of
-    shape ``(B, m)`` it returns the ``(B, n)`` stack of the per-row values,
-    as :func:`simulate_batch` passes them (and checks once per call).
+    ``rhs`` acts row-wise: given a ``(B, 1)`` column of times, states of
+    shape ``(B, n)`` and inputs of shape ``(B, m)`` it returns the
+    ``(B, n)`` stack of the per-row values, as :func:`simulate_batch`
+    passes them (and checks once per call); a lone state gets a float time.
     ``discontinuity_times`` samples the zero-measure set where the dynamics
     may jump in ``t``; the integrator lands on them exactly.  When
     ``lipschitz_hint`` is present, solutions are treated as unique;
@@ -84,20 +85,6 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def _anchor_grid(t0: float, t_end: float, u: Signal, sys: SystemDef,
-                 include_times: Sequence[float]) -> list:
-    anchors = {float(t0), float(t_end)}
-    interior = []
-    interior.extend(float(b) for b in u.breakpoints)
-    interior.append(float(u.horizon))
-    interior.extend(float(d) for d in sys.discontinuity_times)
-    interior.extend(float(x) for x in include_times)
-    for x in interior:
-        if t0 < x < t_end:
-            anchors.add(x)
-    return sorted(anchors)
-
-
 def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) -> None:
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
@@ -109,43 +96,58 @@ def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) 
         raise ParameterError(f"input dim {u.dim} does not match system m {sys.m}")
 
 
-def _rk4(rhs, x, anchors: list, step: float, inputs, limit2: float):
-    """RK4 steps over ``anchors`` for a state of shape ``(n,)`` or ``(B, n)``.
+def _schedule(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float,
+              include_times: Sequence[float]):
+    """Grid times, step lengths and step inputs of one member's RK4 run.
 
-    ``inputs`` yields the input on each anchor segment, of shape ``(m,)``
-    or ``(B, m)``.  Stops after the first step whose squared norm (summed
-    over all rows of a batch) is not ``<= limit2``; a single state that
-    turns nonfinite raises :class:`DynamicsError` instead.  Returns the
-    time list, the state list and the stopping time (``None`` at the end).
+    The anchors (input breakpoints and horizon, declared discontinuities,
+    requested times) inside ``(t0, t_end)`` split the run into segments.
     """
-    batched = x.ndim == 2
-    vdot = np.vdot  # x @ x on one state, and the flattened sum over a batch
-    times = [anchors[0]]
-    states = [x]
-    for seg_a, seg_b, u_val in zip(anchors, anchors[1:], inputs):
+    inside = [*u.breakpoints, u.horizon, *sys.discontinuity_times, *include_times]
+    anchors = sorted({float(t0), float(t_end)} | {float(x) for x in inside if t0 < x < t_end})
+    times, hs, inputs = [], [], []
+    for seg_a, seg_b in zip(anchors, anchors[1:]):
         span = seg_b - seg_a
         nsub = max(1, int(math.ceil(span / step - 1e-12)))
         h = span / nsub
+        times.append(seg_a + np.arange(nsub) * h)
+        hs.append(np.full(nsub, h))
+        inputs.append(np.broadcast_to(u.eval(seg_a), (nsub, sys.m)))
+    times.append([anchors[-1]])
+    return np.concatenate(times), np.concatenate(hs), np.concatenate(inputs)
+
+
+def _rk4(rhs, x, times, hs, inputs, limit2: float, live=None):
+    """RK4 step ``k`` from ``times[k]`` over ``hs[k]`` with input ``inputs[k]``.
+
+    ``x`` is one state ``(n,)`` with float times and ``(m,)`` inputs, or a
+    batch ``(B, n)`` with ``(B, 1)`` time and length columns, ``(B, m)``
+    inputs and rows held where ``live[k]`` is false.  Stops after the first
+    step whose squared norm (summed over a batch) is not ``<= limit2``; a
+    single state that turns nonfinite raises :class:`DynamicsError`.
+    Returns the ``(B, k+2, n)`` states so far and the stopping step or ``None``.
+    """
+    batched = x.ndim == 2
+    full = len(hs) if live is None else int(np.count_nonzero(live.all(axis=(1, 2))))
+    states = np.empty((x.shape[0] if batched else 1, len(hs) + 1, x.shape[-1]))
+    states[:, 0] = x
+    for k, (t, h, u) in enumerate(zip(times, hs, inputs)):
         h2 = 0.5 * h
-        h6 = h / 6.0
-        t = seg_a
-        for j in range(nsub):
-            k1 = rhs(t, x, u_val)
-            k2 = rhs(t + h2, x + h2 * k1, u_val)
-            k3 = rhs(t + h2, x + h2 * k2, u_val)
-            k4 = rhs(t + h, x + h * k3, u_val)
-            x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            t = seg_a + (j + 1) * h if j + 1 < nsub else seg_b
-            nrm2 = float(vdot(x, x))
-            if not math.isfinite(nrm2) and not batched:
-                raise DynamicsError(
-                    f"nonfinite state update at t={t} (x={states[-1]}, u={u_val})"
-                )
-            times.append(t)
-            states.append(x)
-            if not nrm2 <= limit2:
-                return times, states, t
-    return times, states, None
+        k1 = rhs(t, x, u)
+        k2 = rhs(t + h2, x + h2 * k1, u)
+        k3 = rhs(t + h2, x + h2 * k2, u)
+        k4 = rhs(t + h, x + h * k3, u)
+        x_new = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        x = x_new if k < full else np.where(live[k], x_new, x)
+        nrm2 = float(np.vdot(x, x))  # x @ x on one state, the sum over a batch
+        if not math.isfinite(nrm2) and not batched:
+            raise DynamicsError(
+                f"nonfinite state update at t={times[k + 1]} (x={states[0, k]}, u={u})"
+            )
+        states[:, k + 1] = x
+        if not nrm2 <= limit2:
+            return states[:, :k + 2], k
+    return states, None
 
 
 def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
@@ -161,29 +163,31 @@ def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
     return simulate_batch(sys, t0, [xi], [u], t_end, step, include_times)[0]
 
 
-def _acts_rowwise(rhs, t0: float, xs: list, us: list) -> bool:
-    """Whether one batched ``rhs`` call at the start equals the per-row calls."""
+def _acts_rowwise(rhs, t0: float, step: float, xs: list, us: list) -> bool:
+    """Whether one batched ``rhs`` call at per-row times ``t0 + i*step`` equals the per-row calls."""
+    t_col = t0 + np.arange(len(xs))[:, None] * step
     u0 = [u.eval(t0) for u in us]
-    rows = [rhs(t0, x, v) for x, v in zip(xs, u0)]
     try:
-        batched = rhs(t0, np.stack(xs), np.stack(u0))
-    except (ValueError, TypeError, IndexError):  # the rhs rejects a 2-D state
+        rows = [rhs(float(t), x, v) for t, x, v in zip(t_col[:, 0], xs, u0)]
+        batched = rhs(t_col, np.stack(xs), np.stack(u0))
+        return np.array_equal(batched, rows)
+    except Exception:  # the rhs rejects a 2-D state or a time column
         return False
-    return np.array_equal(batched, rows)
 
 
 def simulate_batch(sys: SystemDef, t0: float, xis, us: Sequence[Signal], t_end: float,
                    step: float, include_times: Sequence[float] = ()) -> list:
     """:func:`simulate` for the members ``(xis[i], us[i])``, one list entry each.
 
-    Members with identical anchor grids advance together as one ``(B, n)``
-    state with ``(B, m)`` inputs, so each takes exactly the float steps
-    that :func:`simulate` takes for it alone and gets a bit-identical
-    trajectory.  That needs ``sys.rhs`` to act row-wise; one batched call
-    at the start states is compared exactly with the per-row calls, and on
-    any difference every member is integrated on its own.  A group in
-    which some state nears the blow-up threshold or turns nonfinite is
-    rerun member by member, so blow-up flags and times are per member; the
+    All members advance in lockstep by step index as one ``(B, n)`` state,
+    each on its own anchor grid: it gets its own time, step length and input
+    on every step and is held once its grid has ended, so it takes exactly
+    the float steps of its lone :func:`simulate` run.  That needs ``sys.rhs``
+    to act row-wise, in ``t`` too; one batched call at distinct per-row
+    times is compared exactly with the per-row calls, and on any difference
+    or exception every member is integrated on its own.  A batch in which
+    some state nears the blow-up threshold or turns nonfinite is rerun
+    member by member, so blow-up flags and times are per member; the
     :class:`DynamicsError` of the first failing member (in input order) is
     raised after all members ran.
     """
@@ -192,36 +196,38 @@ def simulate_batch(sys: SystemDef, t0: float, xis, us: Sequence[Signal], t_end: 
     for u in us:
         _check_run(sys, t0, u, t_end, step)
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
+    plans = [_schedule(sys, t0, u, t_end, step, include_times) for u in us]
     thresh2 = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
-    groups = {}
-    for i, u in enumerate(us):
-        groups.setdefault(tuple(_anchor_grid(t0, t_end, u, sys, include_times)), []).append(i)
-    rowwise = len(us) < 2 or _acts_rowwise(sys.rhs, t0, xs, us)
 
-    trajs = [None] * len(us)
+    if len(us) > 1 and _acts_rowwise(sys.rhs, t0, step, xs, us):
+        sizes = [h_i.size for _, h_i, _ in plans]
+        times = np.full((max(sizes) + 1, len(us), 1), float(t_end))
+        hs = np.zeros_like(times[1:])
+        inputs = np.empty((len(hs), len(us), sys.m))
+        live = np.arange(len(hs))[:, None, None] < np.asarray(sizes)[:, None]
+        for i, (times_i, h_i, u_i) in enumerate(plans):
+            times[:times_i.size, i, 0], hs[:h_i.size, i, 0] = times_i, h_i
+            inputs[:h_i.size, i], inputs[h_i.size:, i] = u_i, u_i[-1]
+        # the summed squared norm bounds every row's; the margin keeps
+        # rounding from hiding a blow-up that simulate would report
+        states, stop = _rk4(sys.rhs, np.stack(xs), times, hs, inputs,
+                            thresh2 * (1.0 - 1e-9), live)
+        if stop is None:
+            return [Trajectory(times=times_i, states=states[i, :times_i.size])
+                    for i, (times_i, _, _) in enumerate(plans)]
+
+    trajs = []
     errors = {}
-    for grid, members in groups.items():
-        anchors = list(grid)
-        if rowwise and len(members) > 1:
-            # the summed squared norm bounds every row's; the margin keeps
-            # rounding from hiding a blow-up that simulate would report
-            inputs = (np.stack([us[i].eval(a) for i in members]) for a in anchors[:-1])
-            times, states, stop = _rk4(sys.rhs, np.stack([xs[i] for i in members]), anchors,
-                                       step, inputs, thresh2 * (1.0 - 1e-9))
-            if stop is None:
-                times, per_member = np.asarray(times), np.stack(states, axis=1)
-                for row, i in enumerate(members):
-                    trajs[i] = Trajectory(times=times.copy(), states=per_member[row])
-                continue
-        for i in members:
-            try:
-                times, states, stop = _rk4(sys.rhs, xs[i], anchors, step,
-                                           (us[i].eval(a) for a in anchors[:-1]), thresh2)
-            except DynamicsError as exc:
-                errors[i] = exc
-                continue
-            trajs[i] = Trajectory(times=np.asarray(times), states=np.asarray(states),
-                                  blown_up=stop is not None, blowup_time=stop)
+    for i, (times_i, h_i, u_i) in enumerate(plans):
+        try:
+            states, stop = _rk4(sys.rhs, xs[i], times_i.tolist(), h_i.tolist(), u_i, thresh2)
+        except DynamicsError as exc:
+            errors[i] = exc
+            trajs.append(None)
+            continue
+        times_i = times_i[:states.shape[1]]
+        trajs.append(Trajectory(times=times_i, states=states[0], blown_up=stop is not None,
+                                blowup_time=None if stop is None else float(times_i[-1])))
     if errors:
         raise errors[min(errors)]
     return trajs

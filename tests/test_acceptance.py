@@ -54,6 +54,7 @@ from ipss_lab.simulator import (
     lipschitz_probe,
     perturbed_decay_system,
     simulate,
+    simulate_batch,
 )
 from ipss_lab.stability_certificates import (
     Certificate,
@@ -101,6 +102,18 @@ def _random_pw_signal(rng, horizon, value_range, max_pieces=12):
                        horizon=horizon)
 
 
+def _worst_envelope_margin(cert, rng, xi_range, u_range, runs=200):
+    """Worst envelope margin of seeded runs of ``linear(1)``, integrated as one batch."""
+    draws = []
+    for _ in range(runs):
+        xi = float(rng.uniform(-xi_range, xi_range))
+        draws.append((xi, _random_pw_signal(rng, 8.0, u_range)))
+    trajs = simulate_batch(linear_test_system(1.0), 0.0, [[xi] for xi, _ in draws],
+                           [u for _, u in draws], 8.0, 2e-3)
+    return min(check_envelope(traj, cert, u, abs(xi), 0.0).margin
+               for (xi, u), traj in zip(draws, trajs))
+
+
 def test_criterion_1_window_bound_oracle_suite():
     """Saturated sequences obey the windowed bound for 100 seeded cases."""
     with _Criterion(1, "window-bound oracle suite (100 seeded cases)", 30.0):
@@ -134,15 +147,7 @@ def test_criterion_2_exponential_transformer_constants_and_envelope():
         assert amp == pytest.approx(8.56884, abs=1e-4)
 
         cert = exp_iiss_to_ipss(1.0, 1.0, IDENT, IDENT, 1.0)
-        sysd = linear_test_system(1.0)
-        rng = np.random.default_rng(202)
-        worst = math.inf
-        for _ in range(200):
-            xi = float(rng.uniform(-5.0, 5.0))
-            u = _random_pw_signal(rng, 8.0, 5.0)
-            traj = simulate(sysd, 0.0, [xi], u, 8.0, 2e-3)
-            rep = check_envelope(traj, cert, u, abs(xi), 0.0)
-            worst = min(worst, rep.margin)
+        worst = _worst_envelope_margin(cert, np.random.default_rng(202), 5.0, 5.0)
         assert worst >= -1e-6, f"worst margin {worst}"
 
 
@@ -170,15 +175,7 @@ def test_criterion_4_power_gain_synthesis_end_to_end():
         beta, gamma, rho = ipss_gains_from_dissipation(IDENT, IDENT, spec,
                                                        1.0, bundle)
         cert = Certificate(kind="IPSS", beta=beta, gamma=gamma, rho=rho, T=1.0)
-        sysd = linear_test_system(1.0)
-        rng = np.random.default_rng(404)
-        worst = math.inf
-        for _ in range(200):
-            xi = float(rng.uniform(-10.0, 10.0))
-            u = _random_pw_signal(rng, 8.0, 10.0)
-            traj = simulate(sysd, 0.0, [xi], u, 8.0, 2e-3)
-            rep = check_envelope(traj, cert, u, abs(xi), 0.0)
-            worst = min(worst, rep.margin)
+        worst = _worst_envelope_margin(cert, np.random.default_rng(404), 10.0, 10.0)
         assert worst >= -1e-6, f"worst margin {worst}"
 
 

@@ -6,6 +6,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ipss_lab import comparison_functions as cf
@@ -14,6 +15,7 @@ from ipss_lab import simulator as sm
 from ipss_lab import stability_certificates as sc
 from ipss_lab.cli_harness import (
     ExperimentConfig,
+    _draw_linear_scenarios,
     _run_envelope_sims,
     main,
     run_experiment,
@@ -191,6 +193,52 @@ class TestEnvelopeRows:
         rows, min_margin = _run_envelope_sims(square, self.CERT, scenarios, 0.0, 1e-3)
         assert min_margin == -math.inf
         assert rows and {r[0] for r in rows} == {1}
+
+    def test_batched_rows_equal_lone_simulate_rows(self, monkeypatch):
+        """One batch per horizon gives the rows of one lone run per scenario."""
+        rng = np.random.default_rng(11)
+        scenarios = _draw_linear_scenarios(rng, 25, 8.0, 10.0, 10.0)
+        scenarios[20:] = _draw_linear_scenarios(rng, 5, 5.0, 10.0, 10.0)
+        cert = sc.exp_iiss_to_ipss(1.0, 1.0, cf.identity_fn(), cf.identity_fn(), 1.0)
+        system = sm.linear_test_system(1.0)
+        batched = _run_envelope_sims(system, cert, scenarios, 0.0, 2e-3)
+        one = sm.simulate_batch
+
+        def lone(sys, t0, xis, us, *args):
+            return [one(sys, t0, [xi], [u], *args)[0] for xi, u in zip(xis, us)]
+
+        monkeypatch.setattr(sm, "simulate_batch", lone)
+        assert _run_envelope_sims(system, cert, scenarios, 0.0, 2e-3) == batched
+
+
+@pytest.fixture(scope="module")
+def linear_ipss_run(tmp_path_factory):
+    """One ``linear_ipss`` run, with the numeric inversions it made."""
+    calls = []
+    invert = cf.invert
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return invert(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "invert", counted)
+        arts = run_config(load_bundled("linear_ipss.json"), tmp_path_factory.mktemp("ipss"))
+    cert_path = [p for p in arts.paths if p.endswith("certificate.json")][0]
+    return json.loads(Path(cert_path).read_text()), len(calls)
+
+
+class TestSynthGainsCertificate:
+    def test_reloaded_beta_dominates_identity_on_its_s_grid(self, linear_ipss_run):
+        """beta(s, 0) >= s; it underflowed to 0 on 46 of the 201 nodes."""
+        spec, _ = linear_ipss_run
+        beta = sc.certificate_from_json(spec).beta
+        s = np.asarray(spec["beta"]["s"])
+        assert np.all(np.asarray(beta.eval(s, np.zeros_like(s))) >= s)
+
+    def test_rho_needs_no_bisection(self, linear_ipss_run):
+        """sigma = alpha4 o alpha2^{-1} carries an analytic inverse."""
+        assert linear_ipss_run[1] == 0
 
 
 class TestDeterminism:

@@ -220,6 +220,27 @@ class TestKappaBundle:
         with pytest.raises(RangeError, match="q_min"):
             narrow.kappa_inv(math.exp(narrow.ln_kappa[0] - 200.0))
 
+    def test_inverse_takes_any_array_shape(self, bundle):
+        qs, ts = np.meshgrid(np.geomspace(1e-2, 1e2, 7), np.linspace(0.0, 8.0, 5))
+        ys = np.asarray(bundle.kappa.eval(qs)) * np.exp(-ts)
+        q_inv = bundle.kappa_inv(ys)
+        assert q_inv.shape == ys.shape
+        assert np.array_equal(q_inv, [[bundle.kappa_inv(float(y)) for y in row] for row in ys])
+        assert bundle.kappa_inv(np.zeros((2, 3))).tolist() == [[0.0] * 3] * 2
+        with pytest.raises(RangeError, match="larger q_max than 1.000e"):
+            bundle.kappa_inv(np.full((2, 2), math.exp(bundle.ln_kappa[-1] + 10.0)))
+        narrow = build_kappa(IDENT, (0.3, 10.0), 1e-10)
+        with pytest.raises(RangeError, match="rebuild the bundle with q_min <= "):
+            narrow.kappa_inv(np.full((2, 2), math.exp(narrow.ln_kappa[0] - 200.0)))
+
+    def test_log_form_inverts_below_the_smallest_float(self, bundle):
+        """ln kappa(1e-3) is about -6280; kappa itself underflows to 0 there."""
+        q = np.array([1e-4, 1e-3, 5e-3])
+        ln_y = bundle.ln_kappa_at(q)
+        assert np.all(np.asarray(bundle.kappa.eval(q)) == 0.0)
+        np.testing.assert_allclose(bundle.kappa_inv_ln(ln_y), q, rtol=1e-9)
+        assert bundle.kappa_inv_ln(-math.inf) == 0.0
+
     def test_invalid_q_range_rejected(self):
         with pytest.raises(ParameterError):
             build_kappa(IDENT, (0.5, 0.9))
@@ -237,6 +258,18 @@ class TestGainSynthesis:
         beta, _, _ = gains
         for s in np.geomspace(1e-2, 50.0, 30):
             assert float(beta.eval(s, 0.0)) >= s
+
+    def test_beta_dominates_identity_down_to_table_floor(self, gains, bundle):
+        """kappa(alpha2(s)) underflows for s below 0.0084; beta gave 0 there."""
+        beta, _, _ = gains
+        s = np.geomspace(bundle.q_min / 10, 1e-2, 40)
+        assert np.all(np.asarray(beta.eval(s, np.zeros_like(s))) >= s)
+        assert beta.eval(0.0, 3.0) == 0.0
+
+    def test_beta_below_table_floor_names_q_min(self, gains):
+        beta, _, _ = gains
+        with pytest.raises(RangeError, match=r"rebuild the bundle with q_min <= 5\.000e-05"):
+            beta.eval(5e-5, 0.0)
 
     def test_beta_long_time_value(self, gains):
         """Frozen from an independent quadrature + bisection oracle.

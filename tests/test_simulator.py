@@ -154,6 +154,34 @@ class TestSimulateBatch:
         for xi, u, tr in zip(xis, us, batch):
             assert_same_trajectory(tr, simulate(sysd, 0.0, xi, u, 2.0, 1e-2))
 
+    MIXED = [constant_signal([0.3], 3.0),
+             make_signal([(0.0, [0.9]), (1.1, [0.2])], horizon=2.5),
+             make_signal([(0.0, [-0.4]), (0.45, [1.0])], horizon=3.0)]
+
+    @pytest.mark.parametrize("rhs", [
+        lambda t, x, u: -x + math.sin(t) * u,  # rejects a time column
+        lambda t, x, u: -x * (1.0 + 0.5 * np.ravel(t)[0]) + u,  # reads row 0's time only
+    ])
+    def test_rhs_not_row_wise_in_time_falls_back_to_members(self, rhs):
+        sysd = SystemDef(rhs=rhs, n=1, m=1)
+        xis = [[1.0], [-0.5], [2.0]]
+        batch = simulate_batch(sysd, 0.1, xis, self.MIXED, 3.0, 1e-2)
+        for xi, u, tr in zip(xis, self.MIXED, batch):
+            assert_same_trajectory(tr, simulate(sysd, 0.1, xi, u, 3.0, 1e-2))
+
+    def test_time_varying_members_advance_together(self):
+        """Members on different grids share one (B, n) step loop."""
+        ce = counterexample_system()
+        shapes = []
+        sysd = SystemDef(rhs=lambda t, x, u: shapes.append(np.shape(x)) or ce.rhs(t, x, u),
+                         n=1, m=1)
+        xis = [[0.5], [-1.0], [0.0]]
+        batch = simulate_batch(sysd, 0.2, xis, self.MIXED, 3.0, 7e-3)
+        assert shapes.count((3, 1)) > 4 * 400
+        assert shapes.count((1,)) == len(xis)  # only the row-wise check
+        for xi, u, tr in zip(xis, self.MIXED, batch):
+            assert_same_trajectory(tr, simulate(ce, 0.2, xi, u, 3.0, 7e-3))
+
     def test_mismatched_members_rejected(self):
         with pytest.raises(ParameterError):
             simulate_batch(linear_test_system(1.0), 0.0, [[1.0]],
