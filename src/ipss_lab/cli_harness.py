@@ -348,7 +348,7 @@ def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     rho_grid = np.concatenate([[0.0], np.geomspace(1e-6, u_max, 400)])
     s_max = xi_range * 1.1 + 1.0
     power_max = max(
-        sig.avg_power_norm(sig.restrict(u, 0.0, u.horizon), rho, T).value
+        sig.avg_power_norm(u, rho, T).value
         for _, u in scenarios
     )
     gamma_grid = np.concatenate([[0.0], np.geomspace(1e-9, power_max * 1.1 + 1.0, 400)])

@@ -137,16 +137,19 @@ def make_power_fn(c: float, p: float) -> MonotoneFn:
     c = float(c)
     p = float(p)
 
+    # one np.power path for scalars and arrays, so a scalar call gives the
+    # same float as the matching element of an array call
     def _eval(s, _c=c, _p=p):
-        return _c * np.power(np.asarray(s, dtype=float), _p) if np.ndim(s) else _c * float(s) ** _p
+        out = _c * np.power(s, _p)
+        return float(out) if np.ndim(s) == 0 else out
 
     def _deriv(s, _c=c, _p=p):
-        s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
-        return _c * _p * s ** (_p - 1.0)
+        out = _c * _p * np.power(s, _p - 1.0)
+        return float(out) if np.ndim(s) == 0 else out
 
     def _inv(y, _c=c, _p=p):
-        y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-        return (y / _c) ** (1.0 / _p)
+        out = np.power(np.asarray(y, dtype=float) / _c, 1.0 / _p)
+        return float(out) if np.ndim(y) == 0 else out
 
     return MonotoneFn(
         eval=_eval,

@@ -198,42 +198,51 @@ def restrict(u: Signal, a: float, b: float) -> Signal:
     return _normalize_pieces(pieces, u.dim, max(horizon, 0.0))
 
 
-def _overlapping_pieces(u: Signal, a: float, b: float):
-    for start, end, val in u.pieces():
-        lo, hi = max(start, a), min(end, b)
-        if hi > lo:
-            yield lo, hi, val
+def _interval(u: Signal, interval: Optional[tuple]) -> tuple:
+    a, b = interval if interval is not None else (0.0, u.horizon)
+    if a > b:
+        raise ParameterError(f"interval start {a} exceeds end {b}")
+    return a, b
+
+
+def _piece_table(u: Signal, a: float, b: float):
+    """Start, end and magnitude of each piece overlapping ``[a, b]``, clipped to it."""
+    starts = np.maximum(u.breakpoints, a)
+    ends = np.minimum(np.append(u.breakpoints[1:], u.horizon), b)
+    keep = ends > starts
+    return starts[keep], ends[keep], np.linalg.norm(u.values[keep], axis=1)
+
+
+def _energy_table(u: Signal, rho: Optional[MonotoneFn], a: float, b: float):
+    """Knots and cumulative ``rho(|u|)`` energy of ``u`` clipped to ``[a, b]``."""
+    starts, ends, mags = _piece_table(u, a, b)
+    rates = mags if rho is None else np.asarray(rho.eval(mags), dtype=float)
+    knots = np.concatenate(([max(a, 0.0)], ends))
+    cum = np.concatenate(([0.0], np.cumsum(rates * (ends - starts))))
+    return knots, cum
 
 
 def sup_norm(u: Signal, interval: Optional[tuple] = None) -> NormValue:
     """Essential supremum of ``|u|`` (Euclidean) over ``[a, b]``.
 
     Exact for piecewise-constant signals: the maximum over pieces with
-    positive-measure overlap.  Beyond the horizon the signal is zero.
+    positive-measure overlap, so a degenerate interval gives 0.  Beyond the
+    horizon the signal is zero.  The witness is the first attaining piece.
     """
-    a, b = interval if interval is not None else (0.0, u.horizon)
-    if a > b:
-        raise ParameterError(f"interval start {a} exceeds end {b}")
-    if a == b:
-        val = float(np.linalg.norm(u.eval(a)))
-        return NormValue(value=val, witness=(a, a))
-    best, wit = 0.0, None
-    for lo, hi, val in _overlapping_pieces(u, a, b):
-        mag = float(np.linalg.norm(val))
-        if mag > best:
-            best, wit = mag, (lo, hi)
-    return NormValue(value=best, witness=wit)
+    starts, ends, mags = _piece_table(u, *_interval(u, interval))
+    if not np.any(mags > 0.0):
+        return NormValue(value=0.0)
+    i = int(np.argmax(mags))
+    best = float(mags[i])
+    return NormValue(value=best, diverged=math.isinf(best),
+                     witness=(float(starts[i]), float(ends[i])))
 
 
 def rho_energy(u: Signal, rho: MonotoneFn, interval: Optional[tuple] = None) -> NormValue:
     """Energy integral of ``rho(|u|)`` over the interval; exact by piece sums."""
-    a, b = interval if interval is not None else (0.0, u.horizon)
-    if a > b:
-        raise ParameterError(f"interval start {a} exceeds end {b}")
-    total = 0.0
-    for lo, hi, val in _overlapping_pieces(u, a, b):
-        total += float(rho.eval(float(np.linalg.norm(val)))) * (hi - lo)
-    return NormValue(value=total, witness=(a, b))
+    a, b = _interval(u, interval)
+    total = float(_energy_table(u, rho, a, b)[1][-1])
+    return NormValue(value=total, diverged=math.isinf(total), witness=(a, b))
 
 
 def cumulative_energy(u: Signal, rho: Optional[MonotoneFn] = None):
@@ -243,49 +252,32 @@ def cumulative_energy(u: Signal, rho: Optional[MonotoneFn] = None):
     breakpoints and the horizon, so ``np.interp`` on the returned arrays
     evaluates it exactly at any time.
     """
-    knots = [0.0]
-    cum = [0.0]
-    for start, end, val in u.pieces():
-        mag = float(np.linalg.norm(val))
-        rate = float(rho.eval(mag)) if rho is not None else mag
-        knots.append(end)
-        cum.append(cum[-1] + rate * (end - start))
-    if knots[-1] < u.horizon:
-        knots.append(u.horizon)
-        cum.append(cum[-1])
-    return np.asarray(knots), np.asarray(cum)
+    return _energy_table(u, rho, 0.0, u.horizon)
 
 
-def avg_power_norm(u: Signal, rho: MonotoneFn, T: float) -> NormValue:
+def avg_power_norm(u: Signal, rho: MonotoneFn, T: float,
+                   interval: Optional[tuple] = None) -> NormValue:
     """Moving-average power norm: sup over length-``T`` windows of energy / T.
 
-    For piecewise-constant inputs the windowed integral is piecewise affine
-    in the window end time, so the supremum is attained at a window end in
-    ``{breakpoints} union {breakpoints + T}``; those candidates are
-    enumerated exactly.  The witness is the attaining window.
+    Taken of ``u`` restricted to ``interval`` (default: the whole signal).
+    The windowed integral is piecewise affine in the window end time, so the
+    supremum is attained at a window end in ``{knots} union {knots + T}``;
+    all candidates are evaluated in one pass, and the witness is the first
+    attaining window.  An infinite energy gives an infinite power.
     """
     if not (T > 0):
         raise ParameterError(f"window length must be positive, got {T}")
-    knots, cum = cumulative_energy(u, rho)
-
-    def windowed(t_end: float) -> float:
-        lo = max(t_end - T, 0.0)
-        return float(np.interp(t_end, knots, cum, right=cum[-1])
-                     - np.interp(lo, knots, cum, right=cum[-1]))
-
-    candidates = set()
-    for b in knots:
-        candidates.add(float(b))
-        candidates.add(float(b) + T)
-    best_val, best_t = 0.0, 0.0
-    for t_end in sorted(candidates):
-        w = windowed(t_end)
-        if w > best_val:
-            best_val, best_t = w, t_end
-    return NormValue(
-        value=best_val / T,
-        witness=(max(best_t - T, 0.0), best_t),
-    )
+    knots, cum = _energy_table(u, rho, *_interval(u, interval))
+    if math.isinf(cum[-1]):
+        t_end = float(knots[np.argmax(np.isinf(cum))])
+        return NormValue(value=math.inf, diverged=True, witness=(max(t_end - T, 0.0), t_end))
+    t_ends = np.unique(np.concatenate((knots, knots + T)))
+    windowed = np.interp(t_ends, knots, cum) - np.interp(np.maximum(t_ends - T, 0.0), knots, cum)
+    i = int(np.argmax(windowed))
+    if not windowed[i] > 0.0:
+        return NormValue(value=0.0, witness=(0.0, 0.0))
+    t_end = float(t_ends[i])
+    return NormValue(value=float(windowed[i]) / T, witness=(max(t_end - T, 0.0), t_end))
 
 
 def pulse_train(tau: float, count: int) -> Signal:

@@ -34,7 +34,6 @@ from .signals import (
     cumulative_energy,
     make_signal,
     pulse_train,
-    restrict,
     rho_energy,
     sup_norm,
 )
@@ -123,31 +122,17 @@ class EnvelopeReport:
     margins: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def _input_measure(cert: Certificate, u: Signal, t0: float, t_end: float):
-    """Input measure over ``[t0, t_end]`` per the certificate kind.
-
-    The input is replaced by its restriction to the simulated window, which
-    leaves the bound's meaning unchanged by causality.
-    """
-    if cert.kind in ("URGAS", "URLS"):
-        return None
-    u_win = restrict(u, t0, t_end)
-    if cert.kind == "ISS":
-        return sup_norm(u_win, (t0, t_end))
-    if cert.kind == "iISS":
-        return rho_energy(u_win, cert.rho, (t0, t_end))
-    return avg_power_norm(u_win, cert.rho, cert.T)
-
-
 def check_envelope(traj: Trajectory, cert: Certificate, u: Signal, xi_norm: float,
                    t0: float, tolerance: Optional[float] = None) -> EnvelopeReport:
     """Evaluate the certified bound at every trajectory grid time.
 
-    Returns the minimal ``bound - |x|`` margin, where it occurs, and the
-    per-sample bound and margin arrays.  A blown-up trajectory fails
-    outright.  When ``tolerance`` is omitted it defaults to
-    ``1e-6 * (1 + bound)`` at the worst point, matching the combined
-    integrator and quadrature error scales.
+    The input measure matching the certificate kind is taken of ``u`` over
+    the whole simulated window ``[t0, t_end]``.  Returns the minimal
+    ``bound - |x|`` margin, where it occurs, and the per-sample bound and
+    margin arrays.  A blown-up trajectory fails outright.  When
+    ``tolerance`` is omitted it defaults to ``1e-6 * (1 + bound)`` at the
+    worst point, matching the combined integrator and quadrature error
+    scales.
     """
     if traj.blown_up:
         return EnvelopeReport(
@@ -157,7 +142,14 @@ def check_envelope(traj: Trajectory, cert: Certificate, u: Signal, xi_norm: floa
             tolerance=tolerance if tolerance is not None else 0.0,
             note="trajectory blow-up",
         )
-    measure = _input_measure(cert, u, t0, float(traj.times[-1]))
+    window = (t0, float(traj.times[-1]))
+    measure = None
+    if cert.kind == "ISS":
+        measure = sup_norm(u, window)
+    elif cert.kind == "iISS":
+        measure = rho_energy(u, cert.rho, window)
+    elif cert.kind == "IPSS":
+        measure = avg_power_norm(u, cert.rho, cert.T, window)
     gamma_term = 0.0
     measure_val = None
     if measure is not None:

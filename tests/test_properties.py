@@ -10,6 +10,7 @@ import sys
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from conftest import brute_force_avg_power
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,14 @@ from ipss_lab.comparison_functions import (
     monotone_to_spec,
 )
 from ipss_lab.lyapunov_tools import build_kappa
-from ipss_lab.signals import avg_power_norm, concat, make_signal, restrict
+from ipss_lab.signals import (
+    avg_power_norm,
+    concat,
+    make_signal,
+    restrict,
+    rho_energy,
+    sup_norm,
+)
 
 PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
 
@@ -56,11 +64,46 @@ def probe_times(*signals_and_times):
 
 
 @PROPERTY
-@given(u=signals(), T=st.sampled_from([0.5, 1.0, 1.75]), p=st.sampled_from([1.0, 2.0]))
-def test_avg_power_norm_matches_brute_force(u, T, p):
+@given(u=signals(), T=st.sampled_from([0.5, 1.0, 1.75]), p=st.sampled_from([1.0, 2.0]),
+       a=st.integers(0, 28), b=st.integers(0, 28))
+def test_avg_power_norm_matches_brute_force(u, T, p, a, b):
+    """Also over an interval: the measures there are those of the restriction."""
     rho = make_power_fn(1.0, p)
     expected = brute_force_avg_power(u, rho, T, step=0.05)
     assert np.isclose(avg_power_norm(u, rho, T).value, expected, rtol=1e-12, atol=1e-12)
+    a, b = TICK * min(a, b), TICK * max(a, b)
+    r = restrict(u, a, b)
+    power = avg_power_norm(u, rho, T, (a, b))
+    assert power == avg_power_norm(r, rho, T)
+    expected = brute_force_avg_power(r, rho, T, step=0.05)
+    assert np.isclose(power.value, expected, rtol=1e-12, atol=1e-12)
+    assert sup_norm(u, (a, b)).value == sup_norm(r).value
+    assert rho_energy(u, rho, (a, b)).value == rho_energy(r, rho).value
+
+
+@PROPERTY
+@given(u=signals(), p=st.floats(0.25, 4.0))
+def test_measures_equal_the_per_piece_loop(u, p):
+    """The array pass adds the piece energies left to right, as a loop does."""
+    rho = make_power_fn(1.0, p)
+    total, best = 0.0, 0.0
+    for start, end, val in u.pieces():
+        mag = float(np.linalg.norm(val))
+        total += rho.eval(mag) * (end - start)
+        best = max(best, mag)
+    assert rho_energy(u, rho).value == total
+    assert sup_norm(u).value == best
+
+
+@pytest.mark.parametrize("part", ["eval", "derivative", "inverse"])
+@PROPERTY
+@given(c=st.floats(0.1, 10.0), p=st.floats(0.25, 4.0),
+       s=st.lists(st.floats(0.0, 50.0, exclude_min=True), min_size=1, max_size=16))
+def test_power_fn_scalar_call_equals_array_element(part, c, p, s):
+    fn = getattr(make_power_fn(c, p), part)
+    out = fn(np.asarray(s))
+    for x, y in zip(s, out):
+        assert type(fn(x)) is float and fn(x) == y
 
 
 @PROPERTY

@@ -238,6 +238,24 @@ class TestRestrictAndJson:
         assert rows[0]["v_2"] == "-2.0"
 
 
+class TestDivergedMeasures:
+    def test_overflowing_energy_gives_infinite_power(self):
+        """An infinite energy is an infinite power, never inf - inf = nan."""
+        u = constant_signal([10.0], 2.0)
+        rho = make_power_fn(1.0, 400.0)
+        with np.errstate(over="ignore"):
+            energy = rho_energy(u, rho)
+            power = avg_power_norm(u, rho, 1.0)
+        assert energy.diverged and energy.value == math.inf
+        assert power.diverged and power.value == math.inf
+        assert power.witness == (1.0, 2.0)  # the window ending at the overflow
+
+    def test_overflowing_magnitude_gives_diverged_sup(self):
+        with np.errstate(over="ignore"):
+            nv = sup_norm(constant_signal([1e200], 1.0))
+        assert nv.diverged and nv.witness == (0.0, 1.0)
+
+
 class TestNormValue:
     def test_diverged_flag_must_match_value(self):
         from ipss_lab.signals import NormValue

@@ -9,6 +9,7 @@ from ipss_lab.comparison_functions import (
     KLBound,
     identity_fn,
     make_power_fn,
+    make_table_fn,
     scale_fn,
 )
 from ipss_lab.errors import ParameterError
@@ -92,6 +93,21 @@ class TestCheckEnvelope:
         assert rep.margin == float(np.min(rep.margins))
         assert rep.worst_time == float(traj.times[np.argmin(rep.margins)])
         assert "bounds" not in repr(rep) and "margins" not in repr(rep)
+
+    @pytest.mark.parametrize("kind", ["iISS", "IPSS"])
+    @pytest.mark.parametrize("rho", [make_table_fn([0.0, 1.0], [0.0, 1e308]),
+                                     make_power_fn(1.0, 400.0)], ids=["table", "power"])
+    def test_overflowing_gauge_fails_as_diverged_measure(self, kind, rho):
+        """rho(10) overflows to inf: a diverged measure, not an exception."""
+        u = constant_signal([10.0], 2.0)
+        traj = simulate(linear_test_system(1.0), 0.0, [1.0], u, 2.0, 1e-2)
+        cert = Certificate(kind=kind, beta=EXP_BETA, gamma=IDENT, rho=rho,
+                           T=1.0 if kind == "IPSS" else None)
+        with np.errstate(over="ignore"):
+            rep = check_envelope(traj, cert, u, 1.0, 0.0)
+        assert rep.margin == -math.inf and not rep.satisfied
+        assert rep.note == "input measure diverged"
+        assert rep.measure == math.inf
 
     def test_urls_constant_bound(self):
         sysd = linear_test_system(1.0)
