@@ -54,7 +54,6 @@ class MonotoneFn:
     class_tag: str = "K"
     derivative: Optional[Callable] = None
     inverse: Optional[Callable] = None
-    domain_hint: float = 1e6
     spec: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -201,7 +200,6 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
         eval=_eval,
         class_tag=class_tag,
         inverse=inv,
-        domain_hint=float(xs[-1]),
         spec={"kind": "table", "xs": [float(v) for v in xs], "ys": [float(v) for v in ys]},
     )
 
@@ -217,7 +215,6 @@ def scale_fn(f: MonotoneFn, c: float) -> MonotoneFn:
         class_tag=f.class_tag,
         derivative=deriv,
         inverse=inv,
-        domain_hint=f.domain_hint,
     )
 
 
@@ -246,7 +243,6 @@ def compose(outer: MonotoneFn, inner: MonotoneFn) -> MonotoneFn:
         class_tag=tag,
         derivative=deriv,
         inverse=inv,
-        domain_hint=inner.domain_hint,
     )
 
 
@@ -312,7 +308,6 @@ def inverse_fn(f: MonotoneFn, tol: float = 1e-12) -> MonotoneFn:
         eval=lambda y, _f=f, _t=tol: apply_inverse(_f, y, _t),
         class_tag=f.class_tag,
         inverse=f.eval,
-        domain_hint=float(f.eval(f.domain_hint)),
     )
 
 

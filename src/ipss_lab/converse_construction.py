@@ -2,14 +2,16 @@
 
 Given a system ``xdot = g(t, x, d)`` with disturbances in the closed unit
 ball that is uniformly robustly asymptotically stable, the construction
-builds, layer by layer,
+builds
 
     W_k(t0, xi) = sup_d sup_{s >= t0} e^{(s - t0)/2} G_k(rho(|x(s)|)),
     V(t0, xi)   = sum_k 2^{-k} / (1 + M_{k,k}) W_k(t0, xi),
 
 with ``G_k(r) = max(r - 1/k, 0)``, ``rho`` a unit-Lipschitz regularization
 of the inverse Sontag factor, and ``M_{R,k}`` Lipschitz bounds of ``W_k``
-obtained from solution-sensitivity probes.  The supremum over disturbances
+obtained from solution-sensitivity probes.  Every layer is a supremum
+along the same disturbed trajectories from ``(t0, xi)``, so one simulated
+batch per probe state serves all layers.  The supremum over disturbances
 is approximated from below by a seeded batch of piecewise-constant
 disturbances plus the constant extreme points, so every acceptance check
 carries explicit slack.
@@ -183,34 +185,41 @@ def _check_urgas(traj, beta: KLBound, xi_norm: float, t0: float, slack: float = 
         )
 
 
-def wk_estimate(sys: DisturbedSystem, k: int, t0: float, xi, theta1: MonotoneFn,
-                rho: MonotoneFn, cfg: ConverseConfig) -> float:
-    """Lower estimate of the ``k``-th layer supremum at ``(t0, xi)``.
+def _layer_gains(rho: MonotoneFn, r, k_max: int) -> np.ndarray:
+    """``G_k(rho(r)) = max(rho(r) - 1/k, 0)`` for ``k = 1..k_max``, stacked on axis 0."""
+    rho_r = np.asarray(rho.eval(r), dtype=float)
+    inv_k = 1.0 / np.arange(1, k_max + 1).reshape((-1,) + (1,) * rho_r.ndim)
+    return np.maximum(rho_r - inv_k, 0.0)
 
-    The disturbance supremum is approximated by the seeded batch and the
-    time supremum by the simulation grid over the layer horizon, so the
-    estimate increases toward the true value as sampling is refined.
+
+def wk_estimate(sys: DisturbedSystem, t0: float, xi, theta1: MonotoneFn,
+                rho: MonotoneFn, cfg: ConverseConfig) -> np.ndarray:
+    """Lower estimates of all ``cfg.k_max`` layer suprema at ``(t0, xi)``.
+
+    One seeded disturbance batch is simulated over the longest layer
+    horizon and every layer is read off the same trajectories.  Past its
+    own horizon a layer term is 0 on a trajectory within the decay
+    envelope, so the longer window only adds zeros; each ``W_k`` is a
+    supremum over all ``s >= t0`` in any case.  The disturbance supremum is
+    approximated by the batch and the time supremum by the simulation grid,
+    so each estimate increases toward the true value as sampling is refined.
     """
-    if k < 1:
-        raise ParameterError("layer index k must be >= 1")
     xi = np.asarray(xi, dtype=float).reshape(sys.n)
     R = float(np.linalg.norm(xi))
+    best = np.zeros(cfg.k_max)
     if R == 0.0:
-        return 0.0
-    span = horizon_for(k, theta1, R)
+        return best
+    span = horizon_for(cfg.k_max, theta1, R)
     batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
                               cfg.pieces_per_horizon, cfg.seed)
     trajs = simulate_batch(sys.as_systemdef(), t0, [xi] * len(batch), batch,
                            t0 + span, cfg.sim_step)
-    best = 0.0
-    inv_k = 1.0 / k
     for traj in trajs:
         if traj.blown_up:
             raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
         _check_urgas(traj, sys.urgas_beta, R, t0)
-        rho_vals = np.asarray(rho.eval(traj.norms()), dtype=float)
-        gains = np.exp(0.5 * (traj.times - t0)) * np.maximum(rho_vals - inv_k, 0.0)
-        best = max(best, float(np.max(gains)))
+        gains = np.exp(0.5 * (traj.times - t0)) * _layer_gains(rho, traj.norms(), cfg.k_max)
+        best = np.maximum(best, np.max(gains, axis=1))
     return best
 
 
@@ -218,8 +227,9 @@ class ConverseEvaluator:
     """Caching evaluator of the truncated layer series.
 
     The one assembly of the construction: the property checks, the
-    candidate and its table export all query it.  Layer values are cached
-    by ``(t0, state, k)``, so no layer is simulated twice in a run.
+    candidate and its table export all query it.  All layer values of a
+    probe state come from one :func:`wk_estimate` call and are cached by
+    ``(t0, state)``, so no state is simulated twice in a run.
     """
 
     def __init__(self, sys: DisturbedSystem, theta1: MonotoneFn, rho: MonotoneFn,
@@ -235,26 +245,26 @@ class ConverseEvaluator:
             raise ParameterError("mrk_table must be nondecreasing along the diagonal")
         self.weights = [2.0 ** (-k) / (1.0 + diag[k - 1]) for k in range(1, cfg.k_max + 1)]
 
-    def wk(self, t0: float, xi, k: int) -> float:
-        key = (float(t0), tuple(float(v) for v in np.atleast_1d(xi)), int(k))
+    def wk(self, t0: float, xi) -> np.ndarray:
+        key = (float(t0), tuple(float(v) for v in np.atleast_1d(xi)))
         if key not in self._cache:
-            self._cache[key] = wk_estimate(self.sys, k, t0, xi, self.theta1, self.rho,
-                                           self.cfg)
+            self._cache[key] = wk_estimate(self.sys, t0, xi, self.theta1, self.rho, self.cfg)
         return self._cache[key]
 
     def value(self, t0: float, xi) -> float:
-        return sum(w * self.wk(t0, xi, k)
-                   for k, w in enumerate(self.weights, start=1))
+        return float(sum(w * v for w, v in zip(self.weights, self.wk(t0, xi))))
 
     def tail_bound(self, xi) -> float:
         R = float(np.linalg.norm(np.atleast_1d(xi)))
         return 2.0 ** (-self.cfg.k_max) * float(self.theta1.eval(R))
 
-    def alpha1_value(self, r: float) -> float:
-        """Truncated lower sandwich: the series of layer gains at time 0."""
-        rho_r = float(self.rho.eval(r))
-        return sum(w * max(rho_r - 1.0 / k, 0.0)
-                   for k, w in enumerate(self.weights, start=1))
+    def alpha1_value(self, r):
+        """Truncated lower sandwich: the series of layer gains at time 0.
+
+        Accepts a scalar or an array of radii.
+        """
+        out = sum(w * g for w, g in zip(self.weights, _layer_gains(self.rho, r, self.cfg.k_max)))
+        return float(out) if np.ndim(r) == 0 else out
 
     def alpha1_table(self, rho_grid: Sequence[float]) -> MonotoneFn:
         """:meth:`alpha1_value` as a monotone table over ``rho_grid``.
@@ -265,7 +275,7 @@ class ConverseEvaluator:
         """
         kinks = {float(apply_inverse(self.rho, 1.0 / k)) for k in range(1, self.cfg.k_max + 1)}
         r_grid = sorted(set(float(r) for r in rho_grid) | kinks)
-        a1_vals = np.maximum.accumulate([self.alpha1_value(r) for r in r_grid])
+        a1_vals = np.maximum.accumulate(self.alpha1_value(np.asarray(r_grid)))
         return make_table_fn(r_grid, a1_vals, class_tag="Kinf")
 
     def candidate(self, rho_grid: Sequence[float], name: str) -> LyapunovCandidate:

@@ -65,7 +65,6 @@ class LyapunovCandidate:
     eval: Callable
     alpha1: MonotoneFn
     alpha2: MonotoneFn
-    lipschitz_hint: Optional[Callable] = None
     name: str = ""
 
 
@@ -168,7 +167,6 @@ class ViolationReport:
 
     entries: tuple   # of dicts {t, xi, mu, lhs, rhs, gap}
     n_checked: int
-    margin_mode: str
 
     @property
     def passed(self) -> bool:
@@ -211,11 +209,7 @@ def _run_check(V, sys, plan, rhs_bound, margin, condition=None) -> ViolationRepo
                         "rhs": float(rhs),
                         "gap": float(gap),
                     })
-    return ViolationReport(
-        entries=tuple(violations),
-        n_checked=checked,
-        margin_mode="explicit" if margin is not None else "adaptive",
-    )
+    return ViolationReport(entries=tuple(violations), n_checked=checked)
 
 
 def check_derivative_bound(V: LyapunovCandidate, sys: SystemDef, alpha: MonotoneFn,
@@ -512,12 +506,11 @@ def _bundle_from_tables(sigma, qs, a_vals, ln_kappa, q_min, q_max, quadrature_to
         out = np.where(q_arr == 0.0, 0.0, out)
         return float(out) if np.ndim(q) == 0 else out
 
-    a_fn = MonotoneFn(eval=a_eval, class_tag="Kinf", domain_hint=float(qs[-1]))
+    a_fn = MonotoneFn(eval=a_eval, class_tag="Kinf")
     kappa_fn = MonotoneFn(
         eval=kappa_eval,
         class_tag="Kinf",
         derivative=lambda q: 2.0 * np.asarray(kappa_eval(q)) / np.asarray(a_eval(q)),
-        domain_hint=float(qs[-1]),
     )
     return KappaBundle(
         sigma=sigma,
@@ -603,8 +596,8 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
         return float(out) if np.ndim(s) == 0 else out
 
     beta = KLBound(kind="general", eval2=beta_eval)
-    gamma = MonotoneFn(eval=gamma_eval, class_tag="Kinf", domain_hint=alpha1.domain_hint)
-    rho = MonotoneFn(eval=rho_eval, class_tag="Kinf", domain_hint=spec.chi4.domain_hint)
+    gamma = MonotoneFn(eval=gamma_eval, class_tag="Kinf")
+    rho = MonotoneFn(eval=rho_eval, class_tag="Kinf")
     return beta, gamma, rho
 
 
@@ -614,6 +607,5 @@ def abs_candidate() -> LyapunovCandidate:
         eval=lambda t, x: float(np.linalg.norm(x)),
         alpha1=identity_fn(),
         alpha2=identity_fn(),
-        lipschitz_hint=lambda R: 1.0,
         name="abs",
     )

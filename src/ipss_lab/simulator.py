@@ -307,9 +307,7 @@ class LipschitzReport:
 
     state_ratio_max: float
     shift_ratio_max: float
-    n_valid: int
     n_blowups: int
-    seed: int
     uniqueness_tested: bool
 
     @property
@@ -388,9 +386,7 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
     return LipschitzReport(
         state_ratio_max=state_max,
         shift_ratio_max=shift_max,
-        n_valid=samples - n_blow,
         n_blowups=n_blow,
-        seed=seed,
         uniqueness_tested=sys.lipschitz_hint is not None,
     )
 

@@ -252,8 +252,7 @@ def exp_iiss_to_ipss(K: float, lam: float, gamma_iiss: MonotoneFn, rho: Monotone
             return _a * np.asarray(_g.eval(_T * np.asarray(s, dtype=float))) if np.ndim(s) \
                 else _a * float(_g.eval(_T * float(s)))
 
-        gamma = MonotoneFn(eval=gamma_eval, class_tag="Kinf",
-                           domain_hint=gamma_iiss.domain_hint)
+        gamma = MonotoneFn(eval=gamma_eval, class_tag="Kinf")
     return Certificate(kind="IPSS", beta=beta, gamma=gamma, rho=rho, T=float(T))
 
 

@@ -253,14 +253,14 @@ def test_criterion_7_converse_construction():
 
         cfg64 = ConverseConfig(k_max=5, disturbance_samples=64,
                                pieces_per_horizon=8, sim_step=2e-3, seed=1)
-        w1 = wk_estimate(dsys, 1, 0.0, [3.0], theta1, rho, cfg64)
+        w1 = wk_estimate(dsys, 0.0, [3.0], theta1, rho, cfg64)[0]
         assert w1 == pytest.approx(1.75, rel=0.02)
 
         cfg = ConverseConfig(k_max=5, disturbance_samples=16,
                              pieces_per_horizon=6, sim_step=5e-3, seed=1)
         for k in range(1, cfg.k_max + 1):
             for s in (0.5, 1.0, 3.0):
-                wk = wk_estimate(dsys, k, 0.0, [s], theta1, rho, cfg)
+                wk = wk_estimate(dsys, 0.0, [s], theta1, rho, cfg)[k - 1]
                 assert wk <= theta1.eval(s) + 1e-9
 
         plan = ConverseProbePlan(states=(0.5, 1.0, 3.0), decay_horizon=4.0,

@@ -134,16 +134,18 @@ class TestOperations:
         assert np.all(V <= hi + 1e-12)
 
     def test_converse_computes_each_layer_once(self, tmp_path, monkeypatch):
-        """The checks and the export share one evaluator: no layer is simulated
-        twice, and rho and the Lipschitz weights are built once per run."""
+        """The checks and the export share one evaluator: each probe state is
+        simulated once, with one disturbance batch for all layers, and rho and
+        the Lipschitz weights are built once per run."""
         from ipss_lab import converse_construction as cc
 
-        layers, calls = [], {"build_mrk_table": 0, "regularized_rho": 0}
+        states, calls = [], {"build_mrk_table": 0, "regularized_rho": 0,
+                             "disturbance_batch": 0}
         wk_estimate = cc.wk_estimate
 
-        def recording_wk(sys, k, t0, xi, *args):
-            layers.append((t0, tuple(float(v) for v in xi), k))
-            return wk_estimate(sys, k, t0, xi, *args)
+        def recording_wk(sys, t0, xi, *args):
+            states.append((float(t0), tuple(float(v) for v in np.atleast_1d(xi))))
+            return wk_estimate(sys, t0, xi, *args)
 
         monkeypatch.setattr(cc, "wk_estimate", recording_wk)
         for name in calls:
@@ -158,9 +160,11 @@ class TestOperations:
         assert raw["options"]["export_candidate"]
         arts = run_config(raw, tmp_path)
         assert any(p.endswith("_candidate.json") for p in arts.paths)
-        assert (0.0, (3.0,), 1) in layers  # queried by the checks and the export
-        assert len(layers) == len(set(layers))
-        assert calls == {"build_mrk_table": 1, "regularized_rho": 1}
+        assert (0.0, (3.0,)) in states  # queried by the checks and the export
+        assert len(states) == len(set(states))
+        nonzero = sum(any(v != 0.0 for v in xi) for _, xi in states)
+        assert calls == {"build_mrk_table": 1, "regularized_rho": 1,
+                         "disturbance_batch": nonzero}
 
 
 class TestEnvelopeRows:

@@ -96,21 +96,25 @@ class TestRegularizedRho:
 class TestWkEstimate:
     def test_small_state_gives_zero_layer(self, decay_system, rho, cfg):
         """rho(1) = 3/4 < 1 keeps the first layer silent from |xi| = 1."""
-        assert wk_estimate(decay_system, 1, 0.0, [1.0], THETA1, rho, cfg) == 0.0
+        assert wk_estimate(decay_system, 0.0, [1.0], THETA1, rho, cfg)[0] == 0.0
 
     def test_first_layer_value_from_xi_three(self, decay_system, rho, cfg):
         """Worst case is the slowest decay, attained at the initial time:
-        G_1(rho(3)) = 2.75 - 1 = 1.75."""
-        w = wk_estimate(decay_system, 1, 0.0, [3.0], THETA1, rho, cfg)
-        assert w == pytest.approx(1.75, rel=0.02)
+        G_1(rho(3)) = 2.75 - 1 = 1.75, and G_k(rho(3)) = 2.75 - 1/k for
+        every layer."""
+        w = wk_estimate(decay_system, 0.0, [3.0], THETA1, rho, cfg)
+        assert w[0] == pytest.approx(1.75, rel=0.02)
+        assert w.shape == (cfg.k_max,)
+        for k in range(1, cfg.k_max + 1):
+            assert w[k - 1] == pytest.approx(max(2.75 - 1.0 / k, 0.0), rel=0.02)
 
     def test_zero_state(self, decay_system, rho, cfg):
-        assert wk_estimate(decay_system, 3, 7.0, [0.0], THETA1, rho, cfg) == 0.0
+        assert wk_estimate(decay_system, 7.0, [0.0], THETA1, rho, cfg)[2] == 0.0
 
     def test_layers_monotone_and_bounded(self, decay_system, rho, cfg_small):
         prev = 0.0
         for k in range(1, 6):
-            w = wk_estimate(decay_system, k, 0.0, [3.0], THETA1, rho, cfg_small)
+            w = wk_estimate(decay_system, 0.0, [3.0], THETA1, rho, cfg_small)[k - 1]
             assert w >= prev - 1e-12
             assert w <= THETA1.eval(3.0) + 1e-9
             prev = w
@@ -120,7 +124,7 @@ class TestWkEstimate:
         for n in (8, 16, 32):
             c = ConverseConfig(k_max=3, disturbance_samples=n,
                                pieces_per_horizon=8, sim_step=5e-3, seed=1)
-            vals.append(wk_estimate(decay_system, 2, 0.0, [2.5], THETA1, rho, c))
+            vals.append(wk_estimate(decay_system, 0.0, [2.5], THETA1, rho, c)[1])
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_overstated_decay_raises_model_error(self, rho, cfg):
@@ -129,7 +133,7 @@ class TestWkEstimate:
             urgas_beta=KLBound(kind="exponential", K=1.0, lam=5.0),
         )
         with pytest.raises(ModelError):
-            wk_estimate(bad, 1, 0.0, [3.0], THETA1, rho, cfg)
+            wk_estimate(bad, 0.0, [3.0], THETA1, rho, cfg)[0]
 
     def test_layer_horizon_formula(self):
         assert horizon_for(1, THETA1, 3.0) == pytest.approx(math.log(10.0))
@@ -185,6 +189,13 @@ class TestConverseValue:
             v = ev.value(0.0, [s])
             assert ev.alpha1_value(s) * (1 - 0.05) - 1e-12 <= v
             assert v <= THETA1.eval(s) * (1 + 0.05)
+
+    def test_alpha1_array_call_matches_scalar_calls(self, decay_system, rho,
+                                                    cfg_small, mrk_small):
+        ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
+        grid = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 240), [0.5, 1.0, 3.0]])
+        scalars = np.array([ev.alpha1_value(float(r)) for r in grid])
+        assert np.array_equal(ev.alpha1_value(grid), scalars)
 
 
 @pytest.fixture(scope="module")
