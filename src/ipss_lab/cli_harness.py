@@ -297,15 +297,11 @@ def _envelope_csv(path: Path, rows) -> None:
 
 def _run_envelope_sims(system, cert, scenarios, t0, step):
     """Envelope rows of every scenario; an early-stopped check gives its margin, no rows."""
-    trajs = {}
-    for horizon in dict.fromkeys(u.horizon for _, u in scenarios):  # one batch per horizon
-        idxs = [i for i, (_, u) in enumerate(scenarios) if u.horizon == horizon]
-        trajs.update(zip(idxs, sm.simulate_batch(system, t0, [[scenarios[i][0]] for i in idxs],
-                                                 [scenarios[i][1] for i in idxs], horizon, step)))
+    trajs = sm.simulate_batch(system, t0, [[xi] for xi, _ in scenarios], [u for _, u in scenarios],
+                              [u.horizon for _, u in scenarios], step)
     rows = []
     min_margin = math.inf
-    for idx, (xi, u) in enumerate(scenarios):
-        traj = trajs[idx]
+    for idx, ((xi, u), traj) in enumerate(zip(scenarios, trajs)):
         rep = sc.check_envelope(traj, cert, u, abs(xi), t0)
         min_margin = min(min_margin, rep.margin)
         if rep.bounds is None:

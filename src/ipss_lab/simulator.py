@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e9
+_BLOCK = 256  # lockstep steps whose schedule is built at once
 
 
 @dataclass(frozen=True)
@@ -96,57 +97,82 @@ def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) 
         raise ParameterError(f"input dim {u.dim} does not match system m {sys.m}")
 
 
-def _schedule(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float,
-              include_times: Sequence[float]):
-    """Grid times, step lengths and step inputs of one member's RK4 run.
+def _plan(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float,
+          include_times: Sequence[float]):
+    """Grid of one member's RK4 run and its segments' first steps, step lengths and inputs.
 
     The anchors (input breakpoints and horizon, declared discontinuities,
     requested times) inside ``(t0, t_end)`` split the run into segments.
     """
+    _check_run(sys, t0, u, t_end, step)
     inside = [*u.breakpoints, u.horizon, *sys.discontinuity_times, *include_times]
     anchors = sorted({float(t0), float(t_end)} | {float(x) for x in inside if t0 < x < t_end})
-    times, hs, inputs = [], [], []
+    grid, seg_h = [], []
     for seg_a, seg_b in zip(anchors, anchors[1:]):
-        span = seg_b - seg_a
-        nsub = max(1, int(math.ceil(span / step - 1e-12)))
-        h = span / nsub
-        times.append(seg_a + np.arange(nsub) * h)
-        hs.append(np.full(nsub, h))
-        inputs.append(np.broadcast_to(u.eval(seg_a), (nsub, sys.m)))
-    times.append([anchors[-1]])
-    return np.concatenate(times), np.concatenate(hs), np.concatenate(inputs)
+        nsub = max(1, int(math.ceil((seg_b - seg_a) / step - 1e-12)))
+        seg_h.append((seg_b - seg_a) / nsub)
+        grid.append(seg_a + np.arange(nsub) * seg_h[-1])
+    return (np.concatenate(grid + [[anchors[-1]]]), np.cumsum([0] + [g.size for g in grid[:-1]]),
+            np.array(seg_h), np.array([u.eval(a) for a in anchors[:-1]]))
 
 
-def _rk4(rhs, x, times, hs, inputs, limit2: float, live=None):
-    """RK4 step ``k`` from ``times[k]`` over ``hs[k]`` with input ``inputs[k]``.
+def _steps(plan, k0: int, k1: int):
+    """Times (and the end of the last), lengths, inputs and liveness of steps ``k0 <= k < k1``."""
+    grid, first, seg_h, seg_u = plan
+    ks = np.arange(k0, k1)
+    seg = np.searchsorted(first, ks, side="right") - 1
+    live = ks < grid.size - 1
+    times = grid[np.minimum(np.arange(k0, k1 + 1), grid.size - 1)]
+    return times, np.where(live, seg_h[seg], 0.0), seg_u[seg], live
 
-    ``x`` is one state ``(n,)`` with float times and ``(m,)`` inputs, or a
-    batch ``(B, n)`` with ``(B, 1)`` time and length columns, ``(B, m)``
-    inputs and rows held where ``live[k]`` is false.  Stops after the first
-    step whose squared norm (summed over a batch) is not ``<= limit2``; a
-    single state that turns nonfinite raises :class:`DynamicsError`.
-    Returns the ``(B, k+2, n)`` states so far and the stopping step or ``None``.
+
+def _lockstep_blocks(plans, m: int):
+    """The batch schedule of :func:`_rk4`, refilled in one buffer ``_BLOCK`` steps at a time."""
+    sizes = [plan[0].size - 1 for plan in plans]
+    width = min(_BLOCK, max(sizes))
+    times, hs = np.empty((width + 1, len(plans), 1)), np.empty((width, len(plans), 1))
+    us, live = np.empty((width, len(plans), m)), np.empty((width, len(plans), 1), dtype=bool)
+    for k0 in range(0, max(sizes), width):
+        w = min(width, max(sizes) - k0)
+        for i, plan in enumerate(plans):
+            times[:w + 1, i, 0], hs[:w, i, 0], us[:w, i], live[:w, i, 0] = _steps(plan, k0, k0 + w)
+        yield times[:w + 1], hs[:w], us[:w], None if k0 + w <= min(sizes) else live[:w]
+
+
+def _rk4(rhs, x, n_steps: int, blocks, limit2: float):
+    """RK4 over ``n_steps`` steps, fed by ``blocks`` ``(times, hs, inputs, live)`` of them.
+
+    Step ``j`` of a block goes from ``times[j]`` to ``times[j + 1]`` over
+    ``hs[j]`` with input ``inputs[j]``.  ``x`` is one state ``(n,)`` with
+    float times, ``(m,)`` inputs and ``live`` None, or a batch ``(B, n)``
+    with ``(B, 1)`` time and length columns, ``(B, m)`` inputs and rows held
+    where ``live[j]`` is false.  Stops after the first step whose squared
+    norm (summed over a batch) is not ``<= limit2``; a lone state that turns
+    nonfinite raises :class:`DynamicsError`.  Returns the ``(B, k+2, n)``
+    states so far and the stopping step ``k`` or ``None``.
     """
     batched = x.ndim == 2
-    full = len(hs) if live is None else int(np.count_nonzero(live.all(axis=(1, 2))))
-    states = np.empty((x.shape[0] if batched else 1, len(hs) + 1, x.shape[-1]))
+    states = np.empty((x.shape[0] if batched else 1, n_steps + 1, x.shape[-1]))
     states[:, 0] = x
-    for k, (t, h, u) in enumerate(zip(times, hs, inputs)):
-        h2 = 0.5 * h
-        k1 = rhs(t, x, u)
-        k2 = rhs(t + h2, x + h2 * k1, u)
-        k3 = rhs(t + h2, x + h2 * k2, u)
-        k4 = rhs(t + h, x + h * k3, u)
-        x_new = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        x = x_new if k < full else np.where(live[k], x_new, x)
-        nrm2 = float(np.vdot(x, x))  # x @ x on one state, the sum over a batch
-        if not math.isfinite(nrm2) and not batched:
-            raise DynamicsError(
-                f"nonfinite state update at t={times[k + 1]} (x={states[0, k]}, u={u})"
-            )
-        states[:, k + 1] = x
-        if not nrm2 <= limit2:
-            return states[:, :k + 2], k
+    k = 0
+    for times, hs, inputs, live in blocks:
+        for j, (t, h, u) in enumerate(zip(times, hs, inputs)):
+            h2 = 0.5 * h
+            k1 = rhs(t, x, u)
+            k2 = rhs(t + h2, x + h2 * k1, u)
+            k3 = rhs(t + h2, x + h2 * k2, u)
+            k4 = rhs(t + h, x + h * k3, u)
+            x_new = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            x = x_new if live is None else np.where(live[j], x_new, x)
+            nrm2 = float(np.vdot(x, x))  # x @ x on one state, the sum over a batch
+            if not math.isfinite(nrm2) and not batched:
+                raise DynamicsError(
+                    f"nonfinite state update at t={times[j + 1]} (x={states[0, k]}, u={u})"
+                )
+            states[:, k + 1] = x
+            if not nrm2 <= limit2:
+                return states[:, :k + 2], k
+            k += 1
     return states, None
 
 
@@ -163,10 +189,10 @@ def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
     return simulate_batch(sys, t0, [xi], [u], t_end, step, include_times)[0]
 
 
-def _acts_rowwise(rhs, t0: float, step: float, xs: list, us: list) -> bool:
-    """Whether one batched ``rhs`` call at per-row times ``t0 + i*step`` equals the per-row calls."""
-    t_col = t0 + np.arange(len(xs))[:, None] * step
-    u0 = [u.eval(t0) for u in us]
+def _acts_rowwise(rhs, t0s, step: float, xs: list, us: list) -> bool:
+    """Whether one batched ``rhs`` call at row times ``t0s[i] + i*step`` equals the row calls."""
+    t_col = (np.asarray(t0s) + np.arange(len(xs)) * step)[:, None]
+    u0 = [u.eval(t0) for u, t0 in zip(us, t0s)]
     try:
         rows = [rhs(float(t), x, v) for t, x, v in zip(t_col[:, 0], xs, u0)]
         batched = rhs(t_col, np.stack(xs), np.stack(u0))
@@ -175,61 +201,63 @@ def _acts_rowwise(rhs, t0: float, step: float, xs: list, us: list) -> bool:
         return False
 
 
-def simulate_batch(sys: SystemDef, t0: float, xis, us: Sequence[Signal], t_end: float,
-                   step: float, include_times: Sequence[float] = ()) -> list:
-    """:func:`simulate` for the members ``(xis[i], us[i])``, one list entry each.
-
-    All members advance in lockstep by step index as one ``(B, n)`` state,
-    each on its own anchor grid: it gets its own time, step length and input
-    on every step and is held once its grid has ended, so it takes exactly
-    the float steps of its lone :func:`simulate` run.  That needs ``sys.rhs``
-    to act row-wise, in ``t`` too; one batched call at distinct per-row
-    times is compared exactly with the per-row calls, and on any difference
-    or exception every member is integrated on its own.  A batch in which
-    some state nears the blow-up threshold or turns nonfinite is rerun
-    member by member, so blow-up flags and times are per member; the
-    :class:`DynamicsError` of the first failing member (in input order) is
-    raised after all members ran.
-    """
-    if len(xis) != len(us):
-        raise ParameterError(f"{len(xis)} initial states for {len(us)} inputs")
-    for u in us:
-        _check_run(sys, t0, u, t_end, step)
+def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: float,
+                      include_times=()) -> list:
+    """:func:`simulate_batch`, with the :class:`DynamicsError` of a failing member in its entry."""
+    t0s, t_ends = ([v] * len(us) if np.ndim(v) == 0 else list(v) for v in (t0, t_end))
+    shared = len(include_times) == 0 or np.ndim(include_times[0]) == 0
+    includes = [include_times] * len(us) if shared else list(include_times)
+    if not len(xis) == len(t0s) == len(t_ends) == len(includes) == len(us):
+        raise ParameterError(f"per-member arguments for {len(us)} inputs differ in length")
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
-    plans = [_schedule(sys, t0, u, t_end, step, include_times) for u in us]
+    plans = [_plan(sys, *run, step, inc) for run, inc in zip(zip(t0s, us, t_ends), includes)]
     thresh2 = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
 
-    if len(us) > 1 and _acts_rowwise(sys.rhs, t0, step, xs, us):
-        sizes = [h_i.size for _, h_i, _ in plans]
-        times = np.full((max(sizes) + 1, len(us), 1), float(t_end))
-        hs = np.zeros_like(times[1:])
-        inputs = np.empty((len(hs), len(us), sys.m))
-        live = np.arange(len(hs))[:, None, None] < np.asarray(sizes)[:, None]
-        for i, (times_i, h_i, u_i) in enumerate(plans):
-            times[:times_i.size, i, 0], hs[:h_i.size, i, 0] = times_i, h_i
-            inputs[:h_i.size, i], inputs[h_i.size:, i] = u_i, u_i[-1]
+    if len(us) > 1 and _acts_rowwise(sys.rhs, t0s, step, xs, us):
         # the summed squared norm bounds every row's; the margin keeps
         # rounding from hiding a blow-up that simulate would report
-        states, stop = _rk4(sys.rhs, np.stack(xs), times, hs, inputs,
-                            thresh2 * (1.0 - 1e-9), live)
+        states, stop = _rk4(sys.rhs, np.stack(xs), max(p[0].size for p in plans) - 1,
+                            _lockstep_blocks(plans, sys.m), thresh2 * (1.0 - 1e-9))
         if stop is None:
-            return [Trajectory(times=times_i, states=states[i, :times_i.size])
-                    for i, (times_i, _, _) in enumerate(plans)]
+            return [Trajectory(times=grid, states=states[i, :grid.size])
+                    for i, (grid, *_) in enumerate(plans)]
 
     trajs = []
-    errors = {}
-    for i, (times_i, h_i, u_i) in enumerate(plans):
+    for x, plan in zip(xs, plans):
+        times, hs, inputs, _ = _steps(plan, 0, plan[0].size - 1)
         try:
-            states, stop = _rk4(sys.rhs, xs[i], times_i.tolist(), h_i.tolist(), u_i, thresh2)
+            states, stop = _rk4(sys.rhs, x, hs.size, [(times.tolist(), hs.tolist(), inputs, None)],
+                                thresh2)
         except DynamicsError as exc:
-            errors[i] = exc
-            trajs.append(None)
+            trajs.append(exc)
             continue
-        times_i = times_i[:states.shape[1]]
-        trajs.append(Trajectory(times=times_i, states=states[0], blown_up=stop is not None,
-                                blowup_time=None if stop is None else float(times_i[-1])))
-    if errors:
-        raise errors[min(errors)]
+        times = times[:states.shape[1]]
+        trajs.append(Trajectory(times=times, states=states[0], blown_up=stop is not None,
+                                blowup_time=None if stop is None else float(times[-1])))
+    return trajs
+
+
+def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: float,
+                   include_times=()) -> list:
+    """:func:`simulate` for the members ``(xis[i], us[i])``, one list entry each.
+
+    ``t0``, ``t_end`` and ``include_times`` are shared or given per member.
+    All members advance in lockstep by step index as one ``(B, n)`` state,
+    each on its own anchor grid: it gets its own time, step length and input
+    on every step and is held at its own ``t_end`` once its grid has ended,
+    so it takes exactly the float steps of its lone :func:`simulate` run.
+    The step schedule is built in fixed blocks; only the states grow with
+    members times steps.  That needs ``sys.rhs`` to act row-wise, in ``t``
+    too: one batched call at distinct per-row times is compared exactly with
+    the per-row calls, and on any difference or exception every member is
+    integrated alone.  A batch in which some state nears the blow-up
+    threshold or turns nonfinite is rerun member by member, so blow-up flags
+    and times are per member; the first failing member's (in input order)
+    :class:`DynamicsError` is raised after all ran.
+    """
+    trajs = _simulate_members(sys, t0, xis, us, t_end, step, include_times)
+    for error in (traj for traj in trajs if isinstance(traj, DynamicsError)):
+        raise error
     return trajs
 
 
@@ -340,7 +368,8 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
     ball, fed in as its input.  Each probe draws an initial time in
     ``[0, T]``, two initial states in the radius-``R`` ball and a shift
     ``h`` in ``[0, 1]``, then measures the two sensitivity ratios along
-    matched time grids.
+    matched time grids.  All probes run as one batch; a probe with a blown-up
+    or failed run counts once in ``n_blowups``.
     """
     if R <= 0 or T <= 0:
         raise ParameterError("R and T must be positive")
@@ -348,9 +377,7 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
         raise ParameterError("need at least one probe sample")
 
     rng = np.random.default_rng(seed)
-    state_max = 0.0
-    shift_max = 0.0
-    n_blow = 0
+    draws, members = [], []  # members: (t0, xi, d, include_times) of tr1, tr2 and shifted tr3
     for _ in range(samples):
         t0 = float(rng.uniform(0.0, T))
         xi1 = _random_ball(rng, sys.n, R)
@@ -358,31 +385,28 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
         h = float(rng.uniform(0.0, 1.0))
         d = _random_disturbance(rng, sys.m, t0, T + h + 1.0, pieces)
         query = t0 + np.linspace(0.0, T, query_points)
-        try:
-            tr1, tr2 = simulate_batch(sys, t0, [xi1, xi2], [d, d], t0 + T, step,
-                                      include_times=query)
-            if tr1.blown_up or tr2.blown_up:
-                n_blow += 1
-                continue
-            s_ratio = 0.0
-            sep0 = float(np.linalg.norm(xi1 - xi2))
-            if sep0 > 0:
-                diffs = np.linalg.norm(tr1.states - tr2.states, axis=1)
-                s_ratio = float(np.max(diffs)) / sep0
-            h_ratio = 0.0
-            if h > 1e-9:
-                tr3 = simulate(sys, t0 + h, xi1, d, t0 + h + T, step,
-                               include_times=query + h)
-                if tr3.blown_up:
-                    n_blow += 1
-                    continue
-                a = np.vstack([tr1.state_at(q) for q in query])
-                b = np.vstack([tr3.state_at(q + h) for q in query])
-                h_ratio = float(np.max(np.linalg.norm(a - b, axis=1))) / h
-            state_max = max(state_max, s_ratio)
-            shift_max = max(shift_max, h_ratio)
-        except DynamicsError:
-            n_blow += 1
+        draws.append((xi1, xi2, h, query))
+        members += [(t0, xi1, d, query), (t0, xi2, d, query)]
+        members += [(t0 + h, xi1, d, query + h)] * (h > 1e-9)
+    t0s, xis, ds, includes = zip(*members)
+    trajs = iter(_simulate_members(sys, t0s, xis, ds, [a + T for a in t0s], step, includes))
+    state_max, shift_max, n_blow = 0.0, 0.0, 0
+    for xi1, xi2, h, query in draws:
+        runs = [next(trajs) for _ in range(2 + (h > 1e-9))]
+        if any(isinstance(tr, DynamicsError) or tr.blown_up for tr in runs):
+            n_blow += 1  # once per sample, whichever of its runs failed
+            continue
+        tr1, tr2, *tr3 = runs
+        sep0 = float(np.linalg.norm(xi1 - xi2))
+        diffs = np.linalg.norm(tr1.states - tr2.states, axis=1)
+        s_ratio = float(np.max(diffs)) / sep0 if sep0 > 0 else 0.0
+        h_ratio = 0.0
+        if tr3:
+            a = np.vstack([tr1.state_at(q) for q in query])
+            b = np.vstack([tr3[0].state_at(q + h) for q in query])
+            h_ratio = float(np.max(np.linalg.norm(a - b, axis=1))) / h
+        state_max = max(state_max, s_ratio)
+        shift_max = max(shift_max, h_ratio)
     return LipschitzReport(
         state_ratio_max=state_max,
         shift_ratio_max=shift_max,

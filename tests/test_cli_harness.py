@@ -199,7 +199,7 @@ class TestEnvelopeRows:
         assert rows and {r[0] for r in rows} == {1}
 
     def test_batched_rows_equal_lone_simulate_rows(self, monkeypatch):
-        """One batch per horizon gives the rows of one lone run per scenario."""
+        """One batch over all horizons gives the rows of one lone run per scenario."""
         rng = np.random.default_rng(11)
         scenarios = _draw_linear_scenarios(rng, 25, 8.0, 10.0, 10.0)
         scenarios[20:] = _draw_linear_scenarios(rng, 5, 5.0, 10.0, 10.0)
@@ -208,8 +208,9 @@ class TestEnvelopeRows:
         batched = _run_envelope_sims(system, cert, scenarios, 0.0, 2e-3)
         one = sm.simulate_batch
 
-        def lone(sys, t0, xis, us, *args):
-            return [one(sys, t0, [xi], [u], *args)[0] for xi, u in zip(xis, us)]
+        def lone(sys, t0, xis, us, t_ends, *args):
+            return [one(sys, t0, [xi], [u], t_end, *args)[0]
+                    for xi, u, t_end in zip(xis, us, t_ends)]
 
         monkeypatch.setattr(sm, "simulate_batch", lone)
         assert _run_envelope_sims(system, cert, scenarios, 0.0, 2e-3) == batched

@@ -1,14 +1,18 @@
 """Integrator accuracy, alignment, blow-up handling, built-in systems."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ipss_lab.simulator as sm
 from ipss_lab.errors import DynamicsError, ParameterError
 from ipss_lab.signals import constant_signal, make_signal, zero_signal
 from ipss_lab.simulator import (
     SystemDef,
+    _random_ball,
+    _random_disturbance,
     check_equilibrium,
     counterexample_system,
     linear_test_system,
@@ -186,6 +190,67 @@ class TestSimulateBatch:
         with pytest.raises(ParameterError):
             simulate_batch(linear_test_system(1.0), 0.0, [[1.0]],
                            [zero_signal(1, 1.0)] * 2, 1.0, 1e-2)
+        with pytest.raises(ParameterError):
+            simulate_batch(linear_test_system(1.0), [0.0, 0.5, 1.0], [[1.0]] * 2,
+                           [zero_signal(1, 2.0)] * 2, 2.0, 1e-2)
+
+    def test_own_start_end_and_times_bit_identical_to_simulate(self):
+        """Each member keeps its own t0, t_end and requested times; the rhs reads t."""
+        ce = counterexample_system()
+        shapes = []
+        sysd = SystemDef(rhs=lambda t, x, u: shapes.append(np.shape(x)) or ce.rhs(t, x, u),
+                         n=1, m=1)
+        t0s = [0.2, 1.35, 0.0, 2.5]
+        t_ends = [4.0, 3.1, 5.25, 2.9]
+        includes = [(0.37, 1.5), (), (4.4,), (2.6, 2.75, 2.8)]
+        xis = [[0.5], [-1.0], [2.0], [0.25]]
+        us = self.MIXED + [make_signal([(0.0, [0.5]), (2.7, [2.0])], horizon=4.0)]
+        batch = simulate_batch(sysd, t0s, xis, us, t_ends, 7e-3, include_times=includes)
+        assert shapes.count((4, 1)) > 4 * 700  # one lockstep run
+        for t0, xi, u, t_end, inc, tr in zip(t0s, xis, us, t_ends, includes, batch):
+            assert_same_trajectory(tr, simulate(ce, t0, xi, u, t_end, 7e-3, include_times=inc))
+
+    def test_own_start_times_blowup_is_per_member(self):
+        sq = SystemDef(rhs=lambda t, x, u: x ** 2 + (1.0 + t) * u, n=1, m=1)
+        t0s = [0.0, 0.6, 1.3, 0.2]
+        xis = [[0.1], [2.0], [-0.5], [1.5]]
+        u = constant_signal([0.05], 3.0)
+        batch = simulate_batch(sq, t0s, xis, [u] * 4, [1.5, 1.6, 2.5, 1.0], 1e-3)
+        assert [tr.blown_up for tr in batch] == [False, True, False, True]
+        for t0, xi, t_end, tr in zip(t0s, xis, [1.5, 1.6, 2.5, 1.0], batch):
+            assert_same_trajectory(tr, simulate(sq, t0, xi, u, t_end, 1e-3))
+
+    def test_first_error_in_input_order_with_own_start_times(self):
+        """Members 1 and 2 both fail; member 1's error (its own t0) is raised."""
+        bad = SystemDef(rhs=lambda t, x, u: x * np.where(x > 1.0, np.nan, -1.0),
+                        n=1, m=1)
+        u = zero_signal(1, 3.0)
+        t0s, xis = [0.3, 0.5, 0.1], [[0.5], [2.0], [3.0]]
+        with pytest.raises(DynamicsError) as second:
+            simulate(bad, 0.5, [2.0], u, 2.0, 1e-2)
+        with pytest.raises(DynamicsError) as third:
+            simulate(bad, 0.1, [3.0], u, 2.0, 1e-2)
+        assert str(second.value) != str(third.value)
+        with pytest.raises(DynamicsError) as batched:
+            simulate_batch(bad, t0s, xis, [u] * 3, 2.0, 1e-2)
+        assert str(batched.value) == str(second.value)
+
+    @pytest.mark.parametrize("t_end", [2.0, [2.0 - 0.01 * (i % 7) for i in range(30)]])
+    def test_schedule_memory_stays_near_the_states(self, t_end):
+        """Only the states grow with members times steps, not the step schedule."""
+        sys1 = linear_test_system(1.0)
+        us = [make_signal([(0.0, [0.1 * i]), (0.5 + 0.01 * i, [-0.2])], horizon=2.0)
+              for i in range(30)]
+        xis = [[0.05 * i] for i in range(30)]
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(sys1, 0.0, xis, us, t_end, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states_bytes = 30 * batch[0].times.size * 8
+        assert batch[0].times.size == 2001
+        assert peak < 3 * states_bytes
 
 
 class TestBuiltInSystems:
@@ -247,3 +312,69 @@ class TestLipschitzProbe:
         rep = lipschitz_probe(counterexample_system(), R=1.0, T=1.0,
                               samples=3, seed=2, step=5e-3)
         assert not rep.uniqueness_tested
+
+    @staticmethod
+    def per_sample_reference(sys, R, T, samples, seed, step, pieces=8, query_points=25):
+        """The probe as a loop of one batch (tr1, tr2) and one shifted run (tr3) per sample."""
+        rng = np.random.default_rng(seed)
+        state_max = shift_max = 0.0
+        n_blow = 0
+        for _ in range(samples):
+            t0 = float(rng.uniform(0.0, T))
+            xi1 = _random_ball(rng, sys.n, R)
+            xi2 = _random_ball(rng, sys.n, R)
+            h = float(rng.uniform(0.0, 1.0))
+            d = _random_disturbance(rng, sys.m, t0, T + h + 1.0, pieces)
+            query = t0 + np.linspace(0.0, T, query_points)
+            try:
+                tr1, tr2 = simulate_batch(sys, t0, [xi1, xi2], [d, d], t0 + T, step,
+                                          include_times=query)
+                if tr1.blown_up or tr2.blown_up:
+                    n_blow += 1
+                    continue
+                sep0 = float(np.linalg.norm(xi1 - xi2))
+                s_ratio = 0.0
+                if sep0 > 0:
+                    s_ratio = float(np.max(np.linalg.norm(tr1.states - tr2.states, axis=1))) / sep0
+                h_ratio = 0.0
+                if h > 1e-9:
+                    tr3 = simulate(sys, t0 + h, xi1, d, t0 + h + T, step, include_times=query + h)
+                    if tr3.blown_up:
+                        n_blow += 1
+                        continue
+                    a = np.vstack([tr1.state_at(q) for q in query])
+                    b = np.vstack([tr3.state_at(q + h) for q in query])
+                    h_ratio = float(np.max(np.linalg.norm(a - b, axis=1))) / h
+                state_max = max(state_max, s_ratio)
+                shift_max = max(shift_max, h_ratio)
+            except DynamicsError:
+                n_blow += 1
+        return state_max, shift_max, n_blow
+
+    @pytest.mark.parametrize("case", ["perturbed_decay", "blowup"])
+    def test_one_batch_matches_per_sample_loop(self, case):
+        """The same ratios bit for bit and the same blow-up count as the per-sample runs."""
+        if case == "perturbed_decay":
+            sysd, R, T = perturbed_decay_system(), 2.0, 2.0
+        else:  # xdot = x^2 + d escapes within T from x0 >~ 1/T
+            sysd, R, T = SystemDef(rhs=lambda t, x, d: x ** 2 + d, n=1, m=1), 1.5, 3.0
+        rep = lipschitz_probe(sysd, R=R, T=T, samples=10, seed=3, step=2e-3)
+        ref = self.per_sample_reference(sysd, R, T, samples=10, seed=3, step=2e-3)
+        assert (rep.state_ratio_max, rep.shift_ratio_max, rep.n_blowups) == ref
+        if case == "blowup":
+            assert 0 < rep.n_blowups < 10
+
+    def test_one_lockstep_run_per_probe(self, monkeypatch):
+        """All probes of a call share one batched integration (2 per sample before)."""
+        calls = []
+        rk4 = sm._rk4
+
+        def counted(rhs, x, *args):
+            calls.append(x.shape)
+            return rk4(rhs, x, *args)
+
+        monkeypatch.setattr(sm, "_rk4", counted)
+        rep = lipschitz_probe(perturbed_decay_system(), R=2.0, T=2.0,
+                              samples=6, seed=9, step=2e-3)
+        assert rep.valid
+        assert len(calls) == 1 and calls[0][0] >= 2 * 6
