@@ -182,8 +182,9 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
         out = np.where(s_arr > _xs[-1], _ys[-1] + _m * (s_arr - _xs[-1]), out)
         return float(out) if np.ndim(s) == 0 else out
 
-    # inverse over flat runs picks the rightmost x, the loose (safe) choice
-    # when the table lower-bounds something that is inverted in a state bound
+    # a flat run inside the table inverts to its rightmost x (the loose, safe
+    # choice for a lower bound inverted in a state bound), but y <= 0 gives 0
+    # even after a leading flat run: [0, 1, 2, 3] -> [0, 0, 1, 2] inverts 0 to 0, 1e-12 to ~1
     keep = np.concatenate([np.diff(ys) > 0, [True]])
     inv_ys, inv_xs = ys[keep], xs[keep]
 
@@ -376,7 +377,10 @@ def monotone_to_spec(f: MonotoneFn, sample_grid: Optional[Sequence[float]] = Non
     xs = np.asarray(sorted(set(float(x) for x in sample_grid)), dtype=float)
     if xs[0] != 0.0:
         xs = np.concatenate([[0.0], xs])
-    ys = np.array([float(f.eval(x)) for x in xs])
+    try:
+        ys = np.asarray(f.eval(xs), dtype=float)
+    except (TypeError, ValueError):  # an evaluator that takes scalars only
+        ys = np.array([float(f.eval(x)) for x in xs])
     ys = np.maximum.accumulate(ys)  # guard against sub-tolerance numeric dips
     return {"kind": "table", "xs": xs.tolist(), "ys": ys.tolist()}
 

@@ -283,39 +283,94 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48):
 # kappa construction
 
 
+class _LogLog:
+    """Tabulated ``ln v`` over ``ln x``: linear per cell, and past each end with its end slope."""
+
+    def __init__(self, ln_x, ln_v, lo_slope=None, hi_slope=None):
+        self.ln_x = ln_x
+        self.ln_v = ln_v
+        self.cell_slopes = np.diff(ln_v) / np.diff(ln_x)
+        self.lo_slope = self.cell_slopes[0] if lo_slope is None else lo_slope
+        self.hi_slope = self.cell_slopes[-1] if hi_slope is None else hi_slope
+
+    def __call__(self, lx):
+        x, v = self.ln_x, self.ln_v
+        not_below = np.where(lx > x[-1], v[-1] + self.hi_slope * (lx - x[-1]), np.interp(lx, x, v))
+        return np.where(lx < x[0], v[0] + self.lo_slope * (lx - x[0]), not_below)
+
+
 @dataclass(frozen=True)
 class KappaBundle:
     """Tabulated ``kappa`` rescaling built from a decay gauge ``sigma``.
 
-    All evaluation goes through the stored log-log tables, so a bundle
+    The bundle is its tables: ``a`` and ``ln kappa`` on the log grid ``qs``.
+    ``a_fn``, ``kappa`` (with ``kappa.derivative``), :meth:`ln_kappa_at` and
+    the inverse all read them through one log-log interpolant, so a bundle
     round-trips exactly through JSON.  ``kappa`` evaluates to 0 below the
-    one-decade extrapolation floor; inverse queries outside the covered
-    range raise :class:`RangeError` naming the extension needed.
+    one-decade extrapolation floor ``q_min/10``; every other query outside
+    the covered range raises :class:`RangeError` naming the range to
+    rebuild with.
     """
 
-    sigma: Optional[MonotoneFn]
-    a_fn: MonotoneFn
-    kappa: MonotoneFn
+    qs: np.ndarray = field(repr=False)
+    a_vals: np.ndarray = field(repr=False)
+    ln_kappa: np.ndarray = field(repr=False)
     q_min: float
     q_max: float
     quadrature_tol: float
-    qs: np.ndarray = field(repr=False)
-    ln_qs: np.ndarray = field(repr=False)
-    a_vals: np.ndarray = field(repr=False)
-    ln_kappa: np.ndarray = field(repr=False)
+    sigma: Optional[MonotoneFn] = None
+    a_fn: MonotoneFn = field(init=False, repr=False)
+    kappa: MonotoneFn = field(init=False, repr=False)
+    _ln_a: _LogLog = field(init=False, repr=False)
+    _ln_k: _LogLog = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ln_q = np.log(self.qs)
+        # d ln(kappa) / d ln(q) = 2 q / a continues ln kappa past both table ends
+        ends = 2.0 * self.qs[[0, -1]] / self.a_vals[[0, -1]]
+        object.__setattr__(self, "_ln_a", _LogLog(ln_q, np.log(self.a_vals)))
+        object.__setattr__(self, "_ln_k", _LogLog(ln_q, self.ln_kappa, *ends))
+        object.__setattr__(self, "a_fn", MonotoneFn(eval=self._a_eval, class_tag="Kinf"))
+        object.__setattr__(self, "kappa", MonotoneFn(eval=self._kappa_eval, class_tag="Kinf",
+                                                     derivative=self._kappa_prime))
+
+    def _a_eval(self, q):
+        q_arr = np.asarray(q, dtype=float)
+        with np.errstate(divide="ignore"):  # a(0) = exp(-inf) = 0
+            out = np.exp(self._ln_a(np.log(q_arr)))
+        return float(out) if np.ndim(q) == 0 else out
+
+    def _ln_kappa(self, q_arr):
+        """The table's ``ln kappa`` at ``q_arr``, behind the one ``q_max`` check."""
+        if np.any(q_arr > self.qs[-1] * (1.0 + 1e-12)):
+            bad = float(np.max(q_arr))
+            raise RangeError(
+                f"kappa evaluated at {bad:.6e} beyond q_max={self.q_max:.3e}; "
+                f"rebuild the bundle with q_max >= {bad:.3e}"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._ln_k(np.log(q_arr))
+
+    def _kappa_eval(self, q):
+        q_arr = np.asarray(q, dtype=float)
+        out = np.exp(self._ln_kappa(q_arr))
+        out = np.where(q_arr < self.q_min / 10.0, 0.0, out)  # below the extrapolation decade
+        return float(out) if np.ndim(q) == 0 else out
+
+    def _kappa_prime(self, q):
+        return 2.0 * np.asarray(self._kappa_eval(q)) / np.asarray(self._a_eval(q))
 
     def ln_kappa_at(self, q):
         """``ln kappa(q)`` straight from the tables; immune to underflow.
 
-        Defined on ``[q_min/10, q_max]`` like the regular evaluation but
-        without the conversion through ``exp``; ``ln kappa(0)`` is ``-inf``,
-        and a positive ``q`` below ``q_min/10`` raises :class:`RangeError`.
+        Defined on ``[q_min/10, q_max]`` like ``kappa.eval`` but without the
+        conversion through ``exp``; ``ln kappa(0)`` is ``-inf``, and a
+        positive ``q`` below ``q_min/10`` raises :class:`RangeError`.
         """
         q_arr = np.asarray(q, dtype=float)
         if np.any(q_arr < 0):
             raise ParameterError("ln kappa needs nonnegative arguments")
-        if np.any(q_arr > self.qs[-1] * (1.0 + 1e-12)):
-            raise RangeError(f"ln kappa beyond q_max={self.q_max:.3e}")
+        out = self._ln_kappa(q_arr)
         low = (q_arr > 0) & (q_arr < self.q_min / 10.0)
         if np.any(low):
             bad = float(np.min(q_arr[low]))
@@ -323,14 +378,6 @@ class KappaBundle:
                 f"ln kappa at {bad:.6e} is below the extrapolation floor "
                 f"q_min/10={self.q_min / 10:.3e}; rebuild the bundle with q_min <= {bad:.3e}"
             )
-        with np.errstate(divide="ignore"):
-            lq = np.log(q_arr)
-        slope0 = 2.0 * self.qs[0] / self.a_vals[0]
-        out = np.where(
-            lq < self.ln_qs[0],
-            self.ln_kappa[0] + slope0 * (lq - self.ln_qs[0]),
-            np.interp(lq, self.ln_qs, self.ln_kappa),
-        )
         return float(out) if np.ndim(q) == 0 else out
 
     def kappa_inv(self, y):
@@ -348,20 +395,18 @@ class KappaBundle:
         without underflow; ``ln_y = -inf`` gives 0.
         """
         ln_y = np.asarray(ln_y, dtype=float)
-        if np.any(ln_y > self.ln_kappa[-1]):
+        ln_qs, ln_k = self._ln_k.ln_x, self.ln_kappa
+        if np.any(ln_y > ln_k[-1]):
             bad = float(np.max(ln_y))
             raise RangeError(
-                f"kappa inverse at ln y={bad:.6g} exceeds ln kappa(q_max)={self.ln_kappa[-1]:.6g}; "
+                f"kappa inverse at ln y={bad:.6g} exceeds ln kappa(q_max)={ln_k[-1]:.6g}; "
                 f"rebuild the bundle with a larger q_max than {self.q_max:.3e}"
             )
-        slope0 = 2.0 * self.qs[0] / self.a_vals[0]
-        slopes = np.diff(self.ln_kappa) / np.diff(self.ln_qs)
-        j = np.clip(np.searchsorted(self.ln_kappa, ln_y, side="right") - 1,
-                    0, self.ln_kappa.size - 2)
-        ln_q = np.where(ln_y < self.ln_kappa[0],
-                        self.ln_qs[0] + (ln_y - self.ln_kappa[0]) / slope0,
-                        self.ln_qs[j] + (ln_y - self.ln_kappa[j]) / slopes[j])
-        low = (ln_q < self.ln_qs[0] - math.log(10.0) - 1e-12) & (ln_y > -np.inf)
+        j = np.clip(np.searchsorted(ln_k, ln_y, side="right") - 1, 0, ln_k.size - 2)
+        ln_q = np.where(ln_y < ln_k[0],
+                        ln_qs[0] + (ln_y - ln_k[0]) / self._ln_k.lo_slope,
+                        ln_qs[j] + (ln_y - ln_k[j]) / self._ln_k.cell_slopes[j])
+        low = (ln_q < ln_qs[0] - math.log(10.0) - 1e-12) & (ln_y > -np.inf)
         if np.any(low):
             bad = float(np.min(ln_q[low]))
             raise RangeError(
@@ -430,100 +475,18 @@ def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10
     if np.any(a_vals <= 0):
         raise NumericsError("a(tau) table contains nonpositive values; sigma may not be Kinf")
 
-    ln_qs = np.log(qs)
-    ln_a = np.log(a_vals)
-
-    def a_of(lq: float) -> float:
-        # log-log interpolation of the freshly built a-table
-        if lq <= ln_qs[0]:
-            # a ~ s^2-like near 0: extend with the first-cell slope
-            s0 = (ln_a[1] - ln_a[0]) / (ln_qs[1] - ln_qs[0])
-            return math.exp(ln_a[0] + s0 * (lq - ln_qs[0]))
-        if lq >= ln_qs[-1]:
-            s1 = (ln_a[-1] - ln_a[-2]) / (ln_qs[-1] - ln_qs[-2])
-            return math.exp(ln_a[-1] + s1 * (lq - ln_qs[-1]))
-        return math.exp(float(np.interp(lq, ln_qs, ln_a)))
-
-    # ln kappa increments: integral of 2/a dtau = integral of 2*tau/a(tau) dlntau
-    def cell(la: float, lb: float) -> float:
-        # Gauss-Legendre integral over [la, lb] in ln tau
-        half = 0.5 * (lb - la)
-        nodes = 0.5 * (la + lb) + half * _GL8_NODES
-        vals = np.array([2.0 * math.exp(lq) / a_of(lq) for lq in nodes])
-        return half * float(np.dot(_GL8_WEIGHTS, vals))
-
+    # ln kappa cell increments: the integral of 2/a dtau is the integral of
+    # 2 tau / a(tau) d(ln tau), by 8-point Gauss-Legendre on all cells at once
+    ln_q = np.log(qs)
+    ln_a = _LogLog(ln_q, np.log(a_vals))
+    half = 0.5 * np.diff(ln_q)
+    nodes = 0.5 * (ln_q[:-1] + ln_q[1:])[:, None] + half[:, None] * _GL8_NODES
+    cells = half * ((2.0 * np.exp(nodes) / np.exp(ln_a(nodes))) @ _GL8_WEIGHTS)
     one_idx = int(np.argmin(np.abs(qs - 1.0)))
-    ln_kappa = np.zeros_like(qs)
-    for i in range(one_idx, qs.size - 1):
-        ln_kappa[i + 1] = ln_kappa[i] + cell(ln_qs[i], ln_qs[i + 1])
-    for i in range(one_idx, 0, -1):
-        ln_kappa[i - 1] = ln_kappa[i] - cell(ln_qs[i - 1], ln_qs[i])
-
-    return _bundle_from_tables(sigma, qs, a_vals, ln_kappa, q_min, q_max, quadrature_tol)
-
-
-def _bundle_from_tables(sigma, qs, a_vals, ln_kappa, q_min, q_max, quadrature_tol) -> KappaBundle:
-    ln_qs = np.log(qs)
-    ln_a = np.log(a_vals)
-    slope0 = 2.0 * qs[0] / a_vals[0]  # d ln(kappa) / d ln(q) at the table floor
-    floor_q = q_min / 10.0
-
-    def a_eval(q, _lq=ln_qs, _la=ln_a):
-        q_arr = np.asarray(q, dtype=float)
-        with np.errstate(divide="ignore"):
-            lq = np.log(q_arr)
-        lo_slope = (_la[1] - _la[0]) / (_lq[1] - _lq[0])
-        hi_slope = (_la[-1] - _la[-2]) / (_lq[-1] - _lq[-2])
-        out = np.where(
-            lq <= _lq[0],
-            np.exp(_la[0] + lo_slope * (lq - _lq[0])),
-            np.where(
-                lq >= _lq[-1],
-                np.exp(_la[-1] + hi_slope * (lq - _lq[-1])),
-                np.exp(np.interp(lq, _lq, _la)),
-            ),
-        )
-        out = np.where(q_arr == 0.0, 0.0, out)
-        return float(out) if np.ndim(q) == 0 else out
-
-    def kappa_eval(q, _lq=ln_qs, _lk=ln_kappa, _s0=slope0, _floor=floor_q):
-        q_arr = np.asarray(q, dtype=float)
-        if np.any(q_arr > qs[-1] * (1.0 + 1e-12)):
-            bad = float(np.max(q_arr))
-            raise RangeError(
-                f"kappa evaluated at {bad:.6e} beyond q_max={qs[-1]:.3e}; "
-                f"rebuild the bundle with q_max >= {bad:.3e}"
-            )
-        with np.errstate(divide="ignore"):
-            lq = np.log(np.maximum(q_arr, 1e-320))
-        ln_k = np.where(
-            lq < _lq[0],
-            _lk[0] + _s0 * (lq - _lq[0]),
-            np.interp(lq, _lq, _lk),
-        )
-        out = np.exp(ln_k)
-        out = np.where(q_arr < _floor, 0.0, out)  # below the extrapolation decade
-        out = np.where(q_arr == 0.0, 0.0, out)
-        return float(out) if np.ndim(q) == 0 else out
-
-    a_fn = MonotoneFn(eval=a_eval, class_tag="Kinf")
-    kappa_fn = MonotoneFn(
-        eval=kappa_eval,
-        class_tag="Kinf",
-        derivative=lambda q: 2.0 * np.asarray(kappa_eval(q)) / np.asarray(a_eval(q)),
-    )
-    return KappaBundle(
-        sigma=sigma,
-        a_fn=a_fn,
-        kappa=kappa_fn,
-        q_min=float(q_min),
-        q_max=float(q_max),
-        quadrature_tol=float(quadrature_tol),
-        qs=qs,
-        ln_qs=ln_qs,
-        a_vals=a_vals,
-        ln_kappa=ln_kappa,
-    )
+    ln_kappa = np.concatenate([-np.cumsum(cells[:one_idx][::-1])[::-1], [0.0],
+                               np.cumsum(cells[one_idx:])])
+    return KappaBundle(qs=qs, a_vals=a_vals, ln_kappa=ln_kappa, q_min=q_min, q_max=q_max,
+                       quadrature_tol=float(quadrature_tol), sigma=sigma)
 
 
 def kappa_bundle_to_json(bundle: KappaBundle) -> dict:
@@ -540,12 +503,9 @@ def kappa_bundle_to_json(bundle: KappaBundle) -> dict:
 
 
 def kappa_bundle_from_json(d: dict) -> KappaBundle:
-    qs = np.asarray(d["qs"], dtype=float)
-    a_vals = np.asarray(d["a"], dtype=float)
-    ln_kappa = np.asarray(d["ln_kappa"], dtype=float)
-    return _bundle_from_tables(None, qs, a_vals, ln_kappa,
-                               float(d["q_min"]), float(d["q_max"]),
-                               float(d["quadrature_tol"]))
+    qs, a_vals, ln_kappa = (np.asarray(d[k], dtype=float) for k in ("qs", "a", "ln_kappa"))
+    return KappaBundle(qs=qs, a_vals=a_vals, ln_kappa=ln_kappa, q_min=float(d["q_min"]),
+                       q_max=float(d["q_max"]), quadrature_tol=float(d["quadrature_tol"]))
 
 
 # ---------------------------------------------------------------------------

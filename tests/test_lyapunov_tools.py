@@ -245,12 +245,54 @@ class TestKappaBundle:
         with pytest.raises(ParameterError):
             build_kappa(IDENT, (0.5, 0.9))
 
+    def test_ln_kappa_beyond_q_max_names_the_rebuild_range(self, bundle):
+        with pytest.raises(RangeError, match=r"rebuild the bundle with q_max >= 2\.000e\+03"):
+            bundle.ln_kappa_at(2e3)
+        with pytest.raises(RangeError, match=r"rebuild the bundle with q_max >= 2\.000e\+03"):
+            bundle.ln_kappa_at(np.array([1.0, 2e3]))
+
     def test_json_round_trip_evaluates_identically(self, bundle):
         clone = kappa_bundle_from_json(kappa_bundle_to_json(bundle))
         for q in np.geomspace(1e-2, 1e3, 50):
             assert clone.kappa.eval(float(q)) == bundle.kappa.eval(float(q))
             assert clone.kappa_inv(bundle.kappa.eval(float(q))) == \
                 bundle.kappa_inv(bundle.kappa.eval(float(q)))
+        # one array call each: 0, the one-decade floor region, the nodes, q_max
+        floor = np.geomspace(bundle.q_min / 10, bundle.q_min, 9, endpoint=False)
+        q = np.concatenate([[0.0], floor, bundle.qs, [bundle.q_max]])
+        ln_k = bundle.ln_kappa_at(q)
+        with np.errstate(invalid="ignore"):  # kappa'(0) is 0/0
+            pairs = [
+                (bundle.a_fn.eval(q), clone.a_fn.eval(q)),
+                (ln_k, clone.ln_kappa_at(q)),
+                (bundle.kappa.derivative(q), clone.kappa.derivative(q)),
+                (bundle.kappa_inv_ln(ln_k), clone.kappa_inv_ln(ln_k)),
+            ]
+        for built, reloaded in pairs:
+            assert built.shape == q.shape
+            assert built.tobytes() == reloaded.tobytes()
+
+    def test_ln_kappa_matches_scalar_gauss_legendre_reference(self, bundle):
+        """The build against a per-cell scalar reference: 8-point Gauss-Legendre
+        of 2 tau / a(tau) over each cell in ln tau, with a(tau) interpolated
+        log-log from the a table, summed cell by cell outward from q = 1."""
+        ln_q = np.log(bundle.qs)
+        ln_a = np.log(bundle.a_vals)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+
+        def cell(la, lb):
+            half = 0.5 * (lb - la)
+            lqs = 0.5 * (la + lb) + half * nodes
+            return half * sum(w * 2.0 * math.exp(lq) / math.exp(float(np.interp(lq, ln_q, ln_a)))
+                              for lq, w in zip(lqs, weights))
+
+        one = int(np.flatnonzero(bundle.qs == 1.0)[0])
+        ref = np.zeros_like(ln_q)
+        for i in range(one, ln_q.size - 1):
+            ref[i + 1] = ref[i] + cell(ln_q[i], ln_q[i + 1])
+        for i in range(one, 0, -1):
+            ref[i - 1] = ref[i] - cell(ln_q[i - 1], ln_q[i])
+        np.testing.assert_allclose(bundle.ln_kappa, ref, rtol=1e-12, atol=0.0)
 
 
 class TestGainSynthesis:
