@@ -92,43 +92,35 @@ class ConverseConfig:
 def regularized_rho(theta2: MonotoneFn, grid: Sequence[float]) -> MonotoneFn:
     """Unit-Lipschitz minorant ``rho(s) = inf_r { theta2^{-1}(r) + |r - s| }``.
 
-    Computed per grid point by golden-section search on ``[0, s]`` (values
-    beyond ``s`` only increase the objective) and returned as a monotone
-    table.  Satisfies ``rho <= theta2^{-1}`` and has unit Lipschitz
-    constant on the grid.
+    Values ``r > s`` only increase the objective, so ``rho(s) = s + min_{r <= s}
+    psi(r)`` with ``psi = theta2^{-1} - id``, which must be unimodal on each
+    grid cell: a golden-section search on all cells at once and a running
+    minimum give every node of the returned monotone table.  Satisfies
+    ``rho <= theta2^{-1}`` and has unit Lipschitz constant on the grid.
     """
     if theta2.class_tag != "Kinf":
         raise ParameterError(f"theta2 must be class Kinf, got {theta2.class_tag}")
-    xs = sorted(set(float(g) for g in grid))
+    xs = np.asarray(sorted(set(float(g) for g in grid)))
     if xs[0] != 0.0:
-        xs = [0.0] + xs
+        xs = np.concatenate([[0.0], xs])
+
+    def psi(r):
+        return np.asarray(apply_inverse(theta2, r), dtype=float) - r
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def objective(r: float, s: float) -> float:
-        return float(apply_inverse(theta2, r)) + abs(r - s)
-
-    def golden(s: float, tol: float = 1e-10) -> float:
-        a, b = 0.0, s
-        if b <= tol:
-            return objective(0.0, s)
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-        fc, fd = objective(c, s), objective(d, s)
-        while (b - a) > tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = objective(c, s)
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = objective(d, s)
-        # include the endpoints: the optimum may sit at r = 0 or r = s
-        return min(fc, fd, objective(0.0, s), objective(s, s))
-
-    ys = [golden(s) for s in xs]
-    ys = np.maximum.accumulate(np.asarray(ys))  # true rho is nondecreasing
+    a, b = xs[:-1], xs[1:]
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = psi(c), psi(d)
+    while np.any(b - a > 1e-10):
+        left = fc < fd  # the cell's minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        f_new = psi(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    cell_min = np.concatenate([[np.inf], np.minimum(fc, fd)])
+    ys = xs + np.minimum.accumulate(np.minimum(psi(xs), cell_min))
+    ys = np.maximum.accumulate(ys)  # true rho is nondecreasing
     ys[0] = 0.0
     return make_table_fn(xs, ys, class_tag="Kinf")
 

@@ -10,7 +10,8 @@ decay gauge ``sigma``:
 ``kappa'(s) * sigma(s) >= 2 * kappa(s)``; those three facts are what the
 moving-average power bound needs.  Because ``2/a`` is non-integrable at 0,
 ``kappa`` is tabulated on ``[q_min, q_max]`` in log-log space and extended
-below ``q_min`` by log-linear extrapolation limited to one decade.
+below ``q_min`` by log-linear extrapolation limited to one decade.  ``a`` comes
+from adaptive Gauss-Legendre quadrature, ``ln kappa`` from exact cell integrals.
 """
 
 from __future__ import annotations
@@ -245,41 +246,6 @@ def check_implication_form(V: LyapunovCandidate, sys: SystemDef, alpha3: Monoton
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48):
-    """Adaptive composite Simpson; returns the integral or raises on stall."""
-
-    def simpson(xa, fa, xb, fb, xm, fm):
-        return (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(xa, fa, xb, fb, xm, fm, whole, tol_here, depth):
-        xl = 0.5 * (xa + xm)
-        xr = 0.5 * (xm + xb)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(xa, fa, xm, fm, xl, fl)
-        right = simpson(xm, fm, xb, fb, xr, fr)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol_here or depth >= max_depth:
-            if depth >= max_depth and abs(err) > 15.0 * max(tol_here, 1e-300):
-                raise NumericsError(
-                    f"quadrature stalled on [{xa}, {xb}] with error estimate {err}"
-                )
-            return left + right + err / 15.0
-        return (recurse(xa, fa, xm, fm, xl, fl, left, tol_here / 2.0, depth + 1)
-                + recurse(xm, fm, xb, fb, xr, fr, right, tol_here / 2.0, depth + 1))
-
-    fa, fb = f(a), f(b)
-    xm = 0.5 * (a + b)
-    fm = f(xm)
-    whole = simpson(a, fa, b, fb, xm, fm)
-    scale = max(abs(whole), 1e-300)
-    return recurse(a, fa, b, fb, xm, fm, whole, max(tol * scale, 1e-300), 0)
-
-
-# ---------------------------------------------------------------------------
 # kappa construction
 
 
@@ -299,7 +265,7 @@ class _LogLog:
         return np.where(lx < x[0], v[0] + self.lo_slope * (lx - x[0]), not_below)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KappaBundle:
     """Tabulated ``kappa`` rescaling built from a decay gauge ``sigma``.
 
@@ -358,7 +324,9 @@ class KappaBundle:
         return float(out) if np.ndim(q) == 0 else out
 
     def _kappa_prime(self, q):
-        return 2.0 * np.asarray(self._kappa_eval(q)) / np.asarray(self._a_eval(q))
+        kappa = np.asarray(self._kappa_eval(q))  # 0 at q = 0, where a is 0 too
+        out = np.divide(2.0 * kappa, self._a_eval(q), out=np.zeros_like(kappa), where=kappa > 0)
+        return float(out) if np.ndim(q) == 0 else out
 
     def ln_kappa_at(self, q):
         """``ln kappa(q)`` straight from the tables; immune to underflow.
@@ -418,14 +386,12 @@ class KappaBundle:
 
 
 def _log_grid(q_min: float, q_max: float, per_decade: int) -> np.ndarray:
-    """Log-spaced grid on [q_min, q_max] containing 1.0 exactly."""
-    down = int(math.ceil(per_decade * math.log10(1.0 / q_min))) if q_min < 1.0 else 0
-    up = int(math.ceil(per_decade * math.log10(q_max))) if q_max > 1.0 else 0
-    lows = np.exp(np.linspace(math.log(q_min), 0.0, down + 1)) if down else np.array([1.0])
-    highs = np.exp(np.linspace(0.0, math.log(q_max), up + 1)) if up else np.array([1.0])
-    grid = np.unique(np.concatenate([lows, highs]))
-    one = int(np.argmin(np.abs(grid - 1.0)))
-    grid[one] = 1.0
+    """Log-spaced grid on [q_min, q_max] containing 1.0 exactly, for q_min < 1 < q_max."""
+    down = int(math.ceil(per_decade * math.log10(1.0 / q_min)))
+    up = int(math.ceil(per_decade * math.log10(q_max)))
+    # linspace ends exactly at 0.0 and starts there, so both halves meet at exp(0) = 1
+    grid = np.exp(np.concatenate([np.linspace(math.log(q_min), 0.0, down + 1),
+                                  np.linspace(0.0, math.log(q_max), up + 1)[1:]]))
     grid[0] = q_min
     grid[-1] = q_max
     return grid
@@ -443,13 +409,46 @@ _GL8_WEIGHTS = np.array([
 ])
 
 
+def _cell_integrals(f, lo, hi, tol: float) -> np.ndarray:
+    """Adaptive 8-point Gauss-Legendre integrals of ``f`` over the cells ``[lo[i], hi[i]]``.
+
+    A piece is accepted when its halves agree with it within its length's share of ``tol``
+    times its cell's first estimate, else halved; 48 halvings or a miss at rounding level raise.
+    """
+
+    def gl8(x0, x1):
+        half = 0.5 * (x1 - x0)
+        return half * (f(0.5 * (x0 + x1)[:, None] + half[:, None] * _GL8_NODES) @ _GL8_WEIGHTS)
+
+    cell = np.arange(lo.size)
+    whole = gl8(lo, hi)
+    budget = tol * np.abs(whole)
+    out = np.zeros(lo.size)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        left, right = gl8(lo, mid), gl8(mid, hi)
+        err = np.abs(left + right - whole)
+        bad = err > budget  # nan passes here and fails the a-table check, never doubling
+        out += np.bincount(cell[~bad], weights=(left + right)[~bad], minlength=out.size)
+        if not bad.any():
+            return out
+        lo, mid, hi = lo[bad], mid[bad], hi[bad]
+        if np.any(err[bad] <= 1e-14 * np.abs(whole[bad])):  # halving cannot beat rounding
+            break
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([left[bad], right[bad]])
+        budget = np.tile(0.5 * budget[bad], 2)
+        cell = np.tile(cell[bad], 2)
+    raise NumericsError(f"quadrature stalled on [{lo[0]}, {hi[0]}] at tolerance {tol:g}")
+
+
 def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10,
                 points_per_decade: int = 160) -> KappaBundle:
     """Tabulate ``a`` and ``kappa`` for a class-Kinf gauge ``sigma``.
 
-    ``a`` accumulates adaptive-Simpson cell integrals of
+    ``a`` accumulates adaptive Gauss-Legendre cell integrals of
     ``(2/pi) * min(s, sigma(s)) / (1 + s^2)`` on a log grid; ``kappa``
-    accumulates Gauss-Legendre cell integrals of ``2/a`` outward from 1 in
+    accumulates the exact cell integrals of ``2/a`` outward from 1 in
     both directions, stored as ``ln kappa`` so deep attenuation never
     underflows.  ``kappa(1) = 1`` holds exactly.
     """
@@ -461,27 +460,20 @@ def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10
     if quadrature_tol <= 0:
         raise ParameterError("quadrature tolerance must be positive")
 
-    def w(s: float) -> float:
-        sv = float(sigma.eval(s))
-        return (2.0 / math.pi) * min(s, sv) / (1.0 + s * s)
+    def w(s):
+        return (2.0 / math.pi) * np.minimum(s, sigma.eval(s)) / (1.0 + s * s)
 
     qs = _log_grid(q_min, q_max, points_per_decade)
-    a_vals = np.empty_like(qs)
-    acc = _adaptive_simpson(w, 0.0, float(qs[0]), quadrature_tol)
-    a_vals[0] = acc
-    for i in range(1, qs.size):
-        acc += _adaptive_simpson(w, float(qs[i - 1]), float(qs[i]), quadrature_tol)
-        a_vals[i] = acc
-    if np.any(a_vals <= 0):
-        raise NumericsError("a(tau) table contains nonpositive values; sigma may not be Kinf")
+    a_vals = np.cumsum(_cell_integrals(w, np.concatenate([[0.0], qs[:-1]]), qs, quadrature_tol))
+    if not np.all(a_vals > 0):  # nan included
+        raise NumericsError("a(tau) table has nonpositive or nan values; sigma may not be Kinf")
 
-    # ln kappa cell increments: the integral of 2/a dtau is the integral of
-    # 2 tau / a(tau) d(ln tau), by 8-point Gauss-Legendre on all cells at once
-    ln_q = np.log(qs)
-    ln_a = _LogLog(ln_q, np.log(a_vals))
-    half = 0.5 * np.diff(ln_q)
-    nodes = 0.5 * (ln_q[:-1] + ln_q[1:])[:, None] + half[:, None] * _GL8_NODES
-    cells = half * ((2.0 * np.exp(nodes) / np.exp(ln_a(nodes))) @ _GL8_WEIGHTS)
+    # with a = a_i (q / q_i)^m on cell i of width h in ln q, the cell's
+    # integral of 2/a dq is 2 q_i / a_i * h * expm1(x) / x, x = (1 - m) h
+    h = np.diff(np.log(qs))
+    x = h - np.diff(np.log(a_vals))
+    growth = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    cells = 2.0 * qs[:-1] / a_vals[:-1] * h * growth
     one_idx = int(np.argmin(np.abs(qs - 1.0)))
     ln_kappa = np.concatenate([-np.cumsum(cells[:one_idx][::-1])[::-1], [0.0],
                                np.cumsum(cells[one_idx:])])
@@ -550,9 +542,7 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
 
     def rho_eval(s):
         chi = np.asarray(spec.chi4.eval(np.asarray(s, dtype=float)), dtype=float)
-        pos = chi > 0
-        args = np.where(pos, np.asarray(apply_inverse(sigma, 2.0 * chi), dtype=float), 1.0)
-        out = np.where(pos, np.asarray(bundle.kappa.derivative(args)) * chi, 0.0)
+        out = np.asarray(bundle.kappa.derivative(apply_inverse(sigma, 2.0 * chi))) * chi
         return float(out) if np.ndim(s) == 0 else out
 
     beta = KLBound(kind="general", eval2=beta_eval)

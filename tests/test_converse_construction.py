@@ -9,6 +9,7 @@ from ipss_lab.comparison_functions import (
     KLBound,
     identity_fn,
     make_power_fn,
+    make_table_fn,
     sontag_factorize_exponential,
 )
 from ipss_lab.converse_construction import (
@@ -84,6 +85,24 @@ class TestRegularizedRho:
 
     def test_vanishes_at_zero(self, rho):
         assert rho.eval(0.0) == 0.0
+
+    def test_exact_on_a_factor_with_several_basins(self):
+        """psi = theta2^{-1} - id dips at 3.82 and deeper at 9, so a search on
+        all of [0, s] could stop in the first basin: it gave rho(10) = 9.0,
+        not s + min psi = 8.0, with node slopes up to 2."""
+        kinks = np.array([0.0, 3.82, 6.18, 9.0, 12.0])
+        theta2 = make_table_fn([0.0, 3.32, 6.68, 7.0, 13.0], kinks)
+        grid = np.concatenate([[0.0], np.geomspace(1e-3, 12.0, 120)])
+        r = regularized_rho(theta2, grid)
+
+        def psi(v):
+            return np.asarray(theta2.inverse(v)) - v
+
+        # psi is piecewise linear, so its minimum over [0, s] sits at a kink or at s
+        exact = np.array([s + np.min(psi(np.append(kinks[kinks <= s], s))) for s in grid])
+        vals = np.asarray(r.eval(grid))
+        np.testing.assert_allclose(vals, exact, rtol=0.0, atol=1e-9)
+        assert np.max(np.diff(vals) / np.diff(grid)) <= 1.0 + 1e-9
 
     def test_unit_lipschitz_and_minorant_on_grid(self, rho):
         xs = RHO_GRID[1:]

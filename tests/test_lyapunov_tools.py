@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from ipss_lab.comparison_functions import (
+    MonotoneFn,
     compose,
     identity_fn,
     inverse_fn,
     make_power_fn,
     scale_fn,
 )
-from ipss_lab.errors import ParameterError, PlanError, RangeError
+from ipss_lab.errors import NumericsError, ParameterError, PlanError, RangeError
 from ipss_lab.lyapunov_tools import (
     DissipationSpec,
     LyapunovCandidate,
@@ -175,9 +176,25 @@ def gains(bundle):
 class TestKappaBundle:
 
     def test_a_table_matches_closed_form(self, bundle):
-        """For the identity gauge, a(tau) = log(1 + tau^2) / pi exactly."""
+        """For the identity gauge, a(tau) = log(1 + tau^2) / pi exactly.
+
+        For sigma = 2 s^2, whose kink of min(s, sigma(s)) at s = 1/2 falls
+        inside a cell, a(tau) = (4/pi) (tau - atan tau) up to 1/2 and
+        (2/pi) [2 (1/2 - atan 1/2) + ln((1 + tau^2) / 1.25) / 2] above.
+        """
         exact = np.log1p(bundle.qs ** 2) / math.pi
         assert np.max(np.abs(bundle.a_vals - exact) / exact) < 1e-8
+
+        kinked = build_kappa(make_power_fn(2.0, 2.0), (1e-3, 1e3), 1e-10)
+        tau = kinked.qs
+        # tau - atan tau by its series below 1/4, where the difference cancels
+        k = np.arange(1, 21)[:, None]
+        series = np.sum((-1.0) ** (k + 1) * tau ** (2 * k + 1) / (2 * k + 1), axis=0)
+        tau_minus_atan = np.where(tau < 0.25, series, tau - np.arctan(tau))
+        exact = np.where(tau <= 0.5, 4.0 / math.pi * tau_minus_atan,
+                         2.0 / math.pi * (2.0 * (0.5 - math.atan(0.5))
+                                          + 0.5 * np.log((1.0 + tau ** 2) / 1.25)))
+        assert np.max(np.abs(kinked.a_vals - exact) / exact) < 1e-12
 
     def test_kappa_at_one_is_exactly_one(self, bundle):
         assert bundle.kappa.eval(1.0) == 1.0
@@ -245,6 +262,15 @@ class TestKappaBundle:
         with pytest.raises(ParameterError):
             build_kappa(IDENT, (0.5, 0.9))
 
+    def test_unreachable_tolerance_and_nan_gauge_raise(self):
+        """A tolerance below rounding, or a nan integrand, fails every halving;
+        both must raise instead of refining without end."""
+        with pytest.raises(NumericsError, match="quadrature stalled on"):
+            build_kappa(IDENT, (0.3, 10.0), 1e-300)
+        nan_above_2 = MonotoneFn(eval=lambda s: np.where(s > 2.0, np.nan, s), class_tag="Kinf")
+        with pytest.raises(NumericsError, match="nonpositive or nan"):
+            build_kappa(nan_above_2, (0.3, 10.0), 1e-10)
+
     def test_ln_kappa_beyond_q_max_names_the_rebuild_range(self, bundle):
         with pytest.raises(RangeError, match=r"rebuild the bundle with q_max >= 2\.000e\+03"):
             bundle.ln_kappa_at(2e3)
@@ -261,16 +287,27 @@ class TestKappaBundle:
         floor = np.geomspace(bundle.q_min / 10, bundle.q_min, 9, endpoint=False)
         q = np.concatenate([[0.0], floor, bundle.qs, [bundle.q_max]])
         ln_k = bundle.ln_kappa_at(q)
-        with np.errstate(invalid="ignore"):  # kappa'(0) is 0/0
-            pairs = [
-                (bundle.a_fn.eval(q), clone.a_fn.eval(q)),
-                (ln_k, clone.ln_kappa_at(q)),
-                (bundle.kappa.derivative(q), clone.kappa.derivative(q)),
-                (bundle.kappa_inv_ln(ln_k), clone.kappa_inv_ln(ln_k)),
-            ]
+        pairs = [
+            (bundle.a_fn.eval(q), clone.a_fn.eval(q)),
+            (ln_k, clone.ln_kappa_at(q)),
+            (bundle.kappa.derivative(q), clone.kappa.derivative(q)),
+            (bundle.kappa_inv_ln(ln_k), clone.kappa_inv_ln(ln_k)),
+        ]
         for built, reloaded in pairs:
             assert built.shape == q.shape
             assert built.tobytes() == reloaded.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kappa_prime_is_zero_at_zero_and_below_the_floor(self, bundle):
+        """kappa'(0) was 2 kappa / a = 0/0, nan with a RuntimeWarning."""
+        assert bundle.kappa.derivative(np.array([0.0, 1e-5])).tolist() == [0.0, 0.0]
+        assert bundle.kappa.derivative(0.0) == 0.0
+
+    def test_equality_of_bundles_is_a_bool(self, bundle):
+        """The generated __eq__ compared the tables as arrays and raised ValueError."""
+        clone = kappa_bundle_from_json(kappa_bundle_to_json(bundle))
+        assert (bundle == clone) is False
+        assert (bundle == bundle) is True
 
     def test_ln_kappa_matches_scalar_gauss_legendre_reference(self, bundle):
         """The build against a per-cell scalar reference: 8-point Gauss-Legendre
