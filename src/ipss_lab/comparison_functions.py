@@ -164,12 +164,15 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
 
     Beyond the last node the final segment slope is continued, so Kinf
     tables stay unbounded.  Nodes must start at ``x=0`` with ``y=0`` for
-    K/Kinf tags and be strictly increasing in ``x``, nondecreasing in ``y``.
+    K/Kinf tags, be finite, and be strictly increasing in ``x``,
+    nondecreasing in ``y``.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ParameterError("table function needs matching 1-D xs/ys with >= 2 nodes")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ParameterError("table xs and ys must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ParameterError("table xs must be strictly increasing")
     if np.any(np.diff(ys) < 0):

@@ -87,6 +87,9 @@ class Trajectory:
 
 
 def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) -> None:
+    for name, value in (("t0", t0), ("t_end", t_end), ("step", step)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     if t_end <= t0:

@@ -341,7 +341,10 @@ class InputFamilySpec:
     ``pulse_trains`` (growing pulse trains), ``late_pulses`` (a single
     pulse of given amplitude starting at t0 with duration
     ``duration_scale / (1 + t0)``), ``bang_bang`` (alternating +/-
-    amplitude).
+    amplitude).  A late pulse is integrated in exactly 20 steps, landing on
+    anchors at ``t0 + duration * k / 20``; the rest of its run takes the
+    step ``2 / (3 + t_end)`` that keeps RK4 stable against the ramp gain of
+    :func:`~ipss_lab.simulator.counterexample_system`.
     """
 
     family: str
@@ -382,20 +385,21 @@ class FalsificationReport:
 
 
 def _family_candidates(family: InputFamilySpec):
-    """Yield (t0, xi, input signal, step hint, t_end, description)."""
+    """Yield (t0, xi, input signal, step hint, t_end, include times, description)."""
     if family.family == "constants":
         for t0 in family.t0_values:
             for xi in family.xi_values:
                 for c in family.levels:
                     t_end = t0 + family.horizon
                     u = constant_signal([c], t_end)
-                    yield t0, xi, u, None, t_end, f"constant(c={c})"
+                    yield t0, xi, u, None, t_end, (), f"constant(c={c})"
     elif family.family == "pulse_trains":
         for t0 in family.t0_values:
             for xi in family.xi_values:
                 u = pulse_train(family.tau, family.count)
                 t_end = max(t0 + family.horizon, u.horizon)
-                yield t0, xi, u, None, t_end, f"pulse_train(tau={family.tau}, count={family.count})"
+                yield t0, xi, u, None, t_end, (), (
+                    f"pulse_train(tau={family.tau}, count={family.count})")
     elif family.family == "late_pulses":
         for t0 in family.t0_values:
             duration = family.duration_scale / (1.0 + t0)
@@ -405,9 +409,10 @@ def _family_candidates(family: InputFamilySpec):
                     [(0.0, [0.0]), (t0, [family.amplitude]), (t0 + duration, [0.0])],
                     horizon=t_end,
                 )
-                # resolve the pulse and respect explicit-integrator stability
-                step = min(duration / 20.0, 2.0 / (3.0 + t_end))
-                yield t0, xi, u, step, t_end, (
+                # 20 anchored steps on the pulse; elsewhere the step that
+                # keeps RK4 stable against the ramp gain (1 + t)
+                pulse = tuple(t0 + duration * k / 20.0 for k in range(1, 20))
+                yield t0, xi, u, 2.0 / (3.0 + t_end), t_end, pulse, (
                     f"late_pulse(t0={t0}, amp={family.amplitude}, dur={duration:.6g})"
                 )
     else:  # bang_bang
@@ -423,7 +428,7 @@ def _family_candidates(family: InputFamilySpec):
                     k += 1
                     t = k * family.period
                 u = make_signal(pieces, horizon=t_end)
-                yield t0, xi, u, None, t_end, (
+                yield t0, xi, u, None, t_end, (), (
                     f"bang_bang(amp={family.amplitude}, period={family.period})"
                 )
 
@@ -442,12 +447,13 @@ def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
     if budget < 1:
         raise ParameterError("budget must be at least 1")
     results = []
-    for idx, (t0, xi, u, step_hint, t_end, desc) in enumerate(_family_candidates(family)):
+    for idx, (t0, xi, u, step_hint, t_end, include, desc) in enumerate(
+            _family_candidates(family)):
         if idx >= budget:
             break
         use_step = step_hint if step_hint is not None else step
         xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
-        traj = simulate(sys, t0, xi_vec, u, t_end, use_step)
+        traj = simulate(sys, t0, xi_vec, u, t_end, use_step, include)
         report = check_envelope(traj, cert, u, float(np.linalg.norm(xi_vec)),
                                 t0, tolerance)
         results.append({

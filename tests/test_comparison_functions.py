@@ -204,6 +204,17 @@ class TestTablesAndSpecs:
         assert apply_inverse(f, 0.5) == pytest.approx(1.5)
         assert apply_inverse(f, 1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, math.inf]),
+    ])
+    def test_nonfinite_table_rejected(self, xs, ys):
+        with pytest.raises(ParameterError, match="finite"):
+            make_table_fn(xs, ys)
+        with pytest.raises(ParameterError, match="finite"):
+            monotone_from_spec({"kind": "table", "xs": xs, "ys": ys})
+
     def test_power_spec_round_trip(self):
         f = make_power_fn(2.5, 1.5)
         g = monotone_from_spec(monotone_to_spec(f))

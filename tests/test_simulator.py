@@ -93,6 +93,16 @@ class TestSimulateSemantics:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
 
+    @pytest.mark.parametrize("name,t0,t_end,step", [
+        ("step", 0.0, 1.0, math.nan),
+        ("t_end", 0.0, math.nan, 1e-2),
+        ("t0", math.nan, 1.0, 1e-2),
+        ("t_end", 0.0, math.inf, 1e-2),
+    ])
+    def test_nonfinite_run_arguments_rejected(self, name, t0, t_end, step):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            simulate(linear_test_system(1.0), t0, [1.0], zero_signal(1, 1.0), t_end, step)
+
     def test_input_dim_checked(self):
         with pytest.raises(ParameterError):
             simulate(linear_test_system(1.0), 0.0, [1.0], zero_signal(2, 1.0),

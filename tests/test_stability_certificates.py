@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ipss_lab.stability_certificates as sc
 from ipss_lab.comparison_functions import (
     KLBound,
     identity_fn,
@@ -228,6 +229,32 @@ class TestFalsify:
         assert rep.worst["t0"] == 1000.0
         for v in rep.violations:
             assert v["peak_state_norm"] >= 0.25
+
+    def test_late_pulse_steps_fine_on_the_pulse_only(self, monkeypatch):
+        """20 anchored steps on each pulse, the coarse stability step elsewhere."""
+        runs = []
+
+        def recorded(*args):
+            runs.append(simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sc, "simulate", recorded)
+        ce = counterexample_system()
+        cert = Certificate(kind="iISS", beta=EXP_BETA, gamma=IDENT, rho=IDENT)
+        family = InputFamilySpec(family="late_pulses", t0_values=(10.0, 100.0, 1000.0),
+                                 xi_values=(0.0,), amplitude=0.5)
+        rep = falsify(ce, cert, family, budget=10)
+        assert len(runs) == len(rep.violations) == 3  # every candidate violates
+        assert runs[2].times.size - 1 <= 2000  # 60,080 at the pulse step throughout
+        for traj, res in zip(runs, rep.violations):
+            t0 = res["t0"]
+            duration = 1.0 / (1.0 + t0)
+            on_pulse = (traj.times >= t0) & (traj.times <= t0 + duration)
+            assert int(np.count_nonzero(on_pulse)) == 21
+            u = late_pulse_signal(t0, 0.5, duration)
+            fine = simulate(ce, t0, [0.0], u, t0 + duration, duration / 400.0)
+            ref = float(np.max(fine.norms()))
+            assert abs(res["peak_state_norm"] - ref) <= 1e-7 * ref
 
     def test_constant_inputs_remain_consistent(self):
         """The same engine confirms the sup-gain envelope under constants."""
