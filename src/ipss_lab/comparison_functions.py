@@ -208,10 +208,19 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
     )
 
 
+def _power_spec(f: MonotoneFn) -> bool:
+    return f.spec is not None and f.spec.get("kind") == "power"
+
+
 def scale_fn(f: MonotoneFn, c: float) -> MonotoneFn:
-    """Output scaling ``s -> c * f(s)`` preserving the class tag (c > 0)."""
+    """Output scaling ``s -> c * f(s)`` preserving the class tag (c > 0).
+
+    A power function stays one, with its spec: ``c * (c' s^p) = (c c') s^p``.
+    """
     if not (c > 0.0):
         raise ParameterError(f"scale factor must be positive, got {c}")
+    if _power_spec(f):
+        return make_power_fn(c * f.spec["c"], f.spec["p"])
     deriv = (lambda s, _f=f, _c=c: _c * _f.derivative(s)) if f.derivative else None
     inv = (lambda y, _f=f, _c=c: _f.inverse(np.asarray(y) / _c if np.ndim(y) else y / _c)) if f.inverse else None
     return MonotoneFn(
@@ -226,8 +235,12 @@ def compose(outer: MonotoneFn, inner: MonotoneFn) -> MonotoneFn:
     """Composition ``s -> outer(inner(s))``.
 
     The result is Kinf exactly when both factors are; otherwise the weaker
-    of the two tags is kept.
+    of the two tags is kept.  Two power functions collapse into one,
+    ``c1 (c2 s^p2)^p1 = c1 c2^p1 s^(p1 p2)``, which keeps its spec.
     """
+    if _power_spec(outer) and _power_spec(inner):
+        c1, p1 = outer.spec["c"], outer.spec["p"]
+        return make_power_fn(c1 * inner.spec["c"] ** p1, p1 * inner.spec["p"])
     if outer.class_tag == "Kinf" and inner.class_tag == "Kinf":
         tag = "Kinf"
     elif "P" in (outer.class_tag, inner.class_tag):

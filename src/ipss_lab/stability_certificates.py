@@ -257,7 +257,7 @@ def exp_iiss_to_ipss(K: float, lam: float, gamma_iiss: MonotoneFn, rho: Monotone
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle for the windowing bound
+# saturation oracle for the windowing bound
 
 
 @dataclass(frozen=True)
@@ -272,6 +272,123 @@ class OracleReport:
     n_grid: int
 
 
+_ORACLE_BLOCK = 32
+_ORACLE_CHUNK = 1024
+
+
+def _saturate(K, lam, ts, H, gain, g0):
+    """Pointwise-largest grid sequence under the decay-plus-integral bound."""
+    g = np.empty(ts.size)
+    g[0] = g0
+    for a in range(1, ts.size, _ORACLE_BLOCK):
+        b = min(a + _ORACLE_BLOCK, ts.size)
+        # bracket each earlier candidate k over the block's rows: the decay
+        # term is smallest at row b - 1 and largest at row a, the gain term
+        # lies between its values at the least and the largest H of the block
+        Kg = K * g[:a]
+        lo = Kg * np.exp(-lam * (ts[b - 1] - ts[:a])) + gain(np.min(H[a:b]) - H[:a])
+        hi = Kg * np.exp(-lam * (ts[a] - ts[:a])) + gain(np.max(H[a:b]) - H[:a])
+        # the least upper end caps every row's minimum, so a candidate whose
+        # lower end passes it is never the minimum (the relative guard
+        # absorbs a one-ulp dip of eta or exp)
+        keep = np.flatnonzero(~(lo > np.min(hi) * (1.0 + 1e-12)))
+        low = np.full(b - a, np.inf)
+        for c0 in range(0, keep.size, _ORACLE_CHUNK):
+            k = keep[c0:c0 + _ORACLE_CHUNK]
+            cand = Kg[None, k] * np.exp(-lam * (ts[a:b, None] - ts[None, k])) \
+                + gain(H[a:b, None] - H[None, k])
+            low = np.minimum(low, np.min(cand, axis=1))
+        # the block's own candidates join as each value settles; the
+        # triangle is small, so plain floats beat per-row array calls
+        own = np.arange(a, b)
+        decay = np.exp(-lam * (ts[None, a:b] - ts[a:b, None])).tolist()
+        rise = gain(np.where(own[:, None] < own[None, :], H[None, a:b] - H[a:b, None],
+                             0.0)).tolist()
+        low = low.tolist()
+        for k in range(b - a - 1):
+            Kg_k = K * low[k]
+            d, r = decay[k], rise[k]
+            for i in range(k + 1, b - a):
+                v = Kg_k * d[i] + r[i]
+                if v < low[i]:
+                    low[i] = v
+        g[a:b] = low
+    return g
+
+
+def _fold_first_min(slack, js, row_min, row_j):
+    """Fold columns ``js`` of a rows x columns slack block into each row's first minimum."""
+    if js.size:
+        j = np.argmin(slack, axis=1)
+        v = slack[np.arange(slack.shape[0]), j]
+        better = v < row_min
+        row_min[better] = v[better]
+        row_j[better] = js[j[better]]
+
+
+def _window_check(K, lambda_tilde, amplification, T, ts, H, H_lo, g, gain):
+    """Least slack of the windowed bound over grid pairs j >= i, and its first pair."""
+    n1 = ts.size
+    # from column jstar_i on the window [max(t_i, t_j - T), t_j] starts at
+    # t_j - T, and W_j = H_j - H(t_j - T) there does not depend on the row
+    W = H - H_lo
+    jstar = np.searchsorted(ts - T, ts, side="right")
+    min_slack = math.inf
+    worst = (0.0, 0.0)
+    for a in range(0, n1, _ORACLE_BLOCK):
+        b = min(a + _ORACLE_BLOCK, n1)
+        sb = int(jstar[b - 1])
+        rows = np.arange(a, b)
+        cols = np.arange(a, sb)
+        # band, columns a <= j < sb: the running max of each row's window
+        win = np.where(cols[None, :] < jstar[a:b, None], H[None, a:sb] - H[a:b, None],
+                       W[None, a:sb])
+        win[cols[None, :] < rows[:, None]] = -np.inf
+        phi = np.maximum.accumulate(win, axis=1)
+        valid = np.isfinite(phi)
+        # tail, columns j >= sb: phi_i(j) = max(head_i, Wmax_j), so its gain
+        # is one of two precomputed values, selected, not compared
+        head = phi[:, -1]
+        Wmax = np.maximum.accumulate(W[sb:])
+        gain_W = amplification * gain(Wmax)
+        gain_head = amplification * gain(head)
+        # a floor on every slack of a column over the block's rows: the least
+        # decay (least K g_i, longest lag t_j - t_a) plus the gain of the
+        # least phi, less a relative 1e-12 that absorbs one-ulp dips of exp
+        # and eta
+        Kg = K * g[a:b]
+        least_gain = np.concatenate([
+            amplification * gain(np.min(np.where(valid, phi, np.inf), axis=0)), gain_W])
+        floor = (np.min(Kg) * np.exp(-lambda_tilde * (ts[a:] - ts[a])) + least_gain) \
+            * (1.0 - 1e-12) - g[a:]
+        # only a column whose floor reaches the least slack so far can hold
+        # the first least pair
+        row_min = np.full(b - a, np.inf)
+        row_j = np.zeros(b - a, dtype=int)
+        c = np.flatnonzero(~(floor[:sb - a] > min_slack))
+        js = a + c
+        ok = valid[:, c]
+        slack = np.where(
+            ok,
+            Kg[:, None] * np.exp(-lambda_tilde * (ts[None, js] - ts[a:b, None]))
+            + amplification * gain(np.where(ok, phi[:, c], 0.0)) - g[None, js],
+            np.inf)
+        _fold_first_min(slack, js, row_min, row_j)
+        tail = np.flatnonzero(~(floor[sb - a:] > min(min_slack, float(np.min(row_min)))))
+        for c0 in range(0, tail.size, _ORACLE_CHUNK):
+            c = tail[c0:c0 + _ORACLE_CHUNK]
+            js = sb + c
+            slack = Kg[:, None] * np.exp(-lambda_tilde * (ts[None, js] - ts[a:b, None])) \
+                + np.where(Wmax[c] >= head[:, None], gain_W[c], gain_head[:, None]) \
+                - g[None, js]
+            _fold_first_min(slack, js, row_min, row_j)
+        r = int(np.argmin(row_min))
+        if float(row_min[r]) < min_slack:
+            min_slack = float(row_min[r])
+            worst = (float(ts[a + r]), float(ts[row_j[r]]))
+    return min_slack, worst
+
+
 def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
                   h_profile: Signal, grid_step: float, t_max: float = 20.0,
                   g0: float = 1.0) -> OracleReport:
@@ -282,7 +399,27 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
     pairs (a forward minimization reaches the fixed point in one sweep,
     since every constraint looks backward), then verifies the windowed
     bound with the exact transformed constants at every grid pair and
-    returns the minimal slack.
+    returns the minimal slack and the first pair, in row-major order,
+    that attains it.
+
+    Both passes run over blocks of rows, and the report is bit for bit the
+    one of evaluating every grid pair:
+
+    - forward pass: each block brackets every earlier candidate over its
+      rows and drops those whose lower end exceeds the least upper end by
+      a relative 1e-12 (the guard absorbs a one-ulp dip of ``eta`` or
+      ``exp``); only the kept candidates and the block's own triangle are
+      evaluated, with the same per-element expressions;
+    - check pass: from column ``jstar_i``, the first whose window start
+      ``t_j - T`` passes ``t_i``, the window is ``W_j = H_j - H(t_j - T)``
+      for every row.  A band of columns up to ``jstar`` of the block's last
+      row needs the row's own running max; past it the running max is
+      ``max(head_i, Wmax_j)`` with ``Wmax`` one running max of ``W`` per
+      block, and the gain is selected from ``eta(head_i)`` and
+      ``eta(Wmax_j)``.  A column is evaluated only when its floor (least
+      decay plus least gain over the block's rows, less the same relative
+      guard, minus ``g_j``) is not strictly above the least slack so far,
+      so the first least pair is never skipped.
 
     Exact when the profile breakpoints and ``T`` lie on the grid.
     """
@@ -294,31 +431,14 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
     knots, cum = cumulative_energy(h_profile, None)
     H = np.interp(ts, knots, cum, right=float(cum[-1]))
 
-    # forward saturation: each value is pinned by earlier values only
-    g = np.empty(n + 1)
-    g[0] = g0
-    for i in range(1, n + 1):
-        cand = K * g[:i] * np.exp(-lam * (ts[i] - ts[:i])) + np.asarray(
-            eta.eval(H[i] - H[:i]), dtype=float
-        )
-        g[i] = float(np.min(cand))
+    def gain(x):
+        return np.asarray(eta.eval(x), dtype=float)
 
-    # windowed-bound check over all grid pairs
-    min_slack = math.inf
-    worst = (0.0, 0.0)
-    for i in range(n + 1):
-        tj = ts[i:]
-        win_lo = np.maximum(ts[i], tj - T)
-        H_lo = np.interp(win_lo, knots, cum, right=float(cum[-1]))
-        window = H[i:] - H_lo
-        phi = np.maximum.accumulate(window)
-        rhs = K * g[i] * np.exp(-lambda_tilde * (tj - ts[i])) \
-            + amplification * np.asarray(eta.eval(phi), dtype=float)
-        slack = rhs - g[i:]
-        j = int(np.argmin(slack))
-        if float(slack[j]) < min_slack:
-            min_slack = float(slack[j])
-            worst = (float(ts[i]), float(tj[j]))
+    g = _saturate(K, lam, ts, H, gain, g0)
+
+    min_slack, worst = _window_check(K, lambda_tilde, amplification, T, ts, H,
+                                     np.interp(ts - T, knots, cum, right=float(cum[-1])),
+                                     g, gain)
     return OracleReport(
         min_slack=min_slack,
         worst_pair=worst,

@@ -185,14 +185,16 @@ def test_criterion_5_ramp_gain_counterexample_demonstration():
         ce = counterexample_system()
         beta = KLBound(kind="exponential", K=1.0, lam=1.0)
 
-        # peaks and energies of the pulse responses
+        # peaks and energies of the pulse responses, on the falsifier's
+        # schedule: 20 anchored steps on the pulse, the stability step after
         peaks = {}
         for t0 in (10.0, 100.0, 1000.0):
             dur = 1.0 / (1.0 + t0)
+            t_end = t0 + dur + 3.0
             u = make_signal([(0.0, [0.0]), (t0, [0.5]), (t0 + dur, [0.0])],
-                            horizon=t0 + dur + 3.0)
-            step = min(dur / 20.0, 2.0 / (6.0 + t0))
-            traj = simulate(ce, t0, [0.0], u, t0 + dur + 3.0, step)
+                            horizon=t_end)
+            pulse = tuple(t0 + dur * k / 20.0 for k in range(1, 20))
+            traj = simulate(ce, t0, [0.0], u, t_end, 2.0 / (3.0 + t_end), pulse)
             peaks[t0] = float(np.max(traj.norms()))
             assert peaks[t0] >= 0.25
             energy = rho_energy(u, IDENT).value

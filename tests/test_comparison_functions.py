@@ -62,6 +62,11 @@ class TestCompose:
     def test_square_after_double(self):
         assert compose(make_power_fn(1, 2), make_power_fn(2, 1)).eval(3.0) == 36.0
 
+    def test_power_factors_collapse_with_spec(self):
+        c = compose(make_power_fn(2.0, 1.5), make_power_fn(0.5, 0.7))
+        assert c.spec == {"kind": "power", "c": 2.0 * 0.5 ** 1.5, "p": 1.5 * 0.7}
+        assert compose(make_power_fn(2.0, 1.5), inverse_fn(make_power_fn(1, 2))).spec is None
+
     def test_tag_rules(self):
         kinf = make_power_fn(1, 1)
         k = MonotoneFn(eval=lambda s: float(s) / (1 + float(s)), class_tag="K")
@@ -233,6 +238,12 @@ class TestTablesAndSpecs:
         f = scale_fn(make_power_fn(1, 2), 3.0)
         assert f.eval(2.0) == pytest.approx(12.0)
         assert apply_inverse(f, 12.0) == pytest.approx(2.0)
+        assert f.spec == {"kind": "power", "c": 3.0, "p": 2.0}
+
+    def test_scale_fn_without_spec_keeps_the_wrapper(self):
+        f = scale_fn(inverse_fn(make_power_fn(1, 2)), 2.0)
+        assert f.spec is None
+        assert f.eval(9.0) == pytest.approx(6.0)
 
     def test_inverse_fn_wrapper(self):
         inv = inverse_fn(make_power_fn(1, 2))

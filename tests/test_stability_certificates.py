@@ -8,13 +8,20 @@ import pytest
 import ipss_lab.stability_certificates as sc
 from ipss_lab.comparison_functions import (
     KLBound,
+    MonotoneFn,
     identity_fn,
     make_power_fn,
     make_table_fn,
     scale_fn,
 )
 from ipss_lab.errors import ParameterError
-from ipss_lab.signals import constant_signal, make_signal, rho_energy, zero_signal
+from ipss_lab.signals import (
+    constant_signal,
+    cumulative_energy,
+    make_signal,
+    rho_energy,
+    zero_signal,
+)
 from ipss_lab.simulator import counterexample_system, linear_test_system, simulate
 from ipss_lab.stability_certificates import (
     Certificate,
@@ -133,6 +140,19 @@ class TestTransformers:
         _, iiss3 = ipss_to_iss_iiss(cert3)
         assert iiss3.gamma.eval(5.0) == pytest.approx(5.0)  # unit window
 
+    def test_power_gains_export_as_power_specs(self):
+        """gamma o rho and s -> gamma(s / T) of power functions stay power functions."""
+        cert = Certificate(kind="IPSS", beta=EXP_BETA, gamma=make_power_fn(3.0, 2.0),
+                           rho=make_power_fn(0.5, 1.5), T=4.0)
+        iss, iiss = ipss_to_iss_iiss(cert)
+        grid = [0.0, 1.0, 10.0]
+        assert certificate_to_json(iss, gain_grid=grid)["gamma"] == {
+            "kind": "power", "c": 3.0 * 0.5 ** 2.0, "p": 3.0}
+        assert certificate_to_json(iiss, gain_grid=grid)["gamma"] == {
+            "kind": "power", "c": 3.0 * (1.0 / 4.0) ** 2.0, "p": 2.0}
+        assert iss.gamma.eval(2.0) == pytest.approx(3.0 * (0.5 * 2.0 ** 1.5) ** 2.0, rel=1e-14)
+        assert iiss.gamma.eval(2.0) == pytest.approx(3.0 * (2.0 / 4.0) ** 2.0, rel=1e-14)
+
     def test_transformer_soundness_on_trajectories(self, rng):
         """Whenever the power envelope holds, both derived envelopes hold."""
         sysd = linear_test_system(1.0)
@@ -200,6 +220,140 @@ class TestLemma3Oracle:
         rep = lemma3_oracle(1.0, 0.5, 2.0, make_power_fn(1.5, 0.8), h, 0.01)
         assert rep.lambda_tilde == 0.5
         assert rep.min_slack >= -1e-9
+
+
+def _lemma3_reference(K, lam, T, eta, h_profile, grid_step, t_max=20.0, g0=1.0):
+    """The all-pairs loops the oracle replaced, kept verbatim as its reference."""
+    lambda_tilde, amplification = exponential_window_bound(K, lam, T)
+    n = int(round(t_max / grid_step))
+    ts = grid_step * np.arange(n + 1)
+    knots, cum = cumulative_energy(h_profile, None)
+    H = np.interp(ts, knots, cum, right=float(cum[-1]))
+
+    # forward saturation: each value is pinned by earlier values only
+    g = np.empty(n + 1)
+    g[0] = g0
+    for i in range(1, n + 1):
+        cand = K * g[:i] * np.exp(-lam * (ts[i] - ts[:i])) + np.asarray(
+            eta.eval(H[i] - H[:i]), dtype=float
+        )
+        g[i] = float(np.min(cand))
+
+    # windowed-bound check over all grid pairs
+    min_slack = math.inf
+    worst = (0.0, 0.0)
+    for i in range(n + 1):
+        tj = ts[i:]
+        win_lo = np.maximum(ts[i], tj - T)
+        H_lo = np.interp(win_lo, knots, cum, right=float(cum[-1]))
+        window = H[i:] - H_lo
+        phi = np.maximum.accumulate(window)
+        rhs = K * g[i] * np.exp(-lambda_tilde * (tj - ts[i])) \
+            + amplification * np.asarray(eta.eval(phi), dtype=float)
+        slack = rhs - g[i:]
+        j = int(np.argmin(slack))
+        if float(slack[j]) < min_slack:
+            min_slack = float(slack[j])
+            worst = (float(ts[i]), float(tj[j]))
+    return sc.OracleReport(
+        min_slack=min_slack,
+        worst_pair=worst,
+        lambda_tilde=lambda_tilde,
+        amplification=amplification,
+        grid_step=float(grid_step),
+        n_grid=n + 1,
+    )
+
+
+def _seeded_lemma3_case(seed):
+    """A small seeded oracle case: T and breakpoints on or off the 0.05 grid,
+    a power or a table eta, zero or positive input at t = 0."""
+    rng = np.random.default_rng(seed)
+    K = float(rng.uniform(1.0, 4.0))
+    lam = float(rng.uniform(0.3, 2.0))
+    step = 0.05
+    T = math.log(K) / lam + float(rng.uniform(0.1, 1.5))
+    if rng.uniform() < 0.5:
+        T = step * math.ceil(T / step)
+    if rng.uniform() < 0.5:
+        eta = make_power_fn(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.4, 2.0)))
+    else:
+        xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 6.0, 6))])
+        eta = make_table_fn(xs, np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 2.0, 6))]))
+    n = int(rng.integers(1, 7))
+    bps = np.sort(rng.uniform(0.0, 10.0, n))
+    if rng.uniform() < 0.5:
+        bps = np.round(bps / step) * step
+    vals = rng.uniform(0.0, 2.0, n)
+    vals[rng.uniform(size=n) < 0.3] = 0.0
+    first = float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.4 else 0.0
+    h = make_signal([(0.0, [first])] + [(float(t), [float(v)])
+                                        for t, v in zip(bps, vals) if t > 0], horizon=12.0)
+    return K, lam, T, eta, h, step, 12.0
+
+
+_UNIT_PULSES = make_signal([(0.0, [0.0]), (1.0, [1.0]), (2.0, [0.0]), (5.0, [1.0]),
+                            (6.0, [0.0]), (10.0, [1.0]), (11.0, [0.0])], horizon=12.0)
+
+_LEMMA3_CASES = {
+    # K = 1 and no input: the diagonal slack (K - 1) g is 0 and every pair ties
+    "k1-zero-profile": (1.0, 0.7, 0.5, IDENT, zero_signal(1, 1.0), 0.05, 12.0),
+    "k2-zero-profile": (2.0, 1.0, 1.0, IDENT, zero_signal(1, 1.0), 0.05, 10.0),
+    "unit-pulses": (2.0, 1.0, 1.0, IDENT, _UNIT_PULSES, 0.05, 12.0),
+    "table-eta": (1.5, 0.8, 1.1, make_table_fn([0.0, 0.5, 1.0, 3.0], [0.0, 0.1, 1.2, 2.0]),
+                  _UNIT_PULSES, 0.05, 12.0),
+    "off-grid-T-and-breakpoints": (
+        2.5, 1.2, 1.2345, make_power_fn(0.7, 1.6),
+        make_signal([(0.0, [0.0]), (0.813, [1.7]), (2.377, [0.2]), (6.0301, [0.0])],
+                    horizon=9.0), 0.05, 11.0),
+    "input-at-zero": (
+        3.0, 1.5, 1.0, make_power_fn(1.2, 0.6),
+        make_signal([(0.0, [1.3]), (2.2, [0.0]), (5.0, [0.7]), (5.5, [0.0])],
+                    horizon=8.0), 0.05, 10.0),
+    # a pulse ending at t = 1.55, the last row of the first row block, and
+    # the grid ending T later: the pair (1.55, 3.4) ties the diagonal at
+    # 3.4, lies more than T apart and is the first least pair, so the tail
+    # and its skip decide the report
+    "far-worst-pair": (
+        1.5, 2.0, 37 * 0.05, IDENT,
+        make_signal([(0.0, [0.0]), (0.5, [0.5]), (31 * 0.05, [0.0])], horizon=4.0),
+        0.05, 68 * 0.05),
+    **{f"seeded-{seed}": _seeded_lemma3_case(seed) for seed in (3, 17, 41, 62, 101)},
+}
+
+
+class TestLemma3OracleBitIdentity:
+    @pytest.mark.parametrize("name", sorted(_LEMMA3_CASES))
+    def test_report_equals_all_pairs_loops(self, name):
+        case = _LEMMA3_CASES[name]
+        assert lemma3_oracle(*case) == _lemma3_reference(*case)
+
+    def test_far_case_worst_pair_lies_past_the_window(self):
+        K, lam, T, eta, h, step, t_max = _LEMMA3_CASES["far-worst-pair"]
+        i, j = _lemma3_reference(K, lam, T, eta, h, step, t_max).worst_pair
+        assert j - T > i
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_the_report(self, monkeypatch, block):
+        monkeypatch.setattr(sc, "_ORACLE_BLOCK", block)
+        for name in ("far-worst-pair", "off-grid-T-and-breakpoints", "seeded-62"):
+            case = _LEMMA3_CASES[name]
+            assert lemma3_oracle(*case) == _lemma3_reference(*case), name
+
+    def test_eta_work_is_far_below_all_pairs(self):
+        """The old loops evaluate eta on about n^2 grid pairs; a band does not."""
+        count = [0]
+
+        def counted(s):
+            count[0] += np.size(s)
+            return IDENT.eval(s)
+
+        eta = MonotoneFn(eval=counted, class_tag="Kinf")
+        count[0] = 0
+        rep = lemma3_oracle(2.0, 1.0, 1.0, eta, _UNIT_PULSES, 0.01, t_max=20.0)
+        n = rep.n_grid
+        assert n == 2001
+        assert count[0] < n * n / 4, count[0]
 
 
 def late_pulse_signal(t0, amplitude, duration, settle=3.0):
