@@ -13,14 +13,12 @@ Exit status: 0 on pass, 2 when a violation was found, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import comparison_functions as cf
@@ -36,25 +34,19 @@ __all__ = ["ExperimentConfig", "ArtifactSet", "run_experiment", "validate_config
 OPERATIONS = ("simulate", "norms", "check-lyap", "synth-gains", "transform",
               "falsify", "lemma3", "converse")
 
-_BASE_SCHEMA = {
-    "type": "object",
-    "required": ["name", "seed", "operation", "output"],
-    "properties": {
-        "name": {"type": "string"},
-        "seed": {"type": "integer"},
-        "operation": {"enum": list(OPERATIONS)},
-        "system": {"type": "object"},
-        "input": {"type": "object"},
-        "certificate": {"type": "object"},
-        "lyapunov": {"type": "object"},
-        "options": {"type": "object"},
-        "output": {
-            "type": "object",
-            "required": ["prefix"],
-            "properties": {"prefix": {"type": "string"}},
-        },
-    },
+_REQUIRED = ("name", "seed", "operation", "output")
+_SECTIONS = ("system", "input", "certificate", "lyapunov", "options", "output")
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+    # JSON numbers with a zero fraction are integers; booleans are not numbers
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
+# JSON type of each typed field, by key path: the top-level fields and output.prefix
+_TYPES = {("name",): "string", ("seed",): "integer", ("output", "prefix"): "string",
+          **{(key,): "object" for key in _SECTIONS}}
+
 
 _OP_REQUIREMENTS = {
     "simulate": ("system", "input", "options"),
@@ -100,13 +92,26 @@ class ArtifactSet:
     exit_status: int
 
 
+def _schema_errors(raw) -> list:
+    """``(json_path, message)`` of every violation of the base schema, sorted by path."""
+    if not isinstance(raw, dict):
+        return [("$", f"{raw!r} is not of type 'object'")]
+    errors = [("$", f"{key!r} is a required property") for key in _REQUIRED if key not in raw]
+    if "operation" in raw and raw["operation"] not in OPERATIONS:
+        errors.append(("$.operation", f"{raw['operation']!r} is not one of {list(OPERATIONS)!r}"))
+    if isinstance(raw.get("output"), dict) and "prefix" not in raw["output"]:
+        errors.append(("$.output", "'prefix' is a required property"))
+    for path, kind in _TYPES.items():
+        *head, key = path
+        parent = raw.get(head[0]) if head else raw
+        if isinstance(parent, dict) and key in parent and not _IS_TYPE[kind](parent[key]):
+            errors.append(("$." + ".".join(path), f"{parent[key]!r} is not of type {kind!r}"))
+    return sorted(errors, key=lambda err: err[0].split("."))
+
+
 def validate_config(raw: dict) -> list:
     """Return a list of ``(json_path, message)`` schema violations."""
-    errors = []
-    validator = jsonschema.Draft202012Validator(_BASE_SCHEMA)
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.path)):
-        path = "$." + ".".join(str(p) for p in err.path) if err.path else "$"
-        errors.append((path, err.message))
+    errors = _schema_errors(raw)
     if errors:
         return errors
     op = raw["operation"]
@@ -288,11 +293,8 @@ def _draw_linear_scenarios(rng, n_sims: int, horizon: float, xi_range: float,
 
 
 def _envelope_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["candidate", "t", "x_norm", "bound", "margin"])
-        for row in rows:
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+    columns = list(zip(*rows)) or [()] * 5
+    sig._write_csv(path, ["candidate", "t", "x_norm", "bound", "margin"], columns)
 
 
 def _run_envelope_sims(system, cert, scenarios, t0, step):
@@ -536,6 +538,7 @@ def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         t_grid = np.linspace(0.0, 2.0, int(opt.get("export_t_points", 3)))
         x_grid = np.linspace(-max(plan.states), max(plan.states),
                              int(opt.get("export_x_points", 9)))
+        ev.wk_many([(t, [x]) for t in t_grid for x in x_grid])  # the table's states in one batch
         table = cc.candidate_table_to_json(cand, t_grid, x_grid)
         cand_path = out / f"{cfg.prefix}_candidate.json"
         _write_json(cand_path, table)

@@ -10,8 +10,9 @@ builds
 with ``G_k(r) = max(r - 1/k, 0)``, ``rho`` a unit-Lipschitz regularization
 of the inverse Sontag factor, and ``M_{R,k}`` Lipschitz bounds of ``W_k``
 obtained from solution-sensitivity probes.  Every layer is a supremum
-along the same disturbed trajectories from ``(t0, xi)``, so one simulated
-batch per probe state serves all layers.  The supremum over disturbances
+along the same disturbed trajectories from ``(t0, xi)``, so one disturbance
+batch per probe state serves all layers, and the batches of many probe
+states are simulated together in lockstep.  The supremum over disturbances
 is approximated from below by a seeded batch of piecewise-constant
 disturbances plus the constant extreme points, so every acceptance check
 carries explicit slack.
@@ -27,10 +28,11 @@ import numpy as np
 
 from .comparison_functions import (KLBound, MonotoneFn, _bilinear, apply_inverse,
                                    make_table_fn, monotone_from_spec, monotone_to_spec)
-from .errors import ModelError, ParameterError
+from .errors import DynamicsError, ModelError, ParameterError
 from .lyapunov_tools import LyapunovCandidate
 from .signals import constant_signal
-from .simulator import SystemDef, _random_disturbance, lipschitz_probe, simulate_batch
+from .simulator import (SystemDef, _random_disturbance, _simulate_members, lipschitz_probe,
+                        simulate_batch)
 
 __all__ = [
     "DisturbedSystem",
@@ -40,6 +42,7 @@ __all__ = [
     "ConverseEvaluator",
     "regularized_rho",
     "wk_estimate",
+    "wk_estimates",
     "check_converse_properties",
     "iss_to_dissipation_candidate",
     "build_mrk_table",
@@ -47,6 +50,8 @@ __all__ = [
     "candidate_table_to_json",
     "candidate_table_from_json",
 ]
+
+_WK_ROWS = 128  # rows of one lockstep batch of probe runs
 
 
 @dataclass(frozen=True)
@@ -184,35 +189,79 @@ def _layer_gains(rho: MonotoneFn, r, k_max: int) -> np.ndarray:
     return np.maximum(rho_r - inv_k, 0.0)
 
 
-def wk_estimate(sys: DisturbedSystem, t0: float, xi, theta1: MonotoneFn,
-                rho: MonotoneFn, cfg: ConverseConfig) -> np.ndarray:
-    """Lower estimates of all ``cfg.k_max`` layer suprema at ``(t0, xi)``.
+def _layer_sups(traj, t0: float, R: float, sys: DisturbedSystem, rho: MonotoneFn,
+                k_max: int) -> np.ndarray:
+    """All ``k_max`` layer suprema along one probe trajectory that passes the model checks."""
+    if traj.blown_up:
+        raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
+    _check_urgas(traj, sys.urgas_beta, R, t0)
+    gains = np.exp(0.5 * (traj.times - t0)) * _layer_gains(rho, traj.norms(), k_max)
+    return np.max(gains, axis=1)
 
-    One seeded disturbance batch is simulated over the longest layer
-    horizon and every layer is read off the same trajectories.  Past its
-    own horizon a layer term is 0 on a trajectory within the decay
+
+def _fold_rows(sys: DisturbedSystem, rows: list, rho: MonotoneFn, cfg: ConverseConfig,
+               best: list, errors: dict) -> None:
+    """Run ``rows`` as one lockstep batch and fold each run into its point's ``best``.
+
+    A failing point keeps the error its own batch would raise: its first
+    failed run's :class:`DynamicsError`, else its first failed check's
+    :class:`ModelError`.  The batch's trajectories are freed on return.
+    """
+    idx, t0s, xis, radii, ds, t_ends = zip(*rows)
+    trajs = _simulate_members(sys.as_systemdef(), t0s, xis, ds, t_ends, cfg.sim_step)
+    for i, t0, R, traj in zip(idx, t0s, radii, trajs):
+        if isinstance(traj, DynamicsError) and not isinstance(errors.get(i), DynamicsError):
+            errors[i] = traj
+        elif i not in errors:
+            try:
+                best[i] = np.maximum(best[i], _layer_sups(traj, t0, R, sys, rho, cfg.k_max))
+            except ModelError as exc:
+                errors[i] = exc
+
+
+def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,
+                 rho: MonotoneFn, cfg: ConverseConfig) -> list:
+    """Lower estimates of all ``cfg.k_max`` layer suprema at each ``(t0, xi)`` of ``points``.
+
+    One seeded disturbance batch per point is simulated over the longest
+    layer horizon and every layer is read off the same trajectories.  Past
+    its own horizon a layer term is 0 on a trajectory within the decay
     envelope, so the longer window only adds zeros; each ``W_k`` is a
     supremum over all ``s >= t0`` in any case.  The disturbance supremum is
     approximated by the batch and the time supremum by the simulation grid,
     so each estimate increases toward the true value as sampling is refined.
+
+    The runs of all points, sorted by horizon, go through lockstep batches
+    of at most ``_WK_ROWS`` rows, each reduced before the next starts; a
+    point with ``xi = 0`` gets zeros without a run.  If points fail a model
+    check, the error of the first of them in ``points`` is raised.
     """
-    xi = np.asarray(xi, dtype=float).reshape(sys.n)
-    R = float(np.linalg.norm(xi))
-    best = np.zeros(cfg.k_max)
-    if R == 0.0:
-        return best
-    span = horizon_for(cfg.k_max, theta1, R)
-    batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
-                              cfg.pieces_per_horizon, cfg.seed)
-    trajs = simulate_batch(sys.as_systemdef(), t0, [xi] * len(batch), batch,
-                           t0 + span, cfg.sim_step)
-    for traj in trajs:
-        if traj.blown_up:
-            raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
-        _check_urgas(traj, sys.urgas_beta, R, t0)
-        gains = np.exp(0.5 * (traj.times - t0)) * _layer_gains(rho, traj.norms(), cfg.k_max)
-        best = np.maximum(best, np.max(gains, axis=1))
+    best = [np.zeros(cfg.k_max) for _ in points]
+    runs = []  # (span, point index, t0, xi, |xi|) of every point off the origin
+    for i, (t0, xi) in enumerate(points):
+        xi = np.asarray(xi, dtype=float).reshape(sys.n)
+        R = float(np.linalg.norm(xi))
+        if R > 0.0:
+            runs.append((horizon_for(cfg.k_max, theta1, R), i, t0, xi, R))
+    rows = []
+    for span, i, t0, xi, R in sorted(runs, key=lambda run: run[0]):
+        batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
+                                  cfg.pieces_per_horizon, cfg.seed)
+        rows += [(i, t0, xi, R, d, t0 + span) for d in batch]
+    # whole points per batch whenever one point's runs fit in it
+    size = _WK_ROWS - _WK_ROWS % cfg.disturbance_samples or _WK_ROWS
+    errors = {}
+    for start in range(0, len(rows), size):
+        _fold_rows(sys, rows[start:start + size], rho, cfg, best, errors)
+    if errors:
+        raise errors[min(errors)]
     return best
+
+
+def wk_estimate(sys: DisturbedSystem, t0: float, xi, theta1: MonotoneFn,
+                rho: MonotoneFn, cfg: ConverseConfig) -> np.ndarray:
+    """:func:`wk_estimates` at the one point ``(t0, xi)``."""
+    return wk_estimates(sys, [(t0, xi)], theta1, rho, cfg)[0]
 
 
 class ConverseEvaluator:
@@ -220,7 +269,7 @@ class ConverseEvaluator:
 
     The one assembly of the construction: the property checks, the
     candidate and its table export all query it.  All layer values of a
-    probe state come from one :func:`wk_estimate` call and are cached by
+    probe state come from one :func:`wk_estimates` run and are cached by
     ``(t0, state)``, so no state is simulated twice in a run.
     """
 
@@ -237,11 +286,17 @@ class ConverseEvaluator:
             raise ParameterError("mrk_table must be nondecreasing along the diagonal")
         self.weights = [2.0 ** (-k) / (1.0 + diag[k - 1]) for k in range(1, cfg.k_max + 1)]
 
+    def wk_many(self, points: Sequence) -> list:
+        """Layer arrays at the ``(t0, xi)`` points; the uncached ones run in one batch."""
+        keys = [(float(t0), tuple(float(v) for v in np.atleast_1d(xi))) for t0, xi in points]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if missing:
+            found = wk_estimates(self.sys, missing, self.theta1, self.rho, self.cfg)
+            self._cache.update(zip(missing, found))
+        return [self._cache[key] for key in keys]
+
     def wk(self, t0: float, xi) -> np.ndarray:
-        key = (float(t0), tuple(float(v) for v in np.atleast_1d(xi)))
-        if key not in self._cache:
-            self._cache[key] = wk_estimate(self.sys, t0, xi, self.theta1, self.rho, self.cfg)
-        return self._cache[key]
+        return self.wk_many([(t0, xi)])[0]
 
     def value(self, t0: float, xi) -> float:
         return float(sum(w * v for w, v in zip(self.weights, self.wk(t0, xi))))
@@ -355,18 +410,36 @@ def check_converse_properties(ev: ConverseEvaluator,
 
     The decay check follows constant-disturbance trajectories and accepts
     ``V(t, x(t)) <= e^{-(t-t0)/2} V(t0, xi) (1 + slack)``; the slack covers
-    the one-sided sampling of both sides.
+    the one-sided sampling of both sides.  The probe states run in two
+    batched phases: the sandwich states with both ends of every Lipschitz
+    pair, then the decay query states.
     """
     sys, theta1, cfg, mrk_table = ev.sys, ev.theta1, ev.cfg, ev.mrk_table
     slack = plan.slack
+
+    def axis_state(s):
+        xi = np.zeros(sys.n)
+        xi[0] = s
+        return xi
+
+    rng = np.random.default_rng(plan.seed)
+    pairs = []
+    for _ in range(plan.lipschitz_pairs):
+        t_a, t_b = rng.uniform(0.0, 2.0, size=2)
+        xa = rng.uniform(-plan.lipschitz_radius, plan.lipschitz_radius, size=sys.n)
+        xb = rng.uniform(-plan.lipschitz_radius, plan.lipschitz_radius, size=sys.n)
+        den = abs(t_a - t_b) + float(np.linalg.norm(xa - xb))
+        if den >= 1e-9:
+            pairs.append((t_a, xa, t_b, xb, den))
+    # phase A: the sandwich states and both ends of every pair in one batch
+    ev.wk_many([(t0, axis_state(s)) for t0 in plan.t0_values for s in plan.states]
+               + [end for t_a, xa, t_b, xb, _ in pairs for end in ((t_a, xa), (t_b, xb))])
 
     sandwich_rows = []
     sandwich_ok = True
     for t0 in plan.t0_values:
         for s in plan.states:
-            xi = np.zeros(sys.n)
-            xi[0] = s
-            v = ev.value(t0, xi)
+            v = ev.value(t0, axis_state(s))
             lo = ev.alpha1_value(abs(s))
             hi = float(theta1.eval(abs(s)))
             ok = (v >= lo * (1.0 - slack) - 1e-12) and (v <= hi * (1.0 + slack) + 1e-12)
@@ -378,33 +451,24 @@ def check_converse_properties(ev: ConverseEvaluator,
 
     lip_rows = []
     lip_ok = True
-    rng = np.random.default_rng(plan.seed)
     theoretical = 1.0 + sum(
         2.0 ** (-k) * float(mrk_table(plan.lipschitz_radius, k))
         / (1.0 + float(mrk_table(k, k)))
         for k in range(1, cfg.k_max + 1)
     )
-    for _ in range(plan.lipschitz_pairs):
-        t_a, t_b = rng.uniform(0.0, 2.0, size=2)
-        xa = rng.uniform(-plan.lipschitz_radius, plan.lipschitz_radius, size=sys.n)
-        xb = rng.uniform(-plan.lipschitz_radius, plan.lipschitz_radius, size=sys.n)
-        den = abs(t_a - t_b) + float(np.linalg.norm(xa - xb))
-        if den < 1e-9:
-            continue
+    for t_a, xa, t_b, xb, den in pairs:
         ratio = abs(ev.value(t_a, xa) - ev.value(t_b, xb)) / den
         ok = ratio <= theoretical * (1.0 + slack)
         lip_ok &= ok
         lip_rows.append({"ratio": float(ratio), "bound": float(theoretical), "ok": ok})
 
-    decay_rows = []
-    decay_ok = True
+    queries = []  # (t0, state, d, t, x(t), V(t0, xi)) of every decay sample
     sysdef = sys.as_systemdef()
     for t0 in plan.t0_values:
         t_end = t0 + plan.decay_horizon
         runs = []
         for s in plan.states:
-            xi = np.zeros(sys.n)
-            xi[0] = s
+            xi = axis_state(s)
             v0 = ev.value(t0, xi)
             if v0 > 1e-12:
                 runs.extend((s, xi, v0, dc) for dc in plan.constant_disturbances)
@@ -416,16 +480,22 @@ def check_converse_properties(ev: ConverseEvaluator,
             for te in eval_ts:
                 idx = int(np.searchsorted(traj.times, te))
                 idx = min(idx, traj.times.size - 1)
-                xt = traj.states[idx]
                 tt = float(traj.times[idx])
-                vt = ev.value(tt, xt)
-                bound = math.exp(-0.5 * (tt - t0)) * v0 * (1.0 + slack)
-                ok = vt <= bound + 1e-12
-                decay_ok &= ok
-                decay_rows.append({
-                    "t0": float(t0), "state": float(s), "d": float(dc),
-                    "t": tt, "value": vt, "bound": bound, "ok": ok,
-                })
+                queries.append((t0, s, dc, tt, traj.states[idx], v0))
+    # phase B: every decay query state in one batch
+    ev.wk_many([(tt, xt) for *_, tt, xt, _ in queries])
+
+    decay_rows = []
+    decay_ok = True
+    for t0, s, dc, tt, xt, v0 in queries:
+        vt = ev.value(tt, xt)
+        bound = math.exp(-0.5 * (tt - t0)) * v0 * (1.0 + slack)
+        ok = vt <= bound + 1e-12
+        decay_ok &= ok
+        decay_rows.append({
+            "t0": float(t0), "state": float(s), "d": float(dc),
+            "t": tt, "value": vt, "bound": bound, "ok": ok,
+        })
 
     return ConverseReport(
         sandwich_ok=sandwich_ok,

@@ -10,7 +10,6 @@ window length).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,6 +36,8 @@ __all__ = [
     "signal_from_json",
     "signal_to_csv",
 ]
+
+_CSV_BLOCK = 4096  # rows formatted at once by the CSV writers
 
 
 @dataclass(frozen=True)
@@ -321,11 +322,25 @@ def signal_from_json(d: dict) -> Signal:
     return _normalize_pieces(pieces, dim, float(d["horizon"]))
 
 
+def _write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and the rows of the equal-length 1-D ``columns`` as ``csv.writer`` does.
+
+    Each cell is the ``repr`` of a Python int or float, so floats keep full
+    precision; rows are formatted by columns, ``_CSV_BLOCK`` at a time.
+    """
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [map(repr, col[a:a + _CSV_BLOCK].tolist()) for col in columns]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+
+
 def signal_to_csv(u: Signal, times: Sequence[float], path) -> None:
     """Sample the signal at ``times`` and write columns ``t, v_1..v_m``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"v_{i + 1}" for i in range(u.dim)])
-        for t in times:
-            row = [repr(float(t))] + [repr(float(x)) for x in u.eval(float(t))]
-            writer.writerow(row)
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if np.any(t < 0):
+        raise ParameterError(f"signal evaluated at negative time {float(t[t < 0][0])}")
+    vals = u.values[np.searchsorted(u.breakpoints, t, side="right") - 1]
+    vals = np.where((t >= u.horizon)[:, None], 0.0, vals)  # as Signal.eval, zero past the horizon
+    _write_csv(path, ["t"] + [f"v_{i + 1}" for i in range(u.dim)], [t, *vals.T])

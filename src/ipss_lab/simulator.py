@@ -13,7 +13,6 @@ single state and a batch of states, each on its own anchor grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DynamicsError, ParameterError
-from .signals import Signal, make_signal
+from .signals import Signal, _write_csv, make_signal
 
 __all__ = [
     "SystemDef",
@@ -101,22 +100,30 @@ def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) 
 
 
 def _plan(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float,
-          include_times: Sequence[float]):
+          include_times: Sequence[float], grids: dict):
     """Grid of one member's RK4 run and its segments' first steps, step lengths and inputs.
 
     The anchors (input breakpoints and horizon, declared discontinuities,
     requested times) inside ``(t0, t_end)`` split the run into segments.
+    Members with equal anchors and step share one read-only
+    ``(grid, first, seg_h)``, kept in ``grids``; only the inputs are built
+    per member.
     """
     _check_run(sys, t0, u, t_end, step)
     inside = [*u.breakpoints, u.horizon, *sys.discontinuity_times, *include_times]
-    anchors = sorted({float(t0), float(t_end)} | {float(x) for x in inside if t0 < x < t_end})
-    grid, seg_h = [], []
-    for seg_a, seg_b in zip(anchors, anchors[1:]):
-        nsub = max(1, int(math.ceil((seg_b - seg_a) / step - 1e-12)))
-        seg_h.append((seg_b - seg_a) / nsub)
-        grid.append(seg_a + np.arange(nsub) * seg_h[-1])
-    return (np.concatenate(grid + [[anchors[-1]]]), np.cumsum([0] + [g.size for g in grid[:-1]]),
-            np.array(seg_h), np.array([u.eval(a) for a in anchors[:-1]]))
+    inside = {float(x) for x in inside if t0 < x < t_end}
+    anchors = tuple(sorted({float(t0), float(t_end)} | inside))
+    if (anchors, step) not in grids:
+        grid, seg_h = [], []
+        for seg_a, seg_b in zip(anchors, anchors[1:]):
+            nsub = max(1, int(math.ceil((seg_b - seg_a) / step - 1e-12)))
+            seg_h.append((seg_b - seg_a) / nsub)
+            grid.append(seg_a + np.arange(nsub) * seg_h[-1])
+        first = np.cumsum([0] + [g.size for g in grid[:-1]])
+        grid = np.concatenate(grid + [[anchors[-1]]])
+        grid.setflags(write=False)
+        grids[anchors, step] = grid, first, np.array(seg_h)
+    return (*grids[anchors, step], np.array([u.eval(a) for a in anchors[:-1]]))
 
 
 def _steps(plan, k0: int, k1: int):
@@ -213,7 +220,8 @@ def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step
     if not len(xis) == len(t0s) == len(t_ends) == len(includes) == len(us):
         raise ParameterError(f"per-member arguments for {len(us)} inputs differ in length")
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
-    plans = [_plan(sys, *run, step, inc) for run, inc in zip(zip(t0s, us, t_ends), includes)]
+    grids = {}
+    plans = [_plan(sys, *run, step, inc, grids) for run, inc in zip(zip(t0s, us, t_ends), includes)]
     thresh2 = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
 
     if len(us) > 1 and _acts_rowwise(sys.rhs, t0s, step, xs, us):
@@ -249,6 +257,7 @@ def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: f
     each on its own anchor grid: it gets its own time, step length and input
     on every step and is held at its own ``t_end`` once its grid has ended,
     so it takes exactly the float steps of its lone :func:`simulate` run.
+    Members with equal anchors share one read-only ``times`` array.
     The step schedule is built in fixed blocks; only the states grow with
     members times steps.  That needs ``sys.rhs`` to act row-wise, in ``t``
     too: one batched call at distinct per-row times is compared exactly with
@@ -421,8 +430,4 @@ def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write columns ``t, x_1..x_n`` with full float precision."""
     n = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(n)])
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(n)], [traj.times, *traj.states.T])

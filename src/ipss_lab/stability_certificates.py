@@ -236,7 +236,9 @@ def exp_iiss_to_ipss(K: float, lam: float, gamma_iiss: MonotoneFn, rho: Monotone
     uses the degraded rate ``lambda_tilde`` and the new gain is the
     amplified, argument-scaled energy gain ``s -> amp * gamma_iiss(T*s)``:
     the windowed energy supremum is at most ``T`` times the average power,
-    and the gain is nondecreasing.
+    and the gain is nondecreasing.  The new gain keeps the class tag of
+    ``gamma_iiss``, so a bounded energy gain is refused, and its inverse
+    and derivative when ``gamma_iiss`` has them.
     """
     if K < 1.0:
         raise ParameterError(f"exponential energy-gain bound forces K >= 1, got {K}")
@@ -248,11 +250,17 @@ def exp_iiss_to_ipss(K: float, lam: float, gamma_iiss: MonotoneFn, rho: Monotone
         c, p = gamma_iiss.spec["c"], gamma_iiss.spec["p"]
         gamma = make_power_fn(amplification * c * T ** p, p)
     else:
-        def gamma_eval(s, _g=gamma_iiss, _T=float(T), _a=amplification):
-            return _a * np.asarray(_g.eval(_T * np.asarray(s, dtype=float))) if np.ndim(s) \
-                else _a * float(_g.eval(_T * float(s)))
+        g, T, amp = gamma_iiss, float(T), amplification
 
-        gamma = MonotoneFn(eval=gamma_eval, class_tag="Kinf")
+        def gamma_eval(s):
+            return amp * np.asarray(g.eval(T * np.asarray(s, dtype=float))) if np.ndim(s) \
+                else amp * float(g.eval(T * float(s)))
+
+        gamma = MonotoneFn(
+            eval=gamma_eval, class_tag=g.class_tag,
+            inverse=(lambda y: g.inverse(np.divide(y, amp)) / T) if g.inverse else None,
+            derivative=(lambda s: amp * T * g.derivative(np.multiply(T, s)))
+            if g.derivative else None)
     return Certificate(kind="IPSS", beta=beta, gamma=gamma, rho=rho, T=float(T))
 
 

@@ -16,6 +16,7 @@ from ipss_lab import stability_certificates as sc
 from ipss_lab.cli_harness import (
     ExperimentConfig,
     _draw_linear_scenarios,
+    _envelope_csv,
     _run_envelope_sims,
     main,
     run_experiment,
@@ -59,6 +60,31 @@ class TestValidation:
         raw = load_bundled("linear_simulate.json")
         raw["operation"] = "explode"
         assert validate_config(raw)
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda raw: raw.pop("name"), [("$", "'name' is a required property")]),
+        (lambda raw: raw.update(seed=1.5), [("$.seed", "1.5 is not of type 'integer'")]),
+        (lambda raw: raw.update(seed=True), [("$.seed", "True is not of type 'integer'")]),
+        (lambda raw: raw.update(seed="1"), [("$.seed", "'1' is not of type 'integer'")]),
+        (lambda raw: raw.update(seed=1.0), []),
+        (lambda raw: raw.update(operation="explode"), [(
+            "$.operation", "'explode' is not one of ['simulate', 'norms', 'check-lyap', "
+            "'synth-gains', 'transform', 'falsify', 'lemma3', 'converse']")]),
+        (lambda raw: raw["output"].update(prefix=3),
+         [("$.output.prefix", "3 is not of type 'string'")]),
+        (lambda raw: raw.update(options=[]), [("$.options", "[] is not of type 'object'")]),
+        (lambda raw: raw.update(seed="1", name=None, output={}), [
+            ("$.name", "None is not of type 'string'"),
+            ("$.output", "'prefix' is a required property"),
+            ("$.seed", "'1' is not of type 'integer'")]),
+    ])
+    def test_schema_violations(self, edit, expected):
+        raw = load_bundled("linear_simulate.json")
+        edit(raw)
+        assert validate_config(raw) == expected
+
+    def test_top_level_must_be_an_object(self):
+        assert validate_config([]) == [("$", "[] is not of type 'object'")]
 
     def test_list_systems(self, capsys):
         assert main(["list-systems"]) == 0
@@ -141,13 +167,14 @@ class TestOperations:
 
         states, calls = [], {"build_mrk_table": 0, "regularized_rho": 0,
                              "disturbance_batch": 0}
-        wk_estimate = cc.wk_estimate
+        wk_estimates = cc.wk_estimates
 
-        def recording_wk(sys, t0, xi, *args):
-            states.append((float(t0), tuple(float(v) for v in np.atleast_1d(xi))))
-            return wk_estimate(sys, t0, xi, *args)
+        def recording_wk(sys, points, *args):
+            states.extend((float(t0), tuple(float(v) for v in np.atleast_1d(xi)))
+                          for t0, xi in points)
+            return wk_estimates(sys, points, *args)
 
-        monkeypatch.setattr(cc, "wk_estimate", recording_wk)
+        monkeypatch.setattr(cc, "wk_estimates", recording_wk)
         for name in calls:
             def counted(*args, _fn=getattr(cc, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -165,6 +192,23 @@ class TestOperations:
         nonzero = sum(any(v != 0.0 for v in xi) for _, xi in states)
         assert calls == {"build_mrk_table": 1, "regularized_rho": 1,
                          "disturbance_batch": nonzero}
+
+    def test_converse_probe_states_run_in_few_step_loops(self, tmp_path, monkeypatch):
+        """Probe states of one check phase share lockstep batches: the reduced
+        demo took 56 step loops with one batch per probe state."""
+        loops = []
+        rk4 = sm._rk4
+
+        def counted(*args, **kwargs):
+            loops.append(1)
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(sm, "_rk4", counted)
+        raw = load_bundled("converse_demo.json")
+        raw["options"]["disturbance_samples"] = 8
+        raw["options"]["k_max"] = 3
+        run_config(raw, tmp_path)
+        assert 3 * len(loops) < 56
 
 
 class TestEnvelopeRows:
@@ -189,6 +233,19 @@ class TestEnvelopeRows:
             margins.append(rep.margin)
         assert rows == expected
         assert min_margin == min(margins)
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        rows = [(0, 0.0, 1.5, 2.0, 0.5), (1, -0.0, 1e-300, math.inf, -math.inf),
+                (12, 2.5, math.nan, 3.0, math.nan)]
+        _envelope_csv(tmp_path / "new.csv", rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["candidate", "t", "x_norm", "bound", "margin"])
+            for row in rows:
+                writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        _envelope_csv(tmp_path / "empty.csv", [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"candidate,t,x_norm,bound,margin\r\n"
 
     def test_blown_up_scenario_gives_no_rows(self):
         """A blown-up run fails outright instead of writing gain-free bounds."""

@@ -12,6 +12,7 @@ from ipss_lab.comparison_functions import (
     make_table_fn,
     sontag_factorize_exponential,
 )
+import ipss_lab.converse_construction as cc
 from ipss_lab.converse_construction import (
     ConverseConfig,
     ConverseEvaluator,
@@ -26,6 +27,7 @@ from ipss_lab.converse_construction import (
     iss_to_dissipation_candidate,
     regularized_rho,
     wk_estimate,
+    wk_estimates,
 )
 from ipss_lab.errors import ModelError
 from ipss_lab.lyapunov_tools import (
@@ -34,7 +36,7 @@ from ipss_lab.lyapunov_tools import (
     make_plan,
 )
 from ipss_lab.signals import constant_signal
-from ipss_lab.simulator import linear_test_system, perturbed_decay_system, simulate
+from ipss_lab.simulator import linear_test_system, perturbed_decay_system, simulate, simulate_batch
 
 THETA1, THETA2 = sontag_factorize_exponential(1.0, 0.5)
 RHO_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 300)])
@@ -170,6 +172,89 @@ class TestWkEstimate:
                     past = tr.times >= T_Rk
                     rho_vals = np.asarray(rho.eval(tr.norms()[past]))
                     assert np.all(np.maximum(rho_vals - 1.0 / k, 0.0) == 0.0)
+
+
+def _wk_reference(sys, t0, xi, theta1, rho, cfg):
+    """The per-point layer estimate, one disturbance batch simulated alone."""
+    xi = np.asarray(xi, dtype=float).reshape(sys.n)
+    R = float(np.linalg.norm(xi))
+    best = np.zeros(cfg.k_max)
+    if R == 0.0:
+        return best
+    span = horizon_for(cfg.k_max, theta1, R)
+    batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
+                              cfg.pieces_per_horizon, cfg.seed)
+    trajs = simulate_batch(sys.as_systemdef(), t0, [xi] * len(batch), batch,
+                           t0 + span, cfg.sim_step)
+    for traj in trajs:
+        if traj.blown_up:
+            raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
+        cc._check_urgas(traj, sys.urgas_beta, R, t0)
+        gains = np.exp(0.5 * (traj.times - t0)) * cc._layer_gains(rho, traj.norms(), cfg.k_max)
+        best = np.maximum(best, np.max(gains, axis=1))
+    return best
+
+
+class TestWkEstimates:
+    """Probe states in lockstep batches give the per-point layers exactly."""
+
+    # mixed t0, the origin, negative states and a duplicate; 10 states off the
+    # origin at 16 runs each fill more than one 128-row batch
+    POINTS = [(0.0, [3.0]), (0.7, [-1.5]), (2.0, [0.0]), (0.0, [0.5]), (1.3, [2.2]),
+              (0.0, [3.0]), (0.25, [-0.9]), (5.0, [1.1]), (0.0, [-3.0]), (3.5, [1.8]),
+              (0.9, [-2.6]), (0.1, [0.05])]
+
+    def test_equals_the_per_point_reference(self, decay_system, rho, cfg_small, monkeypatch):
+        rows = []
+        fold = cc._fold_rows
+
+        def recording_fold(sys, group, *args):
+            rows.append(len(group))
+            return fold(sys, group, *args)
+
+        monkeypatch.setattr(cc, "_fold_rows", recording_fold)
+        got = wk_estimates(decay_system, self.POINTS, THETA1, rho, cfg_small)
+        assert len(rows) > 1 and max(rows) <= cc._WK_ROWS
+        assert sum(rows) == 11 * cfg_small.disturbance_samples  # one batch per state off 0
+        assert len(got) == len(self.POINTS)
+        for (t0, xi), w in zip(self.POINTS, got):
+            ref = _wk_reference(decay_system, t0, xi, THETA1, rho, cfg_small)
+            assert np.array_equal(w, ref), (t0, xi)
+        assert np.array_equal(got[2], np.zeros(cfg_small.k_max))
+
+    def test_first_failing_point_in_query_order_raises(self, rho, cfg_small):
+        """Points run by horizon, but the error is that of the first failing
+        point in query order, with its own message."""
+        bad = DisturbedSystem(
+            rhs_d=perturbed_decay_system().rhs, n=1, m=1,
+            urgas_beta=KLBound(kind="exponential", K=1.0, lam=5.0),
+        )
+        points = [(0.0, [0.0]), (0.0, [3.0]), (0.0, [0.5])]
+        with pytest.raises(ModelError) as expected:
+            _wk_reference(bad, 0.0, [3.0], THETA1, rho, cfg_small)
+        with pytest.raises(ModelError) as got:
+            wk_estimates(bad, points, THETA1, rho, cfg_small)
+        assert str(got.value) == str(expected.value)
+        assert "|xi|=3" in str(got.value)
+
+    def test_evaluator_batches_uncached_keys_once(self, decay_system, rho, cfg_small,
+                                                  mrk_small, monkeypatch):
+        calls = []
+        batched = cc.wk_estimates
+
+        def recording(sys, points, *args):
+            calls.append(list(points))
+            return batched(sys, points, *args)
+
+        monkeypatch.setattr(cc, "wk_estimates", recording)
+        ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
+        first = ev.wk_many([(0.0, [1.5]), (0.0, np.array([1.5])), (1.0, [2.0])])
+        assert calls == [[(0.0, (1.5,)), (1.0, (2.0,))]]
+        assert first[0] is first[1]
+        again = ev.wk_many([(1.0, [2.0]), (0.0, [0.5])])
+        assert calls[1:] == [[(0.0, (0.5,))]]
+        assert again[0] is first[2]
+        assert ev.wk(0.0, [0.5]) is again[1] and len(calls) == 2
 
 
 class TestDisturbanceBatch:

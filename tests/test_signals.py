@@ -237,6 +237,24 @@ class TestRestrictAndJson:
         assert [r["v_1"] for r in rows] == ["1.0", "1.0", "0.5", "0.0"]
         assert rows[0]["v_2"] == "-2.0"
 
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        import csv
+
+        from ipss_lab.signals import signal_to_csv
+
+        u = make_signal([(0.0, [-0.0, 1e-300]), (0.5, [2.5, -1e-300]), (1.25, [0.0, -3.0])],
+                        horizon=2.0)
+        times = [0.0, 0.25, 0.5, 1.0, 1.25, 1.9999, 2.0, 7.5]
+        signal_to_csv(u, times, tmp_path / "new.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "v_1", "v_2"])
+            for t in times:
+                writer.writerow([repr(float(t))] + [repr(float(x)) for x in u.eval(float(t))])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        with pytest.raises(ParameterError):
+            signal_to_csv(u, [0.0, -1.0], tmp_path / "bad.csv")
+
 
 class TestDivergedMeasures:
     def test_overflowing_energy_gives_infinite_power(self):

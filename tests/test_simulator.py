@@ -1,5 +1,6 @@
 """Integrator accuracy, alignment, blow-up handling, built-in systems."""
 
+import csv
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from ipss_lab.errors import DynamicsError, ParameterError
 from ipss_lab.signals import constant_signal, make_signal, zero_signal
 from ipss_lab.simulator import (
     SystemDef,
+    Trajectory,
     _random_ball,
     _random_disturbance,
     check_equilibrium,
@@ -20,6 +22,7 @@ from ipss_lab.simulator import (
     perturbed_decay_system,
     simulate,
     simulate_batch,
+    trajectory_to_csv,
 )
 
 
@@ -133,6 +136,18 @@ class TestSimulateBatch:
         for xi, u, tr in zip(xis, us, batch):
             assert_same_trajectory(tr, simulate(ce, 0.2, xi, u, 4.0, 7e-3,
                                                 include_times=include))
+
+    def test_equal_anchors_share_one_read_only_grid(self):
+        ce = counterexample_system()
+        u = make_signal([(0.0, [0.9]), (1.1, [0.2])], horizon=3.5)
+        us = [u, constant_signal([0.3], 3.5), u, make_signal([(0.0, [0.4]), (1.1, [0.0])], 3.5)]
+        a, b, c, d = simulate_batch(ce, 0.2, [[0.5], [1.0], [-1.0], [2.0]], us, 3.5, 7e-3)
+        assert a.times is c.times and a.times is d.times
+        assert b.times is not a.times  # no breakpoint at 1.1
+        assert not a.times.flags.writeable
+        with pytest.raises(ValueError):
+            a.times[0] = 1.0
+        assert not np.array_equal(a.states, d.states)
 
     def test_blowup_is_per_member(self):
         sq = SystemDef(rhs=lambda t, x, u: x ** 2 + u, n=1, m=1)
@@ -388,3 +403,26 @@ class TestLipschitzProbe:
                               samples=6, seed=9, step=2e-3)
         assert rep.valid
         assert len(calls) == 1 and calls[0][0] >= 2 * 6
+
+
+def _csv_writer_text(path, header, rows):
+    """What ``csv.writer`` writes for ``header`` and the ``repr`` of every cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("n_rows", [5, 2 * 4096 + 3])
+    def test_bytes_equal_csv_writer(self, tmp_path, n_rows):
+        rng = np.random.default_rng(4)
+        states = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-300, 300, (n_rows, 2))
+        states[:4] = [[-0.0, 1e-300], [math.inf, -math.inf], [math.nan, 0.0], [1.0, -1e-300]]
+        traj = Trajectory(times=np.linspace(0.0, 3.0, n_rows), states=states)
+        trajectory_to_csv(traj, tmp_path / "new.csv")
+        expected = _csv_writer_text(tmp_path / "ref.csv", ["t", "x_1", "x_2"],
+                                    np.column_stack([traj.times, states]))
+        assert (tmp_path / "new.csv").read_bytes() == expected

@@ -201,6 +201,27 @@ class TestExponentialWindowBound:
         with pytest.raises(ParameterError):
             exp_iiss_to_ipss(0.8, 1.0, IDENT, IDENT, 1.0)
 
+    def test_bounded_energy_gain_is_refused(self):
+        """A bounded class-K gain stays class K, which no IPSS gain may be."""
+        bounded = make_table_fn([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], class_tag="K")
+        with pytest.raises(ParameterError, match="gamma must be class Kinf, got K"):
+            exp_iiss_to_ipss(1.5, 1.0, bounded, IDENT, 1.0)
+
+    def test_table_gain_keeps_its_inverse_and_derivative(self):
+        """gamma(s) = amp g(T s) inverts as g^{-1}(y / amp) / T."""
+        g = make_table_fn([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 3.0])
+        cert = exp_iiss_to_ipss(1.5, 1.0, g, IDENT, 2.0)
+        _, amp = exponential_window_bound(1.5, 1.0, 2.0)
+        assert cert.gamma.class_tag == "Kinf"
+        s = np.array([0.1, 0.3, 0.75, 1.7, 9.0])
+        np.testing.assert_allclose(cert.gamma.inverse(cert.gamma.eval(s)), s, rtol=1e-13)
+        assert cert.gamma.inverse(float(cert.gamma.eval(0.3))) == pytest.approx(0.3, rel=1e-13)
+        square = MonotoneFn(eval=lambda v: np.square(v), class_tag="Kinf",
+                            derivative=lambda v: 2.0 * np.asarray(v))  # no power spec
+        cert2 = exp_iiss_to_ipss(1.5, 1.0, square, IDENT, 2.0)
+        assert cert2.gamma.inverse is None
+        assert cert2.gamma.derivative(0.5) == pytest.approx(amp * 2.0 * 2.0 * (2.0 * 0.5))
+
 
 class TestLemma3Oracle:
     def test_zero_profile_pure_decay(self):
