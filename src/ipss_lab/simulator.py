@@ -8,7 +8,7 @@ is smooth on every sub-interval, so the method keeps its full order.
 
 Blow-up is modeled by a hard threshold on the state norm; exceeding it
 stops integration and marks the trajectory.  One step loop serves a
-single state and a batch of states, each on its own anchor grid.
+batch of states, each on its own anchor grid; a lone run is a batch of one.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class SystemDef:
     ``rhs`` acts row-wise: given a ``(B, 1)`` column of times, states of
     shape ``(B, n)`` and inputs of shape ``(B, m)`` it returns the
     ``(B, n)`` stack of the per-row values, as :func:`simulate_batch`
-    passes them (and checks once per call); a lone state gets a float time.
+    passes them (and checks once per call); one that fails the check is
+    called row by row, with a float time, an ``(n,)`` state and ``(m,)`` input.
     ``discontinuity_times`` samples the zero-measure set where the dynamics
     may jump in ``t``; the integrator lands on them exactly.  When
     ``lipschitz_hint`` is present, solutions are treated as unique;
@@ -126,64 +127,75 @@ def _plan(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float,
     return (*grids[anchors, step], np.array([u.eval(a) for a in anchors[:-1]]))
 
 
-def _steps(plan, k0: int, k1: int):
-    """Times (and the end of the last), lengths, inputs and liveness of steps ``k0 <= k < k1``."""
-    grid, first, seg_h, seg_u = plan
-    ks = np.arange(k0, k1)
-    seg = np.searchsorted(first, ks, side="right") - 1
-    live = ks < grid.size - 1
-    times = grid[np.minimum(np.arange(k0, k1 + 1), grid.size - 1)]
-    return times, np.where(live, seg_h[seg], 0.0), seg_u[seg], live
-
-
 def _lockstep_blocks(plans, m: int):
-    """The batch schedule of :func:`_rk4`, refilled in one buffer ``_BLOCK`` steps at a time."""
+    """The :func:`_rk4` schedule in blocks of ``_BLOCK`` steps, refilled in buffers made once.
+
+    Yields ``(times, hs, h2s, mids, h6s, inputs, live)``; ``times`` has the end of the last step
+    too, and ``live`` is None while every row is still on its grid.
+    """
     sizes = [plan[0].size - 1 for plan in plans]
     width = min(_BLOCK, max(sizes))
-    times, hs = np.empty((width + 1, len(plans), 1)), np.empty((width, len(plans), 1))
+    times = np.empty((width + 1, len(plans), 1))
+    hs, h2s, mids, h6s = (np.empty((width, len(plans), 1)) for _ in range(4))
     us, live = np.empty((width, len(plans), m)), np.empty((width, len(plans), 1), dtype=bool)
     for k0 in range(0, max(sizes), width):
         w = min(width, max(sizes) - k0)
-        for i, plan in enumerate(plans):
-            times[:w + 1, i, 0], hs[:w, i, 0], us[:w, i], live[:w, i, 0] = _steps(plan, k0, k0 + w)
-        yield times[:w + 1], hs[:w], us[:w], None if k0 + w <= min(sizes) else live[:w]
+        ks = np.arange(k0, k0 + w + 1)
+        for i, (grid, first, seg_h, seg_u) in enumerate(plans):
+            seg = np.searchsorted(first, ks[:w], side="right") - 1
+            live[:w, i, 0] = ks[:w] < grid.size - 1
+            times[:w + 1, i, 0] = grid[np.minimum(ks, grid.size - 1)]
+            hs[:w, i, 0] = np.where(live[:w, i, 0], seg_h[seg], 0.0)
+            us[:w, i] = seg_u[seg]
+        np.multiply(0.5, hs[:w], out=h2s[:w])
+        np.add(times[:w], h2s[:w], out=mids[:w])
+        np.divide(hs[:w], 6.0, out=h6s[:w])
+        yield (times[:w + 1], hs[:w], h2s[:w], mids[:w], h6s[:w], us[:w],
+               None if k0 + w <= min(sizes) else live[:w])
 
 
 def _rk4(rhs, x, n_steps: int, blocks, limit2: float):
-    """RK4 over ``n_steps`` steps, fed by ``blocks`` ``(times, hs, inputs, live)`` of them.
+    """RK4 on the ``(B, n)`` states ``x`` over ``n_steps`` steps fed by :func:`_lockstep_blocks`.
 
-    Step ``j`` of a block goes from ``times[j]`` to ``times[j + 1]`` over
-    ``hs[j]`` with input ``inputs[j]``.  ``x`` is one state ``(n,)`` with
-    float times, ``(m,)`` inputs and ``live`` None, or a batch ``(B, n)``
-    with ``(B, 1)`` time and length columns, ``(B, m)`` inputs and rows held
-    where ``live[j]`` is false.  Stops after the first step whose squared
-    norm (summed over a batch) is not ``<= limit2``; a lone state that turns
-    nonfinite raises :class:`DynamicsError`.  Returns the ``(B, k+2, n)``
-    states so far and the stopping step ``k`` or ``None``.
+    Step ``j`` of a block takes each row from ``times[j]`` over ``hs[j]``
+    with ``inputs[j]``; rows where ``live[j]`` is false are held.  A row
+    stops at the first step ``k`` after which its squared norm is nonfinite
+    (with a :class:`DynamicsError`) or not ``<= limit2`` (blown up), and is
+    held at zero from then on.  Returns the ``(B, k+2, n)`` states through
+    the last step ``k``, or the step where the last row stopped, each row's
+    stopping step or None, and the errors by row.
     """
-    batched = x.ndim == 2
-    states = np.empty((x.shape[0] if batched else 1, n_steps + 1, x.shape[-1]))
+    rows = x.shape[0]
+    states = np.empty((rows, n_steps + 1, x.shape[1]))
     states[:, 0] = x
+    stops, errors, running = [None] * rows, {}, None  # running: (B, 1) mask once a row stopped
     k = 0
-    for times, hs, inputs, live in blocks:
-        for j, (t, h, u) in enumerate(zip(times, hs, inputs)):
-            h2 = 0.5 * h
+    for times, hs, h2s, mids, h6s, inputs, live in blocks:
+        for j, (t, h, h2, mid, h6, u) in enumerate(zip(times, hs, h2s, mids, h6s, inputs)):
             k1 = rhs(t, x, u)
-            k2 = rhs(t + h2, x + h2 * k1, u)
-            k3 = rhs(t + h2, x + h2 * k2, u)
+            k2 = rhs(mid, x + h2 * k1, u)
+            k3 = rhs(mid, x + h2 * k2, u)
             k4 = rhs(t + h, x + h * k3, u)
-            x_new = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-            x = x_new if live is None else np.where(live[j], x_new, x)
-            nrm2 = float(np.vdot(x, x))  # x @ x on one state, the sum over a batch
-            if not math.isfinite(nrm2) and not batched:
-                raise DynamicsError(
-                    f"nonfinite state update at t={times[j + 1]} (x={states[0, k]}, u={u})"
-                )
+            x_new = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            moves = running if live is None else (live[j] if running is None else live[j] & running)
+            x = x_new if moves is None else np.where(moves, x_new, x)
             states[:, k + 1] = x
-            if not nrm2 <= limit2:
-                return states[:, :k + 2], k
+            # the summed squared norm bounds every row's; the margin keeps
+            # rounding from hiding a row past limit2
+            if not float(np.vdot(x, x)) <= limit2 * (1.0 - 1e-9):
+                for i in range(rows):  # a stopped row is zero and passes
+                    nrm2 = float(np.vdot(x[i], x[i]))
+                    if not nrm2 <= limit2:
+                        if not math.isfinite(nrm2):
+                            errors[i] = DynamicsError(
+                                f"nonfinite state update at t={float(times[j + 1, i, 0])} "
+                                f"(x={states[i, k]}, u={u[i]})")
+                        stops[i], x[i] = k, 0.0
+                if None not in stops:
+                    return states[:, :k + 2], stops, errors
+                running = np.array([[stop is None] for stop in stops])
             k += 1
-    return states, None
+    return states, stops, errors
 
 
 def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
@@ -211,6 +223,13 @@ def _acts_rowwise(rhs, t0s, step: float, xs: list, us: list) -> bool:
         return False
 
 
+def _row_by_row(rhs):
+    """``rhs`` called on each row with a float time, an ``(n,)`` state and an ``(m,)`` input."""
+    def rows(t, x, u):
+        return np.reshape([rhs(float(ti), xi, ui) for ti, xi, ui in zip(t[:, 0], x, u)], x.shape)
+    return rows
+
+
 def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: float,
                       include_times=()) -> list:
     """:func:`simulate_batch`, with the :class:`DynamicsError` of a failing member in its entry."""
@@ -222,29 +241,19 @@ def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
     grids = {}
     plans = [_plan(sys, *run, step, inc, grids) for run, inc in zip(zip(t0s, us, t_ends), includes)]
-    thresh2 = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
-
-    if len(us) > 1 and _acts_rowwise(sys.rhs, t0s, step, xs, us):
-        # the summed squared norm bounds every row's; the margin keeps
-        # rounding from hiding a blow-up that simulate would report
-        states, stop = _rk4(sys.rhs, np.stack(xs), max(p[0].size for p in plans) - 1,
-                            _lockstep_blocks(plans, sys.m), thresh2 * (1.0 - 1e-9))
-        if stop is None:
-            return [Trajectory(times=grid, states=states[i, :grid.size])
-                    for i, (grid, *_) in enumerate(plans)]
-
+    rhs = sys.rhs if _acts_rowwise(sys.rhs, t0s, step, xs, us) else _row_by_row(sys.rhs)
+    states, stops, errors = _rk4(rhs, np.stack(xs), max(p[0].size for p in plans) - 1,
+                                 _lockstep_blocks(plans, sys.m),
+                                 BLOWUP_THRESHOLD * BLOWUP_THRESHOLD)
     trajs = []
-    for x, plan in zip(xs, plans):
-        times, hs, inputs, _ = _steps(plan, 0, plan[0].size - 1)
-        try:
-            states, stop = _rk4(sys.rhs, x, hs.size, [(times.tolist(), hs.tolist(), inputs, None)],
-                                thresh2)
-        except DynamicsError as exc:
-            trajs.append(exc)
-            continue
-        times = times[:states.shape[1]]
-        trajs.append(Trajectory(times=times, states=states[0], blown_up=stop is not None,
-                                blowup_time=None if stop is None else float(times[-1])))
+    for i, ((grid, *_), k) in enumerate(zip(plans, stops)):
+        if i in errors:
+            trajs.append(errors[i])
+        elif k is None:
+            trajs.append(Trajectory(times=grid, states=states[i, :grid.size]))
+        else:
+            trajs.append(Trajectory(times=grid[:k + 2], states=states[i, :k + 2], blown_up=True,
+                                    blowup_time=float(grid[k + 1])))
     return trajs
 
 
@@ -259,12 +268,12 @@ def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: f
     so it takes exactly the float steps of its lone :func:`simulate` run.
     Members with equal anchors share one read-only ``times`` array.
     The step schedule is built in fixed blocks; only the states grow with
-    members times steps.  That needs ``sys.rhs`` to act row-wise, in ``t``
-    too: one batched call at distinct per-row times is compared exactly with
-    the per-row calls, and on any difference or exception every member is
-    integrated alone.  A batch in which some state nears the blow-up
-    threshold or turns nonfinite is rerun member by member, so blow-up flags
-    and times are per member; the first failing member's (in input order)
+    members times steps.  ``sys.rhs`` is called on the whole batch when it
+    acts row-wise, in ``t`` too: one batched call at distinct per-row times
+    is compared exactly with the per-row calls, and on any difference or
+    exception it is called row by row inside the same step loop.  A member
+    that blows up or turns nonfinite stops alone, so blow-up flags and times
+    are per member; the first failing member's (in input order)
     :class:`DynamicsError` is raised after all ran.
     """
     trajs = _simulate_members(sys, t0, xis, us, t_end, step, include_times)

@@ -25,6 +25,7 @@ from .comparison_functions import (
     make_power_fn,
     monotone_from_spec,
     monotone_to_spec,
+    scale_fn,
 )
 from .errors import ParameterError
 from .signals import (
@@ -245,22 +246,8 @@ def exp_iiss_to_ipss(K: float, lam: float, gamma_iiss: MonotoneFn, rho: Monotone
     lambda_tilde, amplification = exponential_window_bound(K, lam, T)
     beta = KLBound(kind="exponential", K=float(K), lam=float(lambda_tilde))
 
-    if gamma_iiss.spec is not None and gamma_iiss.spec.get("kind") == "power":
-        # amp * c * (T*s)^p collapses to another power function
-        c, p = gamma_iiss.spec["c"], gamma_iiss.spec["p"]
-        gamma = make_power_fn(amplification * c * T ** p, p)
-    else:
-        g, T, amp = gamma_iiss, float(T), amplification
-
-        def gamma_eval(s):
-            return amp * np.asarray(g.eval(T * np.asarray(s, dtype=float))) if np.ndim(s) \
-                else amp * float(g.eval(T * float(s)))
-
-        gamma = MonotoneFn(
-            eval=gamma_eval, class_tag=g.class_tag,
-            inverse=(lambda y: g.inverse(np.divide(y, amp)) / T) if g.inverse else None,
-            derivative=(lambda s: amp * T * g.derivative(np.multiply(T, s)))
-            if g.derivative else None)
+    # a power gain collapses to (amp * c) * T**p * s**p
+    gamma = compose(scale_fn(gamma_iiss, amplification), make_power_fn(T, 1.0))
     return Certificate(kind="IPSS", beta=beta, gamma=gamma, rho=rho, T=float(T))
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,52 @@ class TestSimulateBatch:
             simulate_batch(bad, t0s, xis, [u] * 3, 2.0, 1e-2)
         assert str(batched.value) == str(second.value)
 
+    @staticmethod
+    def stop_where_low(t, x, u):
+        """``x^2 + u``, nonfinite once ``x < -1``."""
+        return np.where(x < -1.0, np.nan, x ** 2 + u)
+
+    @staticmethod
+    def one_state_only(t, x, u):
+        if np.ndim(x) != 1 or not isinstance(t, float):
+            raise ValueError("one state and a float time at a time")
+        return TestSimulateBatch.stop_where_low(t, x, u)
+
+    @pytest.mark.parametrize("rhs", [stop_where_low, one_state_only])
+    def test_mixed_outcomes_stop_row_by_row(self, rhs, monkeypatch):
+        """Finishing, blowing-up and nonfinite rows share one step loop; each
+        entry is its lone run, and the failing row's error is raised."""
+        sysd = SystemDef(rhs=rhs, n=1, m=1)
+        xis = [[0.1], [2.0], [-0.5], [0.3]]
+        us = [constant_signal([v], 1.0) for v in (0.0, 0.0, -2.0, 0.5)]
+        loops = []
+        rk4 = sm._rk4
+
+        def counted(*args):
+            loops.append(1)
+            return rk4(*args)
+
+        monkeypatch.setattr(sm, "_rk4", counted)
+        entries = sm._simulate_members(sysd, 0.0, xis, us, 1.0, 1e-2)
+        assert len(loops) == 1
+        assert [type(e).__name__ for e in entries] == \
+            ["Trajectory", "Trajectory", "DynamicsError", "Trajectory"]
+        assert [e.blown_up for e in entries if isinstance(e, Trajectory)] == [False, True, False]
+        assert entries[1].blowup_time == 0.51
+        for xi, u, entry in zip(xis, us, entries):
+            if isinstance(entry, DynamicsError):
+                with pytest.raises(DynamicsError) as lone:
+                    simulate(sysd, 0.0, xi, u, 1.0, 1e-2)
+                assert str(lone.value) == str(entry)
+            else:
+                assert_same_trajectory(entry, simulate(sysd, 0.0, xi, u, 1.0, 1e-2))
+        with pytest.raises(DynamicsError, match=re.escape(
+                "nonfinite state update at t=0.37 (x=[-0.99804618], u=[-2.])")):
+            simulate(sysd, 0.0, [-0.5], us[2], 1.0, 1e-2)
+        with pytest.raises(DynamicsError) as batched:
+            simulate_batch(sysd, 0.0, xis, us, 1.0, 1e-2)
+        assert str(batched.value) == str(entries[2])
+
     @pytest.mark.parametrize("t_end", [2.0, [2.0 - 0.01 * (i % 7) for i in range(30)]])
     def test_schedule_memory_stays_near_the_states(self, t_end):
         """Only the states grow with members times steps, not the step schedule."""
@@ -390,7 +437,8 @@ class TestLipschitzProbe:
             assert 0 < rep.n_blowups < 10
 
     def test_one_lockstep_run_per_probe(self, monkeypatch):
-        """All probes of a call share one batched integration (2 per sample before)."""
+        """All probes of a call share one batched integration (2 per sample
+        before), also when some of them blow up (31 step loops before)."""
         calls = []
         rk4 = sm._rk4
 
@@ -403,6 +451,11 @@ class TestLipschitzProbe:
                               samples=6, seed=9, step=2e-3)
         assert rep.valid
         assert len(calls) == 1 and calls[0][0] >= 2 * 6
+        calls.clear()
+        square = SystemDef(rhs=lambda t, x, d: x ** 2 + d, n=1, m=1)
+        rep = lipschitz_probe(square, R=1.5, T=3.0, samples=10, seed=3)
+        assert rep.n_blowups == 4
+        assert len(calls) == 1 and calls[0][0] >= 2 * 10
 
 
 def _csv_writer_text(path, header, rows):

@@ -11,11 +11,13 @@ member_steps`` line per caller and a ``total`` line per config:
 
 - ``caller`` is the first function above the integrator's entry points
   (``simulate``, ``simulate_batch`` and their private helpers);
-- ``calls`` counts step loops: a lockstep batch is one, so is a lone run;
+- ``calls`` counts step loops: a lockstep batch is one, and a lone run is
+  a batch of one;
 - ``steps`` counts Python RK4 steps, which set the integrator's run time;
-- ``member_steps`` counts steps times batch rows, held rows included.
+- ``member_steps`` counts steps times batch rows, held and stopped rows
+  included.
 
-A step loop that raises counts as a call with no steps.
+A step loop whose ``rhs`` raises counts as a call with no steps.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ def census(seeds) -> list:
         module = frame.f_globals.get("__name__", "?").removeprefix("ipss_lab.")
         row = tally[(run[0], f"{module}.{frame.f_code.co_name}")]
         row[0] += 1
-        states, stop = rk4(rhs, x, *args, **kwargs)
+        states, stops, errors = rk4(rhs, x, *args, **kwargs)
         row[1] += states.shape[1] - 1
         row[2] += (states.shape[1] - 1) * states.shape[0]
-        return states, stop
+        return states, stops, errors
 
     configs = sorted((ROOT / "src" / "ipss_lab" / "configs").glob("*.json"))
     sm._rk4 = counted
