@@ -169,8 +169,8 @@ def _build_candidate(spec: dict) -> lt.LyapunovCandidate:
         return lt.abs_candidate()
     if kind == "quadratic":
         c = float(spec.get("c", 1.0))
-        return lt.LyapunovCandidate(
-            eval=lambda t, x, _c=c: _c * float(np.dot(np.atleast_1d(x), np.atleast_1d(x))),
+        return lt.LyapunovCandidate(  # row-wise, one formula for a state and for rows
+            eval=lambda t, x, _c=c: _c * np.sum(np.square(np.atleast_1d(x)), axis=-1),
             alpha1=cf.make_power_fn(c, 2.0),
             alpha2=cf.make_power_fn(c, 2.0),
             name=f"quadratic(c={c})",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .comparison_functions import (KLBound, MonotoneFn, _bilinear, apply_inverse,
                                    make_table_fn, monotone_from_spec, monotone_to_spec)
-from .errors import DynamicsError, ModelError, ParameterError
+from .errors import DynamicsError, ModelError, ParameterError, RangeError
 from .lyapunov_tools import LyapunovCandidate
 from .signals import constant_signal
 from .simulator import (SystemDef, _random_disturbance, _simulate_members, lipschitz_probe,
@@ -578,13 +578,24 @@ def candidate_table_to_json(candidate: LyapunovCandidate, t_grid: Sequence[float
 
 
 def candidate_table_from_json(d: dict) -> LyapunovCandidate:
-    """Rebuild a table candidate; evaluation is bilinear on the stored grid, clamped."""
+    """Rebuild a table candidate: bilinear on the stored grid, row-wise in ``(t, x)``.
+
+    A query off the grid raises :class:`RangeError` naming the grid.
+    """
     t_grid = np.asarray(d["t_grid"], dtype=float)
     x_grid = np.asarray(d["x_grid"], dtype=float)
     values = np.asarray(d["values"], dtype=float)
 
     def _eval(t, x, _t=t_grid, _x=x_grid, _v=values):
-        return float(_bilinear(_t, _x, _v, t, float(np.atleast_1d(x)[0])))
+        t, x = np.asarray(t, dtype=float), np.atleast_1d(x)[..., 0]
+        off = (t < _t[0]) | (t > _t[-1]) | (x < _x[0]) | (x > _x[-1])
+        if np.any(off):
+            i = np.argmax(off) if off.ndim else ()
+            raise RangeError(f"table candidate queried at (t={t[i]:.6g}, x={x[i]:.6g}) off its "
+                             f"grid t in [{_t[0]:.6g}, {_t[-1]:.6g}], x in [{_x[0]:.6g}, "
+                             f"{_x[-1]:.6g}]; re-export with grids covering it")
+        out = _bilinear(_t, _x, _v, t, x)
+        return float(out) if out.ndim == 0 else out
 
     return LyapunovCandidate(
         eval=_eval,

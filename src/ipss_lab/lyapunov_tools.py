@@ -35,7 +35,7 @@ from .errors import (
     PlanError,
     RangeError,
 )
-from .simulator import SystemDef
+from .simulator import SystemDef, _as_rowwise
 
 __all__ = [
     "LyapunovCandidate",
@@ -60,7 +60,9 @@ class LyapunovCandidate:
     """A locally Lipschitz candidate ``V(t, x)`` with sandwich bounds.
 
     ``alpha1(|x|) <= eval(t, x) <= alpha2(|x|)`` is the declared sandwich;
-    it is an obligation checked by sampling, not enforced here.
+    it is an obligation checked by sampling, not enforced here.  ``eval`` acts
+    row-wise: ``(S,)`` times and ``(S, n)`` states give the ``(S,)`` values; the
+    derivative-bound checks test that and call a ``V`` that fails it row by row.
     """
 
     eval: Callable
@@ -86,6 +88,43 @@ class DissipationSpec:
                 raise ParameterError(f"{name} must be class Kinf, got {f.class_tag}")
 
 
+def _norms(x):
+    """Euclidean norms over the last axis; one formula for a vector and for rows."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.sum(x * x, axis=-1))
+
+
+def _dini_rows(V: LyapunovCandidate, sys: SystemDef, t, x, u, h0: float, levels: int):
+    """:func:`dini_derivative` at the rows ``(t[i], x[i], u[i])`` of ``(S,)``, ``(S, n)``, ``(S, m)``.
+
+    ``sys.rhs`` and ``V.eval`` are called on all rows at once if they pass the
+    row-wise check on the first, middle and last row (distinct times on a plan of several),
+    else row by row.
+    """
+    if h0 <= 0:
+        raise ParameterError(f"h0 must be positive, got {h0}")
+    if levels < 3:
+        raise ParameterError(f"need at least 3 levels, got {levels}")
+    probe = np.unique(np.linspace(0, t.size - 1, 3).astype(int))
+    rhs = _as_rowwise(sys.rhs, t[probe, None], x[probe], u[probe])
+    v_eval = _as_rowwise(V.eval, t[probe], x[probe])
+    f = np.reshape(np.asarray(rhs(t[:, None], x, u), dtype=float), x.shape)
+    steps = [h0 * (2.0 ** (-j)) for j in range(levels)]
+    values = [np.asarray(v_eval(t, x), dtype=float)]
+    values += [np.asarray(v_eval(t + h, x + h * f), dtype=float) for h in steps]
+    bad = ~np.isfinite(values)
+    if bad.any():  # the first failing row, at its first failing evaluation
+        i = int(np.argmax(bad.any(axis=0)))
+        j = int(np.argmax(bad[:, i]))
+        at = (t[i], x[i]) if j == 0 else (t[i] + steps[j - 1], x[i] + steps[j - 1] * f[i])
+        raise CandidateError(f"candidate evaluation is nonfinite at ({at[0]}, {at[1]})")
+    lhs = None  # the first maximum of the last ceil(levels/2) quotients, as max() takes it
+    for v1, h in list(zip(values[1:], steps))[levels - math.ceil(levels / 2):]:
+        q = (v1 - values[0]) / h
+        lhs = q if lhs is None else np.where(q > lhs, q, lhs)
+    return lhs
+
+
 def dini_derivative(V: LyapunovCandidate, sys: SystemDef, t: float, xi, mu,
                     h0: float = 1e-3, levels: int = 8) -> float:
     """Upper Dini derivative of ``V`` along the field at ``(t, xi, mu)``.
@@ -93,27 +132,12 @@ def dini_derivative(V: LyapunovCandidate, sys: SystemDef, t: float, xi, mu,
     Evaluates the forward difference quotient at ``h0 * 2**-j`` for
     ``j = 0..levels-1`` and returns the maximum over the last half of the
     schedule, a consistent upper-envelope surrogate for the limsup when
-    ``V`` is locally Lipschitz.
+    ``V`` is locally Lipschitz.  The sampled checks run the same pass on
+    all their samples at once.
     """
-    if h0 <= 0:
-        raise ParameterError(f"h0 must be positive, got {h0}")
-    if levels < 3:
-        raise ParameterError(f"need at least 3 levels, got {levels}")
-    xi = np.asarray(xi, dtype=float).reshape(sys.n)
-    mu = np.asarray(mu, dtype=float).reshape(sys.m)
-    fval = np.asarray(sys.rhs(t, xi, mu), dtype=float)
-    v0 = float(V.eval(t, xi))
-    if not math.isfinite(v0):
-        raise CandidateError(f"candidate evaluation is nonfinite at ({t}, {xi})")
-    quotients = []
-    for j in range(levels):
-        h = h0 * (2.0 ** (-j))
-        v1 = float(V.eval(t + h, xi + h * fval))
-        if not math.isfinite(v1):
-            raise CandidateError(f"candidate evaluation is nonfinite at ({t + h}, {xi + h * fval})")
-        quotients.append((v1 - v0) / h)
-    tail = math.ceil(levels / 2)
-    return max(quotients[levels - tail:])
+    return float(_dini_rows(V, sys, np.array([float(t)]),
+                            np.asarray(xi, dtype=float).reshape(1, sys.n),
+                            np.asarray(mu, dtype=float).reshape(1, sys.m), h0, levels)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,40 +201,32 @@ class ViolationReport:
         return [dict(e) for e in self.entries]
 
 
-def _margin_at(margin, lhs: float) -> float:
-    if margin is not None:
-        return float(margin)
-    return 1e-3 * (1.0 + abs(lhs))
-
-
-def _run_check(V, sys, plan, rhs_bound, margin, condition=None) -> ViolationReport:
+def _run_check(V, sys, plan, bound, margin, admit=None) -> ViolationReport:
+    """The plan's samples as rows in plan order (time, state, input); ``bound`` and ``admit``
+    map the rows' state and input norms to right-hand sides and to the mask of rows to check."""
     disc = set(float(d) for d in sys.discontinuity_times)
     for t in plan.times:
         if float(t) in disc:
             raise PlanError(f"plan time {t} is a declared discontinuity time")
-    violations = []
-    checked = 0
-    for t in plan.times:
-        for xi in plan.states:
-            for mu in plan.inputs:
-                xi_a = np.asarray(xi)
-                mu_a = np.asarray(mu)
-                if condition is not None and not condition(xi_a, mu_a):
-                    continue
-                checked += 1
-                lhs = dini_derivative(V, sys, t, xi_a, mu_a, plan.h0, plan.levels)
-                rhs = rhs_bound(xi_a, mu_a)
-                gap = lhs - rhs
-                if gap > _margin_at(margin, lhs):
-                    violations.append({
-                        "t": float(t),
-                        "xi": [float(v) for v in xi],
-                        "mu": [float(v) for v in mu],
-                        "lhs": float(lhs),
-                        "rhs": float(rhs),
-                        "gap": float(gap),
-                    })
-    return ViolationReport(entries=tuple(violations), n_checked=checked)
+    n_t, n_x, n_u = len(plan.times), len(plan.states), len(plan.inputs)
+    t = np.repeat(np.asarray(plan.times, dtype=float), n_x * n_u)
+    x = np.tile(np.repeat(np.asarray(plan.states, dtype=float).reshape(n_x, sys.n), n_u, axis=0),
+                (n_t, 1))
+    u = np.tile(np.asarray(plan.inputs, dtype=float).reshape(n_u, sys.m), (n_t * n_x, 1))
+    x_norms, u_norms = _norms(x), _norms(u)
+    if admit is not None:
+        rows = np.asarray(admit(x_norms, u_norms), dtype=bool)
+        t, x, u, x_norms, u_norms = t[rows], x[rows], u[rows], x_norms[rows], u_norms[rows]
+    if t.size == 0:
+        return ViolationReport(entries=(), n_checked=0)
+    lhs = _dini_rows(V, sys, t, x, u, plan.h0, plan.levels)
+    rhs = np.asarray(bound(x_norms, u_norms), dtype=float)
+    gap = lhs - rhs
+    tol = float(margin) if margin is not None else 1e-3 * (1.0 + np.abs(lhs))
+    violations = tuple({"t": float(t[i]), "xi": x[i].tolist(), "mu": u[i].tolist(),
+                        "lhs": float(lhs[i]), "rhs": float(rhs[i]), "gap": float(gap[i])}
+                       for i in np.flatnonzero(gap > tol))
+    return ViolationReport(entries=violations, n_checked=int(t.size))
 
 
 def check_derivative_bound(V: LyapunovCandidate, sys: SystemDef, alpha: MonotoneFn,
@@ -223,26 +239,15 @@ def check_derivative_bound(V: LyapunovCandidate, sys: SystemDef, alpha: Monotone
     ``margin=None`` uses the adaptive default ``1e-3 * (1 + |D+ V|)`` that
     swallows the finite-difference bias of the Dini estimate.
     """
-
-    def rhs_bound(xi, mu):
-        return -float(alpha.eval(float(np.linalg.norm(xi)))) \
-            + float(chi.eval(float(np.linalg.norm(mu))))
-
-    return _run_check(V, sys, plan, rhs_bound, margin)
+    return _run_check(V, sys, plan, lambda xn, un: -alpha.eval(xn) + chi.eval(un), margin)
 
 
 def check_implication_form(V: LyapunovCandidate, sys: SystemDef, alpha3: MonotoneFn,
                            chi3: MonotoneFn, plan: SamplingPlan,
                            margin: Optional[float] = None) -> ViolationReport:
     """Check ``D+ V <= -alpha3(|x|)`` wherever ``|x| >= chi3(|u|)``."""
-
-    def rhs_bound(xi, mu):
-        return -float(alpha3.eval(float(np.linalg.norm(xi))))
-
-    def condition(xi, mu):
-        return float(np.linalg.norm(xi)) >= float(chi3.eval(float(np.linalg.norm(mu))))
-
-    return _run_check(V, sys, plan, rhs_bound, margin, condition)
+    return _run_check(V, sys, plan, lambda xn, un: -alpha3.eval(xn), margin,
+                      lambda xn, un: xn >= chi3.eval(un))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +559,7 @@ def ipss_gains_from_dissipation(alpha1: MonotoneFn, alpha2: MonotoneFn,
 def abs_candidate() -> LyapunovCandidate:
     """The scalar candidate ``V(t, x) = |x|`` with identity sandwich bounds."""
     return LyapunovCandidate(
-        eval=lambda t, x: float(np.linalg.norm(x)),
+        eval=lambda t, x: _norms(x),
         alpha1=identity_fn(),
         alpha2=identity_fn(),
         name="abs",

@@ -91,34 +91,29 @@ class Signal:
                 yield float(start), float(end), val
 
 
-def _normalize_pieces(pieces, dim: int, horizon: float) -> Signal:
-    """Assemble a Signal from (t, value) pairs, deduping and ordering."""
-    pieces = sorted(pieces, key=lambda p: p[0])
-    bps, vals = [], []
-    for t, v in pieces:
-        if t >= horizon and t > 0:
-            continue
-        if bps and t == bps[-1]:
-            vals[-1] = v  # later entry wins at an exact tie
-            continue
-        bps.append(t)
-        vals.append(np.asarray(v, dtype=float).reshape(dim))
-    if not bps or bps[0] != 0.0:
-        bps.insert(0, 0.0)
-        vals.insert(0, np.zeros(dim))
-    # drop consecutive duplicates of identical values
-    keep_b, keep_v = [bps[0]], [vals[0]]
-    for t, v in zip(bps[1:], vals[1:]):
-        if np.array_equal(v, keep_v[-1]):
-            continue
-        keep_b.append(t)
-        keep_v.append(v)
-    return Signal(
-        breakpoints=np.asarray(keep_b, dtype=float),
-        values=np.asarray(keep_v, dtype=float),
-        horizon=float(horizon),
-        dim=dim,
-    )
+def _normalize_pieces(times, values, dim: int, horizon: float) -> Signal:
+    """Assemble a Signal from piece starts and their values, in one array pass.
+
+    The pieces are stably sorted by start; at an exact tie the later value
+    wins, starts at or past a positive horizon are dropped, a zero piece
+    starts at 0 when none does, and a piece equal to its predecessor merges into it.
+    """
+    t = np.array(times, dtype=float).reshape(-1)
+    v = np.array(values, dtype=float).reshape(t.size, dim)
+    if not (t[1:] > t[:-1]).all():  # unsorted or tied starts
+        order = np.argsort(t, kind="stable")
+        t, v = t[order], v[order]
+        new = t[1:] != t[:-1]
+        t, v = t[np.append(True, new)], v[np.append(new, True)]
+    if t.size and not t[-1] < horizon:  # sorted, the kept starts are a prefix
+        cut = np.searchsorted(t, horizon) if horizon > 0 else np.searchsorted(t, 0.0, "right")
+        t, v = t[:cut], v[:cut]
+    if t.size == 0 or t[0] != 0.0:
+        t, v = np.append(0.0, t), np.concatenate((np.zeros((1, dim)), v))
+    changed = np.append(True, (v[1:] != v[:-1]).any(axis=1))
+    if not changed.all():
+        t, v = t[changed], v[changed]
+    return Signal(breakpoints=t, values=v, horizon=float(horizon), dim=dim)
 
 
 def make_signal(pieces: Sequence[tuple], horizon: float, dim: Optional[int] = None) -> Signal:
@@ -127,8 +122,9 @@ def make_signal(pieces: Sequence[tuple], horizon: float, dim: Optional[int] = No
         return zero_signal(dim or 1, horizon)
     first_v = np.atleast_1d(np.asarray(pieces[0][1], dtype=float))
     dim = dim or first_v.size
-    norm_pieces = [(float(t), np.atleast_1d(np.asarray(v, dtype=float))) for t, v in pieces]
-    return _normalize_pieces(norm_pieces, dim, horizon)
+    return _normalize_pieces([float(t) for t, _ in pieces],
+                             [np.atleast_1d(np.asarray(v, dtype=float)) for _, v in pieces],
+                             dim, horizon)
 
 
 def constant_signal(value, horizon: float) -> Signal:
@@ -182,7 +178,7 @@ def concat(u: Signal, v: Signal, tau: float) -> Signal:
     # beyond tau the result is v, zero once past v's horizon; below tau it is
     # u, zero once past u's horizon
     horizon = max(min(u.horizon, tau), v.horizon if v.horizon > tau else 0.0)
-    return _normalize_pieces(pieces, u.dim, max(horizon, 0.0))
+    return _normalize_pieces(*zip(*pieces), u.dim, max(horizon, 0.0))
 
 
 def restrict(u: Signal, a: float, b: float) -> Signal:
@@ -196,7 +192,7 @@ def restrict(u: Signal, a: float, b: float) -> Signal:
             pieces.append((lo, val))
             pieces.append((hi, np.zeros(u.dim)))
     horizon = min(b, u.horizon)
-    return _normalize_pieces(pieces, u.dim, max(horizon, 0.0))
+    return _normalize_pieces(*zip(*pieces), u.dim, max(horizon, 0.0))
 
 
 def _interval(u: Signal, interval: Optional[tuple]) -> tuple:
@@ -292,13 +288,13 @@ def pulse_train(tau: float, count: int) -> Signal:
         raise ParameterError(f"pulse spacing must be >= 1, got {tau}")
     if count < 1:
         raise ParameterError(f"pulse count must be >= 1, got {count}")
-    pieces = [(0.0, np.zeros(1))]
-    for k in range(1, count + 1):
-        start = k * tau
-        end = k * tau + 1.0 / k
-        pieces.append((start, np.array([float(k * k)])))
-        pieces.append((end, np.zeros(1)))
-    return _normalize_pieces(pieces, 1, count * tau + 1.0)
+    k = np.arange(1, count + 1)
+    times = np.zeros(2 * count + 1)  # 0, then each pulse's start and end
+    times[1::2] = k * tau
+    times[2::2] = k * tau + 1.0 / k
+    values = np.zeros(2 * count + 1)
+    values[1::2] = k * k
+    return _normalize_pieces(times, values, 1, count * tau + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +313,9 @@ def signal_to_json(u: Signal) -> dict:
 
 
 def signal_from_json(d: dict) -> Signal:
-    dim = int(d["dim"])
-    pieces = [(float(p["t"]), np.asarray(p["v"], dtype=float)) for p in d["pieces"]]
-    return _normalize_pieces(pieces, dim, float(d["horizon"]))
+    pieces = d["pieces"]
+    return _normalize_pieces([float(p["t"]) for p in pieces], [p["v"] for p in pieces],
+                             int(d["dim"]), float(d["horizon"]))
 
 
 def _write_csv(path, header: Sequence[str], columns: Sequence) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "linear_test_system",
     "perturbed_decay_system",
     "lipschitz_probe",
-    "check_equilibrium",
     "trajectory_to_csv",
     "SYSTEM_REGISTRY",
 ]
@@ -211,23 +210,20 @@ def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
     return simulate_batch(sys, t0, [xi], [u], t_end, step, include_times)[0]
 
 
-def _acts_rowwise(rhs, t0s, step: float, xs: list, us: list) -> bool:
-    """Whether one batched ``rhs`` call at row times ``t0s[i] + i*step`` equals the row calls."""
-    t_col = (np.asarray(t0s) + np.arange(len(xs)) * step)[:, None]
-    u0 = [u.eval(t0) for u, t0 in zip(us, t0s)]
+def _as_rowwise(fn, t, *rows):
+    """``fn`` if one call at the times ``t`` (a ``(k, 1)`` column for an ``rhs``) on the stacked
+    ``rows`` equals its calls on each row with a float time, else ``fn`` called row by row."""
     try:
-        rows = [rhs(float(t), x, v) for t, x, v in zip(t_col[:, 0], xs, u0)]
-        batched = rhs(t_col, np.stack(xs), np.stack(u0))
-        return np.array_equal(batched, rows)
-    except Exception:  # the rhs rejects a 2-D state or a time column
-        return False
+        each = [fn(float(ti), *row) for ti, *row in zip(np.ravel(t), *rows)]
+        if np.array_equal(fn(t, *(np.stack(r) for r in rows)), each):
+            return fn
+    except Exception:  # fn rejects a 2-D state or an array of times
+        pass
 
-
-def _row_by_row(rhs):
-    """``rhs`` called on each row with a float time, an ``(n,)`` state and an ``(m,)`` input."""
-    def rows(t, x, u):
-        return np.reshape([rhs(float(ti), xi, ui) for ti, xi, ui in zip(t[:, 0], x, u)], x.shape)
-    return rows
+    def row_by_row(t, x, *more):
+        out = [fn(float(ti), *row) for ti, *row in zip(np.ravel(t), x, *more)]
+        return np.reshape(out, x.shape[:np.ndim(t)])  # (B, n) for an rhs, (S,) for a V
+    return row_by_row
 
 
 def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: float,
@@ -241,7 +237,9 @@ def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
     grids = {}
     plans = [_plan(sys, *run, step, inc, grids) for run, inc in zip(zip(t0s, us, t_ends), includes)]
-    rhs = sys.rhs if _acts_rowwise(sys.rhs, t0s, step, xs, us) else _row_by_row(sys.rhs)
+    t_col = (np.asarray(t0s) + np.arange(len(xs)) * step)[:, None]
+    u0 = [u.eval(a) for u, a in zip(us, t0s)]
+    rhs = _as_rowwise(sys.rhs, t_col, xs, u0)
     states, stops, errors = _rk4(rhs, np.stack(xs), max(p[0].size for p in plans) - 1,
                                  _lockstep_blocks(plans, sys.m),
                                  BLOWUP_THRESHOLD * BLOWUP_THRESHOLD)
@@ -327,18 +325,6 @@ SYSTEM_REGISTRY = {
     "counterexample": counterexample_system,
     "perturbed_decay": perturbed_decay_system,
 }
-
-
-def check_equilibrium(sys: SystemDef, n_samples: int = 100, t_max: float = 100.0,
-                      tol: float = 1e-12) -> bool:
-    """Verify ``rhs(t, 0, 0) = 0`` on sampled times (the standing assumption)."""
-    zeros_x = np.zeros(sys.n)
-    zeros_u = np.zeros(sys.m)
-    for t in np.linspace(0.0, t_max, n_samples):
-        v = np.asarray(sys.rhs(float(t), zeros_x, zeros_u), dtype=float)
-        if float(np.linalg.norm(v)) > tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from ipss_lab.converse_construction import (
     wk_estimate,
     wk_estimates,
 )
-from ipss_lab.errors import ModelError
+from ipss_lab.errors import ModelError, RangeError
 from ipss_lab.lyapunov_tools import (
     DissipationSpec,
+    LyapunovCandidate,
     check_derivative_bound,
     make_plan,
 )
@@ -489,3 +490,49 @@ class TestCandidateTableExport:
         })
         for t, x in zip(rng.uniform(0.0, 2.0, 100), rng.uniform(-3.0, 3.0, 100)):
             assert clone.eval(t, [x]) == pytest.approx(f(t, x), rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def _table():
+        """A table on the grid of the ``converse_demo`` export: t in [0, 2], x in [-3, 3]."""
+        t_grid, x_grid = [0.0, 1.0, 2.0], [-3.0, -1.0, 0.0, 1.0, 3.0]
+        return candidate_table_from_json({
+            "t_grid": t_grid, "x_grid": x_grid,
+            "values": [[(1.0 + 0.1 * t) * x * x for x in x_grid] for t in t_grid],
+            "alpha1": {"kind": "power", "c": 1.0, "p": 2.0},
+            "alpha2": {"kind": "power", "c": 1.2, "p": 2.0},
+        })
+
+    def test_queries_off_the_grid_raise(self):
+        """No clamping: V(1, 30) and V(50, 3) used to read V(1, 3) and V(2, 3)."""
+        clone = self._table()
+        for t, x in [(1.0, 30.0), (50.0, 3.0), (-0.5, 0.0), (1.0, -3.5), (2.0 + 1e-9, 0.0)]:
+            with pytest.raises(RangeError, match=r"off its grid t in \[0, 2\], x in \[-3, 3\]"):
+                clone.eval(t, [x])
+        with pytest.raises(RangeError, match=r"at \(t=50, x=3\)"):
+            clone.eval(np.array([1.0, 50.0]), np.array([[0.0], [3.0]]))
+        assert clone.eval(2.0, [3.0]) == clone.eval(2.0, np.array([-3.0])) == 1.2 * 9.0
+
+    def test_rows_equal_single_queries(self, rng):
+        clone = self._table()
+        t, x = rng.uniform(0.0, 2.0, 50), rng.uniform(-3.0, 3.0, (50, 1))
+        rows = clone.eval(t, x)
+        assert rows.shape == (50,)
+        assert [repr(float(v)) for v in rows] == [repr(clone.eval(float(a), b))
+                                                  for a, b in zip(t, x)]
+
+    def test_derivative_check_takes_the_array_path(self):
+        """Every V call of the check but the three single-row probes is on all samples."""
+        clone = self._table()
+        calls = []
+
+        def spied(t, x):
+            calls.append(np.ndim(t))
+            return clone.eval(t, x)
+
+        plan = make_plan(1, 1, times=[0.0, 0.5, 1.0], radii=[0.5, 1.0, 2.0],
+                         dirs_per_radius=2, mu_radii=[0.5], mu_dirs_per_radius=1, seed=3)
+        cand = LyapunovCandidate(eval=spied, alpha1=clone.alpha1, alpha2=clone.alpha2)
+        rep = check_derivative_bound(cand, linear_test_system(1.0), make_power_fn(1.5, 2.0),
+                                     make_power_fn(2.0, 2.0), plan, margin=1e-3)
+        assert rep.n_checked == 3 * 6 * 2
+        assert calls == [0] * 3 + [1] * (2 + plan.levels)

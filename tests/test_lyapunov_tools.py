@@ -13,10 +13,13 @@ from ipss_lab.comparison_functions import (
     make_power_fn,
     scale_fn,
 )
-from ipss_lab.errors import NumericsError, ParameterError, PlanError, RangeError
+import ipss_lab.lyapunov_tools as lt
+from ipss_lab.cli_harness import _build_candidate
+from ipss_lab.errors import CandidateError, NumericsError, ParameterError, PlanError, RangeError
 from ipss_lab.lyapunov_tools import (
     DissipationSpec,
     LyapunovCandidate,
+    ViolationReport,
     abs_candidate,
     build_kappa,
     check_derivative_bound,
@@ -160,6 +163,225 @@ class TestFormChecks:
                                      spec.alpha4, spec.chi4, small_plan(), margin=1e-3)
         entry = rep.to_json()[0]
         assert set(entry) == {"t", "xi", "mu", "lhs", "rhs", "gap"}
+
+
+# ---------------------------------------------------------------------------
+# the array pass against the per-sample loop it replaced
+
+
+def _dini_reference(V, sys, t, xi, mu, h0, levels):
+    """The per-sample Dini estimate the array pass replaced, kept verbatim as its reference."""
+    xi = np.asarray(xi, dtype=float).reshape(sys.n)
+    mu = np.asarray(mu, dtype=float).reshape(sys.m)
+    fval = np.asarray(sys.rhs(t, xi, mu), dtype=float)
+    v0 = float(V.eval(t, xi))
+    if not math.isfinite(v0):
+        raise CandidateError(f"candidate evaluation is nonfinite at ({t}, {xi})")
+    quotients = []
+    for j in range(levels):
+        h = h0 * (2.0 ** (-j))
+        v1 = float(V.eval(t + h, xi + h * fval))
+        if not math.isfinite(v1):
+            raise CandidateError(f"candidate evaluation is nonfinite at ({t + h}, {xi + h * fval})")
+        quotients.append((v1 - v0) / h)
+    tail = math.ceil(levels / 2)
+    return max(quotients[levels - tail:])
+
+
+def _run_check_reference(V, sys, plan, rhs_bound, margin, condition=None):
+    """The per-sample loop of the sampled checks, kept verbatim as the array pass's reference."""
+    violations = []
+    checked = 0
+    for t in plan.times:
+        for xi in plan.states:
+            for mu in plan.inputs:
+                xi_a = np.asarray(xi)
+                mu_a = np.asarray(mu)
+                if condition is not None and not condition(xi_a, mu_a):
+                    continue
+                checked += 1
+                lhs = _dini_reference(V, sys, t, xi_a, mu_a, plan.h0, plan.levels)
+                rhs = rhs_bound(xi_a, mu_a)
+                gap = lhs - rhs
+                tol = float(margin) if margin is not None else 1e-3 * (1.0 + abs(lhs))
+                if gap > tol:
+                    violations.append({
+                        "t": float(t),
+                        "xi": [float(v) for v in xi],
+                        "mu": [float(v) for v in mu],
+                        "lhs": float(lhs),
+                        "rhs": float(rhs),
+                        "gap": float(gap),
+                    })
+    return ViolationReport(entries=tuple(violations), n_checked=checked)
+
+
+def _reference_report(form, V, sysd, alpha, chi, plan, margin):
+    """``_run_check_reference`` with the bounds of ``check_derivative_bound`` or ``check_implication_form``."""
+    def norm(v):
+        return float(lt._norms(v))
+
+    if form == "implication":
+        return _run_check_reference(
+            V, sysd, plan, lambda xi, mu: -float(alpha.eval(norm(xi))), margin,
+            lambda xi, mu: norm(xi) >= float(chi.eval(norm(mu))))
+    return _run_check_reference(
+        V, sysd, plan, lambda xi, mu: -float(alpha.eval(norm(xi))) + float(chi.eval(norm(mu))),
+        margin)
+
+
+def _assert_same_report(form, V, sysd, alpha, chi, plan, margin):
+    """The array pass's report equals the reference's bit for bit; returns it."""
+    check = check_implication_form if form == "implication" else check_derivative_bound
+    rep = check(V, sysd, alpha, chi, plan, margin)
+    ref = _reference_report(form, V, sysd, alpha, chi, plan, margin)
+    assert rep.n_checked == ref.n_checked
+    assert repr(rep.to_json()) == repr(ref.to_json())  # repr keeps every bit, and -0.0
+    return rep
+
+
+def _criterion_8_triple(rng, rowwise):
+    """One random triple of acceptance criterion 8 (n = 2, m = 1), as scalar or row-wise code.
+
+    The row-wise forms use elementwise arithmetic only, and a rational time
+    factor, so a row gives the same float alone and in a stack.
+    """
+    A = rng.uniform(-0.5, 0.5, size=(2, 2))
+    B = rng.uniform(-0.5, 0.5, size=(2, 1))
+    M = rng.uniform(-0.3, 0.3, size=(2, 2))
+    P = M @ M.T + 0.2 * np.eye(2)
+    a = float(rng.uniform(-0.2, 0.2))
+    w = float(rng.uniform(0.1, 0.5))
+    if not rowwise:  # verbatim from criterion 8: fails the row-wise check
+        V = LyapunovCandidate(
+            eval=lambda tt, xx: (1 + a * math.sin(w * tt))
+            * float(np.atleast_1d(xx) @ P @ np.atleast_1d(xx)),
+            alpha1=make_power_fn(1e-9, 2.0), alpha2=make_power_fn(10.0, 2.0))
+        return V, SystemDef(rhs=lambda tt, xx, uu: A @ xx + B @ uu, n=2, m=1)
+
+    def v_eval(tt, xx):
+        x0, x1 = xx[..., 0], xx[..., 1]
+        quad = x0 * (P[0, 0] * x0 + P[0, 1] * x1) + x1 * (P[1, 0] * x0 + P[1, 1] * x1)
+        return (1 + a * w * tt / (1 + tt)) * quad
+
+    def rhs(tt, xx, uu):
+        x0, x1, u0 = xx[..., 0], xx[..., 1], uu[..., 0]
+        return np.stack([A[0, 0] * x0 + A[0, 1] * x1 + B[0, 0] * u0,
+                         A[1, 0] * x0 + A[1, 1] * x1 + B[1, 0] * u0], axis=-1)
+
+    V = LyapunovCandidate(eval=v_eval, alpha1=make_power_fn(1e-9, 2.0),
+                          alpha2=make_power_fn(10.0, 2.0))
+    return V, SystemDef(rhs=rhs, n=2, m=1)
+
+
+def _spy(fn, log):
+    """``fn``, logging whether each call got an array of times."""
+    def spied(t, *rest):
+        log.append(np.ndim(t) > 0)
+        return fn(t, *rest)
+    return spied
+
+
+QUADRATIC = _build_candidate({"kind": "quadratic", "c": 1.5})
+RAMP_PLAN = make_plan(1, 1, times=[0.0, 10.0, 100.0], radii=np.geomspace(1e-2, 10.0, 5),
+                      dirs_per_radius=2, mu_radii=np.geomspace(0.1, 5.0, 3),
+                      mu_dirs_per_radius=2, seed=5)
+
+
+class TestArrayPassMatchesReference:
+    @pytest.mark.parametrize("margin", [None, 1e-3])
+    @pytest.mark.parametrize("V", [abs_candidate(), QUADRATIC], ids=["abs", "quadratic"])
+    @pytest.mark.parametrize("sysd,plan", [(linear_test_system(1.0), small_plan()),
+                                           (counterexample_system(), RAMP_PLAN)],
+                             ids=["linear", "counterexample"])
+    def test_dissipation_reports(self, V, sysd, plan, margin):
+        # doubled decay fails near u = 0 on both systems, the ramp fails at late t
+        failing = _assert_same_report("dissipation", V, sysd, make_power_fn(2.0, 1.0), IDENT,
+                                      plan, margin)
+        assert not failing.passed
+        _assert_same_report("dissipation", V, sysd, IDENT, IDENT, plan, margin)
+
+    @pytest.mark.parametrize("margin", [None, 1e-3])
+    @pytest.mark.parametrize("V", [abs_candidate(), QUADRATIC], ids=["abs", "quadratic"])
+    def test_implication_mask(self, V, margin):
+        """Samples with |x| < chi3(|u|) are skipped; the kept ones partly fail."""
+        plan = small_plan()
+        rep = _assert_same_report("implication", V, counterexample_system(),
+                                  make_power_fn(3.0, 1.0), make_power_fn(0.5, 1.0), plan, margin)
+        total = len(plan.times) * len(plan.states) * len(plan.inputs)
+        assert 0 < rep.n_checked < total
+        assert not rep.passed
+
+    @pytest.mark.parametrize("rowwise", [True, False], ids=["rowwise", "scalar"])
+    @pytest.mark.parametrize("margin", [None, 1e-6])
+    def test_time_varying_n2_candidate(self, rowwise, margin):
+        """Criterion-8 triples on a 2-D plan, through the array path and the fallback."""
+        rng = np.random.default_rng(2024)
+        plan = make_plan(2, 1, times=[0.0, 0.5, 2.0], radii=[0.1, 0.5, 1.0], dirs_per_radius=3,
+                         mu_radii=[0.2, 0.5], mu_dirs_per_radius=2, seed=11)
+        failed = 0
+        for _ in range(5):
+            V, sysd = _criterion_8_triple(rng, rowwise)
+            rep = _assert_same_report("dissipation", V, sysd, make_power_fn(0.5, 2.0),
+                                      make_power_fn(0.1, 2.0), plan, margin)
+            failed += not rep.passed
+        assert failed > 0
+
+    def test_fallback_when_v_and_rhs_fail_the_row_check(self):
+        """Scalar-only code is called row by row inside the same pass, with float times."""
+        v_log, rhs_log = [], []
+        V = LyapunovCandidate(eval=_spy(lambda t, x: float(abs(x[0])) * (1.0 + 0.01 * t), v_log),
+                              alpha1=IDENT, alpha2=make_power_fn(2.0, 1.0))
+        sysd = SystemDef(rhs=_spy(lambda t, x, u: np.array([-x[0] + u[0] * (1.0 + t)]), rhs_log),
+                         n=1, m=1)
+        plan = small_plan()
+        _assert_same_report("dissipation", V, sysd, make_power_fn(2.0, 1.0), IDENT, plan, None)
+        v_log.clear(), rhs_log.clear()
+        check_derivative_bound(V, sysd, make_power_fn(2.0, 1.0), IDENT, plan, None)
+        # one batched try each in the row check; every other call is one row
+        assert sum(v_log) == 1 and sum(rhs_log) == 1
+        n = len(plan.times) * len(plan.states) * len(plan.inputs)
+        assert len(v_log) == 1 + 3 + n * (plan.levels + 1)
+        assert len(rhs_log) == 1 + 3 + n
+
+    def test_rowwise_code_is_called_once_per_level(self):
+        v_log, rhs_log = [], []
+        base = abs_candidate()
+        V = LyapunovCandidate(eval=_spy(base.eval, v_log), alpha1=IDENT, alpha2=IDENT)
+        lin = linear_test_system(1.0)
+        sysd = SystemDef(rhs=_spy(lin.rhs, rhs_log), n=1, m=1)
+        plan = small_plan()
+        _assert_same_report("dissipation", V, sysd, make_power_fn(2.0, 1.0), IDENT, plan, None)
+        v_log.clear(), rhs_log.clear()
+        check_derivative_bound(V, sysd, make_power_fn(2.0, 1.0), IDENT, plan, None)
+        # the row check: 3 row calls and 1 stacked; then 1 rhs and levels + 1 V calls on all rows
+        assert v_log == [False] * 3 + [True] * (1 + 1 + plan.levels)
+        assert rhs_log == [False] * 3 + [True] * 2
+
+    @pytest.mark.parametrize("bad", ["at_level", "at_sample"])
+    def test_nonfinite_candidate_names_first_sample(self, bad):
+        """The CandidateError names the sample the per-sample loop stopped at, in plan order."""
+        def v_eval(t, x):
+            r = lt._norms(x)
+            if bad == "at_level":  # finite at every plan time, nonfinite just past t = 1
+                return np.where((t > 1.0) & (t < 2.0), np.nan, r)
+            return np.where(r > 2.0, np.inf, r)
+
+        V = LyapunovCandidate(eval=v_eval, alpha1=IDENT, alpha2=IDENT)
+        sysd, plan = linear_test_system(1.0), small_plan()
+        with pytest.raises(CandidateError) as ref:
+            _reference_report("dissipation", V, sysd, IDENT, IDENT, plan, 1e-3)
+        with pytest.raises(CandidateError) as new:
+            check_derivative_bound(V, sysd, IDENT, IDENT, plan, 1e-3)
+        assert str(new.value) == str(ref.value)
+        assert ("(1.001, " in str(new.value)) == (bad == "at_level")
+
+    def test_dini_derivative_is_the_pass_for_one_sample(self):
+        sysd = counterexample_system()
+        for V in (abs_candidate(), QUADRATIC, quadratic_candidate()):
+            for t, x, u in [(0.0, [0.3], [0.5]), (10.0, [-2.0], [1.0]), (3.0, [0.0], [0.0])]:
+                assert repr(dini_derivative(V, sysd, t, x, u)) \
+                    == repr(_dini_reference(V, sysd, t, x, u, 1e-3, 8))
 
 
 @pytest.fixture(scope="module")

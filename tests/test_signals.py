@@ -183,6 +183,57 @@ class TestPulseTrain:
         assert max(powers) - min(powers) < 1e-9  # count-independent
 
 
+def _normalize_reference(pieces, dim, horizon):
+    """The per-piece loop that assembled signals before the array pass, kept as its reference."""
+    pieces = sorted(pieces, key=lambda p: p[0])
+    bps, vals = [], []
+    for t, v in pieces:
+        if t >= horizon and t > 0:
+            continue
+        if bps and t == bps[-1]:
+            vals[-1] = v  # later entry wins at an exact tie
+            continue
+        bps.append(t)
+        vals.append(np.asarray(v, dtype=float).reshape(dim))
+    if not bps or bps[0] != 0.0:
+        bps.insert(0, 0.0)
+        vals.insert(0, np.zeros(dim))
+    keep_b, keep_v = [bps[0]], [vals[0]]
+    for t, v in zip(bps[1:], vals[1:]):
+        if np.array_equal(v, keep_v[-1]):
+            continue
+        keep_b.append(t)
+        keep_v.append(v)
+    return np.asarray(keep_b, dtype=float), np.asarray(keep_v, dtype=float)
+
+
+def _same_signal(u, bps, vals, horizon):
+    return (u.breakpoints.tobytes() == bps.tobytes() and u.values.tobytes() == vals.tobytes()
+            and u.horizon == horizon)
+
+
+class TestArrayAssembly:
+    def test_make_signal_matches_the_piece_loop(self, rng):
+        """Unsorted starts, exact ties, starts past the horizon, missing 0, repeated values."""
+        for _ in range(300):
+            k, dim = int(rng.integers(1, 12)), int(rng.integers(1, 3))
+            ts = [float(t) for t in rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0], size=k)]
+            vs = list(rng.choice([0.0, 1.0, -2.0], size=(k, dim)))
+            horizon = float(rng.choice([0.0, 1.0, 2.0, 4.0, 10.0]))
+            u = make_signal(list(zip(ts, vs)), horizon=horizon, dim=dim)
+            assert _same_signal(u, *_normalize_reference(list(zip(ts, vs)), dim, horizon),
+                                horizon)
+
+    @pytest.mark.parametrize("tau,count", [(1.0, 1), (1.0, 2), (1.5, 7), (2.0, 40), (1.0, 2000)])
+    def test_pulse_train_matches_the_piece_loop(self, tau, count):
+        pieces = [(0.0, np.zeros(1))]
+        for k in range(1, count + 1):
+            pieces += [(k * tau, np.array([float(k * k)])), (k * tau + 1.0 / k, np.zeros(1))]
+        horizon = count * tau + 1.0
+        assert _same_signal(pulse_train(tau, count), *_normalize_reference(pieces, 1, horizon),
+                            horizon)
+
+
 class TestMeasureInequalities:
     """Ordering relations among the three measures."""
 

@@ -16,7 +16,6 @@ from ipss_lab.simulator import (
     Trajectory,
     _random_ball,
     _random_disturbance,
-    check_equilibrium,
     counterexample_system,
     linear_test_system,
     lipschitz_probe,
@@ -340,11 +339,6 @@ class TestBuiltInSystems:
         ce = counterexample_system()
         assert ce.rhs(0.0, np.array([0.0]), np.array([1.0]))[0] == 1.0
         assert ce.rhs(9.0, np.array([0.5]), np.array([0.5]))[0] == -0.5
-
-    def test_equilibrium_property(self):
-        for sysd in (linear_test_system(1.0), counterexample_system(),
-                     perturbed_decay_system()):
-            assert check_equilibrium(sysd)
 
     def test_counterexample_bounded_under_constants(self):
         """Constant inputs never push the state past their own level."""
