@@ -31,8 +31,8 @@ from .comparison_functions import (KLBound, MonotoneFn, _bilinear, apply_inverse
 from .errors import DynamicsError, ModelError, ParameterError, RangeError
 from .lyapunov_tools import LyapunovCandidate
 from .signals import constant_signal
-from .simulator import (SystemDef, _random_disturbance, _simulate_members, lipschitz_probe,
-                        simulate_batch)
+from .simulator import (SystemDef, _as_rowwise, _disturbance, _random_ball, _simulate_members,
+                        lipschitz_probes, simulate_batch)
 
 __all__ = [
     "DisturbedSystem",
@@ -148,21 +148,32 @@ def _extreme_disturbances(m: int) -> list:
     return vecs
 
 
+def disturbance_draws(m: int, count: int, pieces: int, seed: int) -> list:
+    """The piece values of the random signals of a :func:`disturbance_batch`.
+
+    They do not depend on the batch's start or span, so one draw serves
+    the batches of every probe state.
+    """
+    rng = np.random.default_rng(seed)
+    n_random = count - min(count, len(_extreme_disturbances(m)))
+    return [[_random_ball(rng, m, 1.0) for _ in range(pieces)] for _ in range(n_random)]
+
+
 def disturbance_batch(m: int, count: int, t0: float, span: float, pieces: int,
-                      seed: int) -> list:
+                      seed: int, draws: Optional[list] = None) -> list:
     """Seeded unit-ball disturbance batch of exactly ``count`` signals.
 
     The constant extreme points come first, then random piecewise-constant
     signals drawn sequentially from one stream, so batches with larger
-    ``count`` and the same seed are supersets.
+    ``count`` and the same seed are supersets.  ``draws`` are their piece
+    values as :func:`disturbance_draws` returns them for the same ``m``,
+    ``count``, ``pieces`` and ``seed``; they are drawn here when None.
     """
     span = max(span, 1e-9)
     batch = [constant_signal(v, t0 + span) for v in _extreme_disturbances(m)]
-    batch = batch[:count]
-    rng = np.random.default_rng(seed)
-    while len(batch) < count:
-        batch.append(_random_disturbance(rng, m, t0, span, pieces))
-    return batch
+    if draws is None:
+        draws = disturbance_draws(m, count, pieces, seed)
+    return batch[:count] + [_disturbance(vals, t0, span) for vals in draws]
 
 
 def horizon_for(k: int, theta1: MonotoneFn, R: float) -> float:
@@ -244,9 +255,10 @@ def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,
         if R > 0.0:
             runs.append((horizon_for(cfg.k_max, theta1, R), i, t0, xi, R))
     rows = []
+    draws = disturbance_draws(sys.m, cfg.disturbance_samples, cfg.pieces_per_horizon, cfg.seed)
     for span, i, t0, xi, R in sorted(runs, key=lambda run: run[0]):
         batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
-                                  cfg.pieces_per_horizon, cfg.seed)
+                                  cfg.pieces_per_horizon, cfg.seed, draws)
         rows += [(i, t0, xi, R, d, t0 + span) for d in batch]
     # whole points per batch whenever one point's runs fit in it
     size = _WK_ROWS - _WK_ROWS % cfg.disturbance_samples or _WK_ROWS
@@ -298,8 +310,15 @@ class ConverseEvaluator:
     def wk(self, t0: float, xi) -> np.ndarray:
         return self.wk_many([(t0, xi)])[0]
 
+    def values(self, t0s, xis) -> np.ndarray:
+        """The truncated series at the ``(S,)`` times and ``(S, n)`` states, from one
+        :meth:`wk_many`: the weighted layers summed in layer order."""
+        layers = np.reshape(self.wk_many(list(zip(np.ravel(t0s).tolist(), xis))),
+                            (-1, self.cfg.k_max)).T
+        return sum(w * v for w, v in zip(self.weights, layers))
+
     def value(self, t0: float, xi) -> float:
-        return float(sum(w * v for w, v in zip(self.weights, self.wk(t0, xi))))
+        return float(self.values([t0], [xi])[0])
 
     def tail_bound(self, xi) -> float:
         R = float(np.linalg.norm(np.atleast_1d(xi)))
@@ -327,8 +346,12 @@ class ConverseEvaluator:
 
     def candidate(self, rho_grid: Sequence[float], name: str) -> LyapunovCandidate:
         """The series as a candidate, sandwiched by :meth:`alpha1_table` and ``theta1``."""
+        def series(t, x):
+            v = self.values(t, np.reshape(x, (np.size(t), -1)))
+            return float(v[0]) if np.ndim(t) == 0 else v
+
         return LyapunovCandidate(
-            eval=lambda t, x: self.value(float(t), np.atleast_1d(x)),
+            eval=series,
             alpha1=self.alpha1_table(rho_grid),
             alpha2=self.theta1,
             name=name,
@@ -340,17 +363,14 @@ def build_mrk_table(sys: DisturbedSystem, theta1: MonotoneFn, cfg: ConverseConfi
     """Empirical Lipschitz-weight table ``(R, k) -> M_{R,k}``.
 
     Probes the solution sensitivity at radius ``k`` over each layer horizon,
-    monotonizes by running maxima, and assembles
+    all layers' probes in one batch, monotonizes by running maxima, and assembles
     ``M_{R,k} = e^{T_{R,k}/2} * Lbar(ceil(max(R,1)))``, nondecreasing in
     both arguments.
     """
-    sysdef = sys.as_systemdef()
+    specs = [(float(k), max(horizon_for(k, theta1, float(k)), 0.1), probe_samples,
+              cfg.seed + 1000 + k) for k in range(1, cfg.k_max + 1)]
     lbar = []
-    for k in range(1, cfg.k_max + 1):
-        T = max(horizon_for(k, theta1, float(k)), 0.1)
-        rep = lipschitz_probe(sysdef, R=float(k), T=T,
-                              samples=probe_samples, seed=cfg.seed + 1000 + k,
-                              step=probe_step)
+    for rep in lipschitz_probes(sys.as_systemdef(), specs, step=probe_step):
         val = max(rep.state_ratio_max, rep.shift_ratio_max, 1e-6)
         lbar.append(val if not lbar else max(val, lbar[-1]))
 
@@ -565,7 +585,10 @@ def candidate_table_to_json(candidate: LyapunovCandidate, t_grid: Sequence[float
     """
     t_grid = [float(t) for t in t_grid]
     x_grid = [float(x) for x in x_grid]
-    values = [[float(candidate.eval(t, np.array([x]))) for x in x_grid] for t in t_grid]
+    ts, xs = np.repeat(t_grid, len(x_grid)), np.tile(x_grid, len(t_grid))[:, None]
+    probe = sorted({0, (ts.size - 1) // 2, ts.size - 1})  # first, middle and last node
+    v_eval = _as_rowwise(candidate.eval, ts[probe], xs[probe])
+    values = np.reshape(v_eval(ts, xs), (len(t_grid), len(x_grid))).tolist()
     abs_grid = sorted(set(abs(x) for x in x_grid) | {0.0})
     return {
         "t_grid": t_grid,

@@ -32,12 +32,14 @@ __all__ = [
     "linear_test_system",
     "perturbed_decay_system",
     "lipschitz_probe",
+    "lipschitz_probes",
     "trajectory_to_csv",
     "SYSTEM_REGISTRY",
 ]
 
 BLOWUP_THRESHOLD = 1e9
-_BLOCK = 256  # lockstep steps whose schedule is built at once
+_CELLS = 2048  # rows times steps of the step schedule built at once
+_COHORT = 1.25  # largest ratio of the step counts of rows stored in one states array
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,20 @@ class Trajectory:
     blown_up: bool = False
     blowup_time: Optional[float] = None
 
-    def state_at(self, t: float) -> np.ndarray:
-        """State at a grid time ``t`` (must be on the grid up to rounding)."""
-        tol = 1e-9 * max(1.0, abs(t))
-        idx = int(np.searchsorted(self.times, t))
-        for j in (idx, idx - 1):
-            if 0 <= j < self.times.size and abs(float(self.times[j]) - t) <= tol:
-                return self.states[j]
-        raise ParameterError(f"time {t} is not on the trajectory grid")
+    def state_at(self, t):
+        """State at a grid time ``t``, or the ``(k, n)`` states at an array of ``k`` grid
+        times (each on the grid up to rounding)."""
+        q = np.atleast_1d(np.asarray(t, dtype=float))
+        tol = 1e-9 * np.maximum(1.0, np.abs(q))
+        idx = np.searchsorted(self.times, q)
+        on = [(j >= 0) & (j < self.times.size)
+              & (np.abs(self.times[np.clip(j, 0, self.times.size - 1)] - q) <= tol)
+              for j in (idx, idx - 1)]
+        if not np.all(on[0] | on[1]):
+            raise ParameterError(f"time {float(q[np.argmin(on[0] | on[1])])} is not on the "
+                                 f"trajectory grid")
+        rows = np.where(on[0], idx, idx - 1)
+        return self.states[rows] if np.ndim(t) else self.states[rows[0]]
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -101,100 +109,157 @@ def _check_run(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float) 
 
 def _plan(sys: SystemDef, t0: float, u: Signal, t_end: float, step: float,
           include_times: Sequence[float], grids: dict):
-    """Grid of one member's RK4 run and its segments' first steps, step lengths and inputs.
+    """Grid of one member's RK4 run and its segments' first steps, starts, step lengths, inputs.
 
     The anchors (input breakpoints and horizon, declared discontinuities,
-    requested times) inside ``(t0, t_end)`` split the run into segments.
-    Members with equal anchors and step share one read-only
-    ``(grid, first, seg_h)``, kept in ``grids``; only the inputs are built
-    per member.
+    requested times) inside ``(t0, t_end)`` split the run into segments of
+    equal steps, and a last segment of no steps starts at ``t_end``, so step
+    ``k`` of a segment is at ``start + (k - first) * h``.  Members with equal
+    anchors and step share one read-only ``(grid, first, starts, hs)``, kept
+    in ``grids``; only the inputs (at every anchor) are built per member.
     """
     _check_run(sys, t0, u, t_end, step)
     inside = [*u.breakpoints, u.horizon, *sys.discontinuity_times, *include_times]
     inside = {float(x) for x in inside if t0 < x < t_end}
     anchors = tuple(sorted({float(t0), float(t_end)} | inside))
     if (anchors, step) not in grids:
-        grid, seg_h = [], []
-        for seg_a, seg_b in zip(anchors, anchors[1:]):
-            nsub = max(1, int(math.ceil((seg_b - seg_a) / step - 1e-12)))
-            seg_h.append((seg_b - seg_a) / nsub)
-            grid.append(seg_a + np.arange(nsub) * seg_h[-1])
-        first = np.cumsum([0] + [g.size for g in grid[:-1]])
-        grid = np.concatenate(grid + [[anchors[-1]]])
-        grid.setflags(write=False)
-        grids[anchors, step] = grid, first, np.array(seg_h)
-    return (*grids[anchors, step], np.array([u.eval(a) for a in anchors[:-1]]))
+        starts = np.array(anchors)
+        nsub = np.maximum(1, np.ceil(np.diff(starts) / step - 1e-12).astype(np.int64))
+        hs = np.append(np.diff(starts) / nsub, 0.0)
+        first = np.concatenate([[0], np.cumsum(nsub)])
+        seg = np.repeat(np.arange(starts.size), np.append(nsub, 1))
+        grid = starts[seg] + (np.arange(seg.size) - first[seg]) * hs[seg]
+        for a in (grid, first, starts, hs):
+            a.setflags(write=False)
+        grids[anchors, step] = grid, first, starts, hs
+    grid, first, starts, hs = grids[anchors, step]
+    seg_u = u.values[np.searchsorted(u.breakpoints, starts, side="right") - 1]
+    seg_u[starts >= u.horizon] = 0.0
+    return grid, first, starts, hs, seg_u
 
 
-def _lockstep_blocks(plans, m: int):
-    """The :func:`_rk4` schedule in blocks of ``_BLOCK`` steps, refilled in buffers made once.
+def _lockstep_blocks(plans, m: int, n: int):
+    """The :func:`_rk4` schedule of members sorted by step count, refilled in buffers made once.
 
-    Yields ``(times, hs, h2s, mids, h6s, inputs, live)``; ``times`` has the end of the last step
-    too, and ``live`` is None while every row is still on its grid.
+    The members' segment tables are joined into one, keyed ``row * stride +
+    first step``, so one ``searchsorted`` finds the segment of every row at
+    every step of a block.  A block starts at step ``k0`` with the rows
+    ``lo:`` whose grids have not ended and stops where the shortest of them
+    ends, or at ``_CELLS`` cells of rows times steps.  Yields ``(lo, times,
+    hs, h2s, mids, h6s, inputs, xs)``: ``times`` has the end of the last step
+    too, and ``xs`` receives the block's states.
     """
-    sizes = [plan[0].size - 1 for plan in plans]
-    width = min(_BLOCK, max(sizes))
-    times = np.empty((width + 1, len(plans), 1))
-    hs, h2s, mids, h6s = (np.empty((width, len(plans), 1)) for _ in range(4))
-    us, live = np.empty((width, len(plans), m)), np.empty((width, len(plans), 1), dtype=bool)
-    for k0 in range(0, max(sizes), width):
-        w = min(width, max(sizes) - k0)
-        ks = np.arange(k0, k0 + w + 1)
-        for i, (grid, first, seg_h, seg_u) in enumerate(plans):
-            seg = np.searchsorted(first, ks[:w], side="right") - 1
-            live[:w, i, 0] = ks[:w] < grid.size - 1
-            times[:w + 1, i, 0] = grid[np.minimum(ks, grid.size - 1)]
-            hs[:w, i, 0] = np.where(live[:w, i, 0], seg_h[seg], 0.0)
-            us[:w, i] = seg_u[seg]
-        np.multiply(0.5, hs[:w], out=h2s[:w])
-        np.add(times[:w], h2s[:w], out=mids[:w])
-        np.divide(hs[:w], 6.0, out=h6s[:w])
-        yield (times[:w + 1], hs[:w], h2s[:w], mids[:w], h6s[:w], us[:w],
-               None if k0 + w <= min(sizes) else live[:w])
+    counts = np.array([plan[0].size - 1 for plan in plans])
+    rows, stride = len(plans), int(counts[-1]) + 1
+    keys = np.concatenate([i * stride + plan[1] for i, plan in enumerate(plans)])
+    starts, hs_all = (np.concatenate([plan[j] for plan in plans]) for j in (2, 3))
+    us_all = np.concatenate([plan[4] for plan in plans])
+    row_keys = (np.arange(rows) * stride)[:, None]
+    cap = min(max(_CELLS, rows), rows * int(counts[-1])) + rows  # times take one step more
+    q_buf, k_buf = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+    times_buf, h_buf, h2_buf, mid_buf, h6_buf = (np.empty(cap) for _ in range(5))
+    u_buf, x_buf = np.empty(cap * m), np.empty(cap * n)
+    k0 = lo = 0
+    while lo < rows:
+        live = rows - lo
+        w = min(max(1, _CELLS // live), int(counts[lo]) - k0)
+        shape = (w + 1, live, 1)
+        q = q_buf[:(w + 1) * live].reshape(shape)
+        np.add(np.arange(k0, k0 + w + 1)[:, None, None], row_keys[lo:], out=q)
+        seg = np.searchsorted(keys, q, side="right")
+        seg -= 1
+        times, hs, mids = (buf[:(w + 1) * live].reshape(shape)
+                           for buf in (times_buf, h_buf, mid_buf))
+        k = k_buf[:(w + 1) * live].reshape(shape)
+        np.take(keys, seg, out=k, mode="clip")
+        np.subtract(q, k, out=k)
+        np.take(hs_all, seg, out=hs, mode="clip")
+        np.multiply(k, hs, out=times)
+        np.take(starts, seg, out=mids, mode="clip")
+        np.add(mids, times, out=times)  # start + (k - first) * h, as in the grid
+        hs, mids = hs[:w], mids[:w]
+        h2s, h6s = (buf[:w * live].reshape(w, live, 1) for buf in (h2_buf, h6_buf))
+        np.multiply(0.5, hs, out=h2s)
+        np.add(times[:w], h2s, out=mids)
+        np.divide(hs, 6.0, out=h6s)
+        us = u_buf[:w * live * m].reshape(w, live, m)
+        np.take(us_all, seg[:w, :, 0], axis=0, out=us, mode="clip")
+        yield lo, times, hs, h2s, mids, h6s, us, x_buf[:w * live * n].reshape(w, live, n)
+        k0 += w
+        lo = int(np.searchsorted(counts, k0, side="right"))
 
 
-def _rk4(rhs, x, n_steps: int, blocks, limit2: float):
-    """RK4 on the ``(B, n)`` states ``x`` over ``n_steps`` steps fed by :func:`_lockstep_blocks`.
+def _rk4(rhs, x, counts, blocks, limit2: float):
+    """RK4 on the ``(B, n)`` states ``x`` of rows sorted by step count ``counts``, fed by
+    :func:`_lockstep_blocks`.
 
-    Step ``j`` of a block takes each row from ``times[j]`` over ``hs[j]``
-    with ``inputs[j]``; rows where ``live[j]`` is false are held.  A row
-    stops at the first step ``k`` after which its squared norm is nonfinite
-    (with a :class:`DynamicsError`) or not ``<= limit2`` (blown up), and is
-    held at zero from then on.  Returns the ``(B, k+2, n)`` states through
-    the last step ``k``, or the step where the last row stopped, each row's
-    stopping step or None, and the errors by row.
+    Step ``j`` of a block takes each of its rows ``lo:`` from ``times[j]``
+    over ``hs[j]`` with ``inputs[j]``; a row whose grid has ended has left
+    the batch.  A row stops at the first step ``k`` after which its squared
+    norm is nonfinite (with a :class:`DynamicsError`) or not ``<= limit2``
+    (blown up), and is held at zero from then on.  The states are stored
+    per cohort, a run of rows whose step counts stay within ``_COHORT`` of
+    its first, so no row is padded to a much longer one.  Returns each
+    row's states through its last step (its step ``k`` if it stopped, or
+    the step where the last row stopped), each row's stopping step or None,
+    and the errors by row.
     """
-    rows = x.shape[0]
-    states = np.empty((rows, n_steps + 1, x.shape[1]))
-    states[:, 0] = x
-    stops, errors, running = [None] * rows, {}, None  # running: (B, 1) mask once a row stopped
-    k = 0
-    for times, hs, h2s, mids, h6s, inputs, live in blocks:
+    rows, r0, cohorts = x.shape[0], 0, []  # cohorts: (first row, (rows, steps + 1, n) states)
+    while r0 < rows:
+        r1 = int(np.searchsorted(counts, counts[r0] * _COHORT, side="right"))
+        cohorts.append((r0, np.empty((r1 - r0, counts[r1 - 1] + 1, x.shape[1]))))
+        cohorts[-1][1][:, 0] = x[r0:r1]
+        r0 = r1
+
+    def store(xs, lo, k):
+        for r0, states in cohorts:
+            if r0 + len(states) > lo:
+                a = max(lo, r0)
+                states[a - r0:, k + 1:k + 1 + len(xs)] = \
+                    xs[:, a - lo:r0 + len(states) - lo].swapaxes(0, 1)
+
+    def results():
+        out = []
+        for r0, states in cohorts:
+            for i in range(r0, r0 + len(states)):
+                last = counts[i] if stops[i] is None else stops[i] + 1
+                out.append(states[i - r0, :last + 1])
+        return out, stops, errors
+
+    stops, errors, running = [None] * rows, {}, None  # running: live rows' mask once one stopped
+    k = lo_prev = 0
+    for lo, times, hs, h2s, mids, h6s, inputs, xs in blocks:
+        if lo > lo_prev:  # the rows lo_prev:lo have left
+            x = x[lo - lo_prev:]
+            running = None if running is None or running[lo - lo_prev:].all() \
+                else running[lo - lo_prev:]
+            lo_prev = lo
         for j, (t, h, h2, mid, h6, u) in enumerate(zip(times, hs, h2s, mids, h6s, inputs)):
             k1 = rhs(t, x, u)
             k2 = rhs(mid, x + h2 * k1, u)
             k3 = rhs(mid, x + h2 * k2, u)
             k4 = rhs(t + h, x + h * k3, u)
             x_new = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            moves = running if live is None else (live[j] if running is None else live[j] & running)
-            x = x_new if moves is None else np.where(moves, x_new, x)
-            states[:, k + 1] = x
+            x_old, x = x, (x_new if running is None else np.where(running, x_new, x))
+            xs[j] = x
             # the summed squared norm bounds every row's; the margin keeps
             # rounding from hiding a row past limit2
             if not float(np.vdot(x, x)) <= limit2 * (1.0 - 1e-9):
-                for i in range(rows):  # a stopped row is zero and passes
+                for i in range(x.shape[0]):  # a stopped row is zero and passes
                     nrm2 = float(np.vdot(x[i], x[i]))
                     if not nrm2 <= limit2:
                         if not math.isfinite(nrm2):
-                            errors[i] = DynamicsError(
+                            errors[lo + i] = DynamicsError(
                                 f"nonfinite state update at t={float(times[j + 1, i, 0])} "
-                                f"(x={states[i, k]}, u={u[i]})")
-                        stops[i], x[i] = k, 0.0
-                if None not in stops:
-                    return states[:, :k + 2], stops, errors
-                running = np.array([[stop is None] for stop in stops])
-            k += 1
-    return states, stops, errors
+                                f"(x={x_old[i]}, u={u[i]})")
+                        stops[lo + i], x[i] = k + j, 0.0
+                if None not in stops[lo:]:
+                    store(xs[:j + 1], lo, k)
+                    return results()
+                running = np.array([[stop is None] for stop in stops[lo:]])
+        store(xs, lo, k)
+        k += len(hs)
+    return results()
 
 
 def simulate(sys: SystemDef, t0: float, xi, u: Signal, t_end: float,
@@ -240,18 +305,21 @@ def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step
     t_col = (np.asarray(t0s) + np.arange(len(xs)) * step)[:, None]
     u0 = [u.eval(a) for u, a in zip(us, t0s)]
     rhs = _as_rowwise(sys.rhs, t_col, xs, u0)
-    states, stops, errors = _rk4(rhs, np.stack(xs), max(p[0].size for p in plans) - 1,
-                                 _lockstep_blocks(plans, sys.m),
+    counts = np.array([plan[0].size - 1 for plan in plans])
+    order = np.argsort(counts, kind="stable")
+    states, stops, errors = _rk4(rhs, np.stack(xs)[order], counts[order],
+                                 _lockstep_blocks([plans[i] for i in order], sys.m, sys.n),
                                  BLOWUP_THRESHOLD * BLOWUP_THRESHOLD)
-    trajs = []
-    for i, ((grid, *_), k) in enumerate(zip(plans, stops)):
-        if i in errors:
-            trajs.append(errors[i])
+    trajs = [None] * len(plans)
+    for row, i in enumerate(order):
+        grid, k = plans[i][0], stops[row]
+        if row in errors:
+            trajs[i] = errors[row]
         elif k is None:
-            trajs.append(Trajectory(times=grid, states=states[i, :grid.size]))
+            trajs[i] = Trajectory(times=grid, states=states[row])
         else:
-            trajs.append(Trajectory(times=grid[:k + 2], states=states[i, :k + 2], blown_up=True,
-                                    blowup_time=float(grid[k + 1])))
+            trajs[i] = Trajectory(times=grid[:k + 2], states=states[row], blown_up=True,
+                                  blowup_time=float(grid[k + 1]))
     return trajs
 
 
@@ -262,11 +330,13 @@ def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: f
     ``t0``, ``t_end`` and ``include_times`` are shared or given per member.
     All members advance in lockstep by step index as one ``(B, n)`` state,
     each on its own anchor grid: it gets its own time, step length and input
-    on every step and is held at its own ``t_end`` once its grid has ended,
-    so it takes exactly the float steps of its lone :func:`simulate` run.
-    Members with equal anchors share one read-only ``times`` array.
-    The step schedule is built in fixed blocks; only the states grow with
-    members times steps.  ``sys.rhs`` is called on the whole batch when it
+    on every step and leaves the batch once its grid has ended, so it takes
+    exactly the float steps of its lone :func:`simulate` run.  Members with
+    equal anchors share one read-only ``times`` array.  The step schedule
+    is built in blocks of at most ``_CELLS`` rows times steps, and the
+    states of members with step counts within ``_COHORT`` of each other
+    share one array, so only the states grow with members times steps.
+    ``sys.rhs`` is called on the whole batch when it
     acts row-wise, in ``t`` too: one batched call at distinct per-row times
     is compared exactly with the per-row calls, and on any difference or
     exception it is called row by row inside the same step loop.  A member
@@ -359,67 +429,85 @@ def _random_ball(rng, dim: int, radius: float) -> np.ndarray:
     return v / norm * r
 
 
-def _random_disturbance(rng, dim: int, t_start: float, span: float, pieces: int) -> Signal:
-    edges = t_start + span * np.arange(pieces) / pieces
-    vals = [_random_ball(rng, dim, 1.0) for _ in range(pieces)]
+def _disturbance(vals: list, t_start: float, span: float) -> Signal:
+    """The disturbance with the values ``vals`` on equal pieces of ``[t_start, t_start + span)``."""
+    dim = len(vals[0])
+    edges = t_start + span * np.arange(len(vals)) / len(vals)
     sig_pieces = [(0.0, np.zeros(dim))] + list(zip(edges, vals))
     return make_signal(sig_pieces, horizon=t_start + span, dim=dim)
+
+
+def _random_disturbance(rng, dim: int, t_start: float, span: float, pieces: int) -> Signal:
+    return _disturbance([_random_ball(rng, dim, 1.0) for _ in range(pieces)], t_start, span)
+
+
+def lipschitz_probes(sys: SystemDef, specs: Sequence[tuple], step: float = 1e-3,
+                     pieces: int = 8, query_points: int = 25) -> list:
+    """Estimate solution Lipschitz constants of the disturbed system, once per spec.
+
+    The system is driven by piecewise-constant disturbances in the unit
+    ball, fed in as its input.  Each spec ``(R, T, samples, seed)`` draws
+    ``samples`` probes from its own seeded stream: an initial time in
+    ``[0, T]``, two initial states in the radius-``R`` ball and a shift
+    ``h`` in ``[0, 1]``; a probe measures the two sensitivity ratios along
+    matched time grids.  The probes of all specs run as one batch; a probe
+    with a blown-up or failed run counts once in its spec's ``n_blowups``.
+    Returns one :class:`LipschitzReport` per spec.
+    """
+    for R, T, samples, _ in specs:
+        if R <= 0 or T <= 0:
+            raise ParameterError("R and T must be positive")
+        if samples < 1:
+            raise ParameterError("need at least one probe sample")
+
+    draws, members = [], []  # members: (t0, xi, d, include_times, t_end) of tr1, tr2, shifted tr3
+    for R, T, samples, seed in specs:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            t0 = float(rng.uniform(0.0, T))
+            xi1 = _random_ball(rng, sys.n, R)
+            xi2 = _random_ball(rng, sys.n, R)
+            h = float(rng.uniform(0.0, 1.0))
+            d = _random_disturbance(rng, sys.m, t0, T + h + 1.0, pieces)
+            query = t0 + np.linspace(0.0, T, query_points)
+            draws.append((xi1, xi2, h, query))
+            members += [(t0, xi1, d, query, t0 + T), (t0, xi2, d, query, t0 + T)]
+            members += [(t0 + h, xi1, d, query + h, t0 + h + T)] * (h > 1e-9)
+    t0s, xis, ds, includes, t_ends = zip(*members)
+    trajs = iter(_simulate_members(sys, t0s, xis, ds, t_ends, step, includes))
+    draws = iter(draws)
+    reports = []
+    for _, _, samples, _ in specs:
+        state_max, shift_max, n_blow = 0.0, 0.0, 0
+        for xi1, xi2, h, query in (next(draws) for _ in range(samples)):
+            runs = [next(trajs) for _ in range(2 + (h > 1e-9))]
+            if any(isinstance(tr, DynamicsError) or tr.blown_up for tr in runs):
+                n_blow += 1  # once per sample, whichever of its runs failed
+                continue
+            tr1, tr2, *tr3 = runs
+            sep0 = float(np.linalg.norm(xi1 - xi2))
+            diffs = np.linalg.norm(tr1.states - tr2.states, axis=1)
+            s_ratio = float(np.max(diffs)) / sep0 if sep0 > 0 else 0.0
+            h_ratio = 0.0
+            if tr3:
+                a, b = tr1.state_at(query), tr3[0].state_at(query + h)
+                h_ratio = float(np.max(np.linalg.norm(a - b, axis=1))) / h
+            state_max = max(state_max, s_ratio)
+            shift_max = max(shift_max, h_ratio)
+        reports.append(LipschitzReport(
+            state_ratio_max=state_max,
+            shift_ratio_max=shift_max,
+            n_blowups=n_blow,
+            uniqueness_tested=sys.lipschitz_hint is not None,
+        ))
+    return reports
 
 
 def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
                     step: float = 1e-3, pieces: int = 8,
                     query_points: int = 25) -> LipschitzReport:
-    """Estimate solution Lipschitz constants of the disturbed system.
-
-    The system is driven by piecewise-constant disturbances in the unit
-    ball, fed in as its input.  Each probe draws an initial time in
-    ``[0, T]``, two initial states in the radius-``R`` ball and a shift
-    ``h`` in ``[0, 1]``, then measures the two sensitivity ratios along
-    matched time grids.  All probes run as one batch; a probe with a blown-up
-    or failed run counts once in ``n_blowups``.
-    """
-    if R <= 0 or T <= 0:
-        raise ParameterError("R and T must be positive")
-    if samples < 1:
-        raise ParameterError("need at least one probe sample")
-
-    rng = np.random.default_rng(seed)
-    draws, members = [], []  # members: (t0, xi, d, include_times) of tr1, tr2 and shifted tr3
-    for _ in range(samples):
-        t0 = float(rng.uniform(0.0, T))
-        xi1 = _random_ball(rng, sys.n, R)
-        xi2 = _random_ball(rng, sys.n, R)
-        h = float(rng.uniform(0.0, 1.0))
-        d = _random_disturbance(rng, sys.m, t0, T + h + 1.0, pieces)
-        query = t0 + np.linspace(0.0, T, query_points)
-        draws.append((xi1, xi2, h, query))
-        members += [(t0, xi1, d, query), (t0, xi2, d, query)]
-        members += [(t0 + h, xi1, d, query + h)] * (h > 1e-9)
-    t0s, xis, ds, includes = zip(*members)
-    trajs = iter(_simulate_members(sys, t0s, xis, ds, [a + T for a in t0s], step, includes))
-    state_max, shift_max, n_blow = 0.0, 0.0, 0
-    for xi1, xi2, h, query in draws:
-        runs = [next(trajs) for _ in range(2 + (h > 1e-9))]
-        if any(isinstance(tr, DynamicsError) or tr.blown_up for tr in runs):
-            n_blow += 1  # once per sample, whichever of its runs failed
-            continue
-        tr1, tr2, *tr3 = runs
-        sep0 = float(np.linalg.norm(xi1 - xi2))
-        diffs = np.linalg.norm(tr1.states - tr2.states, axis=1)
-        s_ratio = float(np.max(diffs)) / sep0 if sep0 > 0 else 0.0
-        h_ratio = 0.0
-        if tr3:
-            a = np.vstack([tr1.state_at(q) for q in query])
-            b = np.vstack([tr3[0].state_at(q + h) for q in query])
-            h_ratio = float(np.max(np.linalg.norm(a - b, axis=1))) / h
-        state_max = max(state_max, s_ratio)
-        shift_max = max(shift_max, h_ratio)
-    return LipschitzReport(
-        state_ratio_max=state_max,
-        shift_ratio_max=shift_max,
-        n_blowups=n_blow,
-        uniqueness_tested=sys.lipschitz_hint is not None,
-    )
+    """:func:`lipschitz_probes` of the one spec ``(R, T, samples, seed)``."""
+    return lipschitz_probes(sys, [(R, T, samples, seed)], step, pieces, query_points)[0]
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

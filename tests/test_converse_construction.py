@@ -23,6 +23,7 @@ from ipss_lab.converse_construction import (
     candidate_table_to_json,
     check_converse_properties,
     disturbance_batch,
+    disturbance_draws,
     horizon_for,
     iss_to_dissipation_candidate,
     regularized_rho,
@@ -37,7 +38,9 @@ from ipss_lab.lyapunov_tools import (
     make_plan,
 )
 from ipss_lab.signals import constant_signal
-from ipss_lab.simulator import linear_test_system, perturbed_decay_system, simulate, simulate_batch
+import ipss_lab.simulator as sm
+from ipss_lab.simulator import (linear_test_system, lipschitz_probe, perturbed_decay_system,
+                                simulate, simulate_batch)
 
 THETA1, THETA2 = sontag_factorize_exponential(1.0, 0.5)
 RHO_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 300)])
@@ -258,6 +261,35 @@ class TestWkEstimates:
         assert ev.wk(0.0, [0.5]) is again[1] and len(calls) == 2
 
 
+class TestMrkTable:
+    def test_one_probe_batch_gives_the_per_layer_weights(self, decay_system, cfg_small,
+                                                         mrk_small, monkeypatch):
+        """The weights of every layer's own probe, from one step loop."""
+        loops = []
+        rk4 = sm._rk4
+
+        def counted(*args):
+            loops.append(1)
+            return rk4(*args)
+
+        monkeypatch.setattr(sm, "_rk4", counted)
+        mrk = build_mrk_table(decay_system, THETA1, cfg_small)
+        assert len(loops) == 1
+        monkeypatch.undo()
+        lbar = []
+        for k in range(1, cfg_small.k_max + 1):
+            T = max(horizon_for(k, THETA1, float(k)), 0.1)
+            rep = lipschitz_probe(decay_system.as_systemdef(), R=float(k), T=T, samples=10,
+                                  seed=cfg_small.seed + 1000 + k, step=2e-3)
+            val = max(rep.state_ratio_max, rep.shift_ratio_max, 1e-6)
+            lbar.append(val if not lbar else max(val, lbar[-1]))
+        for R in (0.3, 1.0, 2.5, 4.0, 7.0):
+            for k in range(1, cfg_small.k_max + 1):
+                idx = min(max(math.ceil(max(R, 1.0)), 1), len(lbar)) - 1
+                expected = math.exp(0.5 * horizon_for(k, THETA1, R)) * lbar[idx]
+                assert mrk(R, k) == expected == mrk_small(R, k)
+
+
 class TestDisturbanceBatch:
     def test_extremes_first_and_nested(self):
         b8 = disturbance_batch(1, 8, 0.0, 2.0, 4, seed=3)
@@ -266,6 +298,30 @@ class TestDisturbanceBatch:
         assert b8[1].eval(1.0)[0] == -1.0
         for a, c in zip(b8, b16):
             assert np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("m,count", [(1, 16), (2, 12), (2, 3)])
+    def test_one_draw_serves_every_start_and_span(self, m, count):
+        draws = disturbance_draws(m, count, 5, seed=7)
+        for t0, span in [(0.0, 3.0), (1.3, 0.7), (4.0, 0.0)]:
+            fresh = disturbance_batch(m, count, t0, span, 5, seed=7)
+            reused = disturbance_batch(m, count, t0, span, 5, 7, draws)
+            assert len(reused) == count
+            for a, b in zip(fresh, reused):
+                assert (a.horizon, a.dim) == (b.horizon, b.dim)
+                assert np.array_equal(a.breakpoints, b.breakpoints)
+                assert np.array_equal(a.values, b.values)
+
+    def test_wk_estimates_draws_once_per_call(self, decay_system, rho, cfg_small, monkeypatch):
+        calls = []
+        draw = cc.disturbance_draws
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(cc, "disturbance_draws", counted)
+        wk_estimates(decay_system, TestWkEstimates.POINTS[:5], THETA1, rho, cfg_small)
+        assert len(calls) == 1
 
     def test_unit_ball_constraint(self):
         for d in disturbance_batch(2, 12, 0.0, 3.0, 5, seed=7):
@@ -294,6 +350,16 @@ class TestConverseValue:
             v = ev.value(0.0, [s])
             assert ev.alpha1_value(s) * (1 - 0.05) - 1e-12 <= v
             assert v <= THETA1.eval(s) * (1 + 0.05)
+
+    def test_rows_sum_the_layers_in_layer_order(self, decay_system, rho, cfg_small,
+                                                mrk_small):
+        """Each row is the weighted layer sum a single state took, bit for bit."""
+        ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
+        t, x = np.array([0.0, 0.4, 1.3, 0.0]), np.array([[3.0], [-1.7], [0.8], [0.0]])
+        rows = ev.values(t, x)
+        assert [repr(float(v)) for v in rows] == [
+            repr(float(sum(w * v for w, v in zip(ev.weights, ev.wk(a, b))))) for a, b in zip(t, x)]
+        assert [ev.value(a, b) for a, b in zip(t, x)] == rows.tolist()
 
     def test_alpha1_array_call_matches_scalar_calls(self, decay_system, rho,
                                                     cfg_small, mrk_small):
@@ -437,6 +503,17 @@ class TestPipeline:
             rep = check_envelope(traj, cert, u, abs(xi), 0.0, tolerance=0.1)
             assert rep.margin >= -0.1
 
+    def test_candidate_acts_row_wise(self, candidate):
+        """Rows give the single calls' values bit for bit, so the derivative-bound
+        checks call the converse candidate on all samples at once."""
+        t = np.array([0.0, 0.7, 0.7, 1.9, 0.3])
+        x = np.array([[0.5], [-1.2], [2.5], [0.0], [-2.5]])
+        rows = candidate.eval(t, x)
+        assert rows.shape == (5,)
+        assert [repr(float(v)) for v in rows] == [repr(candidate.eval(float(a), b))
+                                                  for a, b in zip(t, x)]
+        assert sm._as_rowwise(candidate.eval, t[:3], x[:3]) is candidate.eval
+
     def test_candidate_passes_coarse_dissipation_check(self, candidate):
         """Decay -V/2 plus a calibrated linear input gain holds on a
         coarse grid with margin 0.1."""
@@ -475,6 +552,30 @@ class TestCandidateTableExport:
             for j, x in enumerate(x_grid):
                 assert clone.eval(t, [x]) == pytest.approx(
                     table["values"][i][j], rel=1e-12)
+
+    @pytest.mark.parametrize("row_wise", [True, False])
+    def test_export_evaluates_its_grid_in_one_call(self, row_wise):
+        """A row-wise candidate is called on the three probe rows, then on the whole
+        grid; one that takes a single state only is called node by node.  Either way
+        the table holds every node's single-call value."""
+        def f(t, x):
+            return (1.0 + 0.1 * np.asarray(t)) * np.atleast_1d(x)[..., 0] ** 2
+
+        calls = []
+
+        def spied(t, x):
+            calls.append(np.ndim(t))
+            if not row_wise and np.ndim(t):
+                raise ValueError("one state at a time")
+            out = f(t, x)
+            return float(out) if np.ndim(t) == 0 else out
+
+        cand = LyapunovCandidate(eval=spied, alpha1=make_power_fn(1.0, 2.0),
+                                 alpha2=make_power_fn(1.2, 2.0))
+        t_grid, x_grid = [0.0, 0.5, 2.0], [-3.0, -1.0, 0.25, 3.0]
+        table = candidate_table_to_json(cand, t_grid, x_grid)
+        assert table["values"] == [[float(f(t, np.array([x]))) for x in x_grid] for t in t_grid]
+        assert calls == [0] * 3 + [1] + ([1] if row_wise else [0] * 12)
 
     def test_bilinear_samples_reproduced_between_nodes(self, rng):
         def f(t, x):

@@ -19,6 +19,7 @@ from ipss_lab.simulator import (
     counterexample_system,
     linear_test_system,
     lipschitz_probe,
+    lipschitz_probes,
     perturbed_decay_system,
     simulate,
     simulate_batch,
@@ -105,6 +106,22 @@ class TestSimulateSemantics:
     def test_nonfinite_run_arguments_rejected(self, name, t0, t_end, step):
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             simulate(linear_test_system(1.0), t0, [1.0], zero_signal(1, 1.0), t_end, step)
+
+    def test_state_at_array_equals_each_time(self):
+        """An array of grid times gives the stacked states of each time, within the same
+        tolerance, and an off-grid time raises the same error either way."""
+        tr = simulate(linear_test_system(1.0), 0.3, [1.0],
+                      make_signal([(0.0, [0.5]), (0.77, [-1.0])], horizon=2.0), 2.0, 0.1)
+        ts = np.concatenate([tr.times[::3], [0.3 + 1e-12, 0.77 - 5e-10, 2.0 * (1 + 5e-10)]])
+        assert np.array_equal(tr.state_at(ts), np.vstack([tr.state_at(t) for t in ts]))
+        assert tr.state_at(0.77).shape == (1,)
+        for off in (0.35, 0.3 - 1e-8, 2.0 * (1 + 2e-9)):
+            with pytest.raises(ParameterError) as lone:
+                tr.state_at(off)
+            with pytest.raises(ParameterError) as many:
+                tr.state_at(np.array([0.3, off, 0.45]))
+            assert str(many.value) == str(lone.value) == \
+                f"time {off} is not on the trajectory grid"
 
     def test_input_dim_checked(self):
         with pytest.raises(ParameterError):
@@ -231,7 +248,13 @@ class TestSimulateBatch:
         xis = [[0.5], [-1.0], [2.0], [0.25]]
         us = self.MIXED + [make_signal([(0.0, [0.5]), (2.7, [2.0])], horizon=4.0)]
         batch = simulate_batch(sysd, t0s, xis, us, t_ends, 7e-3, include_times=includes)
-        assert shapes.count((4, 1)) > 4 * 700  # one lockstep run
+        # one lockstep run: all four rows step together, and each leaves the
+        # batch on the step where its own grid ends
+        steps = sorted(tr.times.size - 1 for tr in batch)
+        assert len(set(steps)) == 4
+        expected = [4 * (b - a) for a, b in zip([0] + steps, steps)]
+        expected[0] += 1  # the row-wise check's batched call
+        assert [shapes.count((rows, 1)) for rows in (4, 3, 2, 1)] == expected
         for t0, xi, u, t_end, inc, tr in zip(t0s, xis, us, t_ends, includes, batch):
             assert_same_trajectory(tr, simulate(ce, t0, xi, u, t_end, 7e-3, include_times=inc))
 
@@ -305,6 +328,49 @@ class TestSimulateBatch:
         with pytest.raises(DynamicsError) as batched:
             simulate_batch(sysd, 0.0, xis, us, 1.0, 1e-2)
         assert str(batched.value) == str(entries[2])
+
+    @pytest.mark.parametrize("cells", [2048, 3])
+    @pytest.mark.parametrize("rhs", [stop_where_low, one_state_only])
+    def test_rows_leave_in_step_count_order(self, rhs, cells, monkeypatch):
+        """Five step counts, a blow-up and two nonfinite rows in one step loop; each
+        entry is its lone run, and the raised error is that of the first failing
+        member in input order (the longest run), not that of the failing row in
+        the middle of the step-count order."""
+        monkeypatch.setattr(sm, "_CELLS", cells)  # 3: blocks of one step while 3+ rows run
+        sysd = SystemDef(rhs=rhs, n=1, m=1)
+        xis = [[0.0], [0.1], [-0.5], [2.0], [0.3]]
+        us = [constant_signal([-2.0], 3.0),
+              make_signal([(0.0, [0.2]), (0.33, [-0.1])], horizon=1.0),
+              constant_signal([-2.0], 2.0),
+              zero_signal(1, 1.5),
+              make_signal([(0.0, [0.5]), (0.25, [0.0])], horizon=0.5)]
+        t_ends = [3.0, 1.0, 2.0, 1.5, 0.5]
+        loops = []
+        rk4 = sm._rk4
+
+        def counted(*args):
+            loops.append(1)
+            return rk4(*args)
+
+        monkeypatch.setattr(sm, "_rk4", counted)
+        entries = sm._simulate_members(sysd, 0.0, xis, us, t_ends, 1e-2)
+        assert len(loops) == 1
+        assert [type(e).__name__ for e in entries] == \
+            ["DynamicsError", "Trajectory", "DynamicsError", "Trajectory", "Trajectory"]
+        assert entries[3].blown_up and entries[3].blowup_time == 0.51
+        # step counts 300, 100, 200, 150, 50: row 2 fails mid-order, row 0 last
+        assert list(np.argsort(t_ends)) == [4, 1, 3, 2, 0]
+        for xi, u, t_end, entry in zip(xis, us, t_ends, entries):
+            if isinstance(entry, DynamicsError):
+                with pytest.raises(DynamicsError) as lone:
+                    simulate(sysd, 0.0, xi, u, t_end, 1e-2)
+                assert str(lone.value) == str(entry)
+            else:
+                assert_same_trajectory(entry, simulate(sysd, 0.0, xi, u, t_end, 1e-2))
+        assert str(entries[0]) != str(entries[2])
+        with pytest.raises(DynamicsError) as batched:
+            simulate_batch(sysd, 0.0, xis, us, t_ends, 1e-2)
+        assert str(batched.value) == str(entries[0])
 
     @pytest.mark.parametrize("t_end", [2.0, [2.0 - 0.01 * (i % 7) for i in range(30)]])
     def test_schedule_memory_stays_near_the_states(self, t_end):
@@ -429,6 +495,24 @@ class TestLipschitzProbe:
         assert (rep.state_ratio_max, rep.shift_ratio_max, rep.n_blowups) == ref
         if case == "blowup":
             assert 0 < rep.n_blowups < 10
+
+    def test_specs_share_one_step_loop_and_match_each_alone(self, monkeypatch):
+        """Specs of mixed T (so mixed step counts), one with blow-ups, run as one
+        step loop, and each report is its lone probe's bit for bit."""
+        square = SystemDef(rhs=lambda t, x, d: x ** 2 + d, n=1, m=1)
+        specs = [(0.4, 0.5, 5, 9), (1.5, 3.0, 10, 3), (0.8, 1.2, 6, 4)]
+        loops = []
+        rk4 = sm._rk4
+
+        def counted(*args):
+            loops.append(1)
+            return rk4(*args)
+
+        monkeypatch.setattr(sm, "_rk4", counted)
+        reps = lipschitz_probes(square, specs, step=2e-3)
+        assert len(loops) == 1
+        assert reps == [lipschitz_probe(square, *spec, step=2e-3) for spec in specs]
+        assert reps[0].n_blowups == 0 < reps[1].n_blowups
 
     def test_one_lockstep_run_per_probe(self, monkeypatch):
         """All probes of a call share one batched integration (2 per sample

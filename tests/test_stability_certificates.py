@@ -339,6 +339,14 @@ _LEMMA3_CASES = {
         1.5, 2.0, 37 * 0.05, IDENT,
         make_signal([(0.0, [0.0]), (0.5, [0.5]), (31 * 0.05, [0.0])], horizon=4.0),
         0.05, 68 * 0.05),
+    # a pulse tail on [0.75, 0.79) and a pulse from 1.99: the first least pair
+    # (0.75, 2.0) lies past the window, at the first column whose window
+    # [t_j - T, t_j] starts after its row, with input at both ends of that
+    # window, so a window taken from the row's own time there misses it
+    "window-ends-worst-pair": (
+        2.0, 3.0, 24 * 0.05, IDENT,
+        make_signal([(0.0, [0.0]), (0.55, [1.4]), (0.75, [0.05]), (0.79, [0.0]), (1.99, [0.2])],
+                    horizon=3.0), 0.05, 40 * 0.05),
     **{f"seeded-{seed}": _seeded_lemma3_case(seed) for seed in (3, 17, 41, 62, 101)},
 }
 
@@ -353,6 +361,14 @@ class TestLemma3OracleBitIdentity:
         K, lam, T, eta, h, step, t_max = _LEMMA3_CASES["far-worst-pair"]
         i, j = _lemma3_reference(K, lam, T, eta, h, step, t_max).worst_pair
         assert j - T > i
+
+    def test_window_ends_case_has_input_at_both_ends_of_its_window(self):
+        K, lam, T, eta, h, step, t_max = _LEMMA3_CASES["window-ends-worst-pair"]
+        i, j = _lemma3_reference(K, lam, T, eta, h, step, t_max).worst_pair
+        assert i < j - T <= i + step  # the row's first column past the window
+        knots, cum = cumulative_energy(h, None)
+        H = np.interp([i, j - T, j - step, j], knots, cum)
+        assert H[1] > H[0] and H[3] > H[2]
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size_does_not_change_the_report(self, monkeypatch, block):

@@ -14,8 +14,10 @@ member_steps`` line per caller and a ``total`` line per config:
 - ``calls`` counts step loops: a lockstep batch is one, and a lone run is
   a batch of one;
 - ``steps`` counts Python RK4 steps, which set the integrator's run time;
-- ``member_steps`` counts steps times batch rows, held and stopped rows
-  included.
+- ``member_steps`` counts the steps each row took: a row leaves the batch
+  when its grid ends, and a row that blew up or turned nonfinite counts
+  up to its stop only, though it is held at zero in the batch until its
+  grid ends.
 
 A step loop whose ``rhs`` raises counts as a call with no steps.
 """
@@ -51,8 +53,8 @@ def census(seeds) -> list:
         row = tally[(run[0], f"{module}.{frame.f_code.co_name}")]
         row[0] += 1
         states, stops, errors = rk4(rhs, x, *args, **kwargs)
-        row[1] += states.shape[1] - 1
-        row[2] += (states.shape[1] - 1) * states.shape[0]
+        row[1] += max(len(row_states) for row_states in states) - 1
+        row[2] += sum(len(row_states) - 1 for row_states in states)
         return states, stops, errors
 
     configs = sorted((ROOT / "src" / "ipss_lab" / "configs").glob("*.json"))
