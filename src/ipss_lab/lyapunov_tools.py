@@ -105,7 +105,7 @@ def _dini_rows(V: LyapunovCandidate, sys: SystemDef, t, x, u, h0: float, levels:
         raise ParameterError(f"h0 must be positive, got {h0}")
     if levels < 3:
         raise ParameterError(f"need at least 3 levels, got {levels}")
-    probe = np.unique(np.linspace(0, t.size - 1, 3).astype(int))
+    probe = sorted({0, (t.size - 1) // 2, t.size - 1})  # first, middle and last row
     rhs = _as_rowwise(sys.rhs, t[probe, None], x[probe], u[probe])
     v_eval = _as_rowwise(V.eval, t[probe], x[probe])
     f = np.reshape(np.asarray(rhs(t[:, None], x, u), dtype=float), x.shape)

@@ -268,7 +268,8 @@ def avg_power_norm(u: Signal, rho: MonotoneFn, T: float,
     if math.isinf(cum[-1]):
         t_end = float(knots[np.argmax(np.isinf(cum))])
         return NormValue(value=math.inf, diverged=True, witness=(max(t_end - T, 0.0), t_end))
-    t_ends = np.unique(np.concatenate((knots, knots + T)))
+    t_ends = np.sort(np.concatenate((knots, knots + T)))
+    t_ends = t_ends[np.concatenate(([True], t_ends[1:] != t_ends[:-1]))]
     windowed = np.interp(t_ends, knots, cum) - np.interp(np.maximum(t_ends - T, 0.0), knots, cum)
     i = int(np.argmax(windowed))
     if not windowed[i] > 0.0:

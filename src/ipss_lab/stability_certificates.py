@@ -211,10 +211,13 @@ def ipss_to_iss_iiss(cert: Certificate) -> tuple[Certificate, Certificate]:
 def exponential_window_bound(K: float, lam: float, T: float) -> tuple[float, float]:
     """Exact constants of the exponential windowing bound.
 
-    For ``K, lam > 0`` and ``T > log(max(1, K)) / lam``, returns
+    For finite ``K, lam > 0`` and finite ``T > log(max(1, K)) / lam``, returns
     ``lambda_tilde = lam - log(max(1, K)) / T`` and the gain amplification
     ``(1 + K*(1 - e^{-lam*T})) / (1 - K*e^{-lam*T})``.
     """
+    for name, v in (("K", K), ("lam", lam), ("T", T)):
+        if not math.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v}")
     if K <= 0 or lam <= 0:
         raise ParameterError("K and lam must be positive")
     threshold = math.log(max(1.0, K)) / lam
@@ -275,39 +278,47 @@ def _saturate(K, lam, ts, H, gain, g0):
     """Pointwise-largest grid sequence under the decay-plus-integral bound."""
     g = np.empty(ts.size)
     g[0] = g0
+    # a lower end of the decay from candidate k to row i: one grid step more lag
+    lag_decay = np.exp(-lam * (ts + ts[1]))
+    upper = np.triu(np.ones((_ORACLE_BLOCK, _ORACLE_BLOCK), dtype=bool), 1)
+    prev = np.zeros(1, dtype=int)
     for a in range(1, ts.size, _ORACLE_BLOCK):
         b = min(a + _ORACLE_BLOCK, ts.size)
         # bracket each earlier candidate k over the block's rows: the decay
         # term is smallest at row b - 1 and largest at row a, the gain term
-        # lies between its values at the least and the largest H of the block
-        Kg = K * g[:a]
-        lo = Kg * np.exp(-lam * (ts[b - 1] - ts[:a])) + gain(np.min(H[a:b]) - H[:a])
-        hi = Kg * np.exp(-lam * (ts[a] - ts[:a])) + gain(np.max(H[a:b]) - H[:a])
-        # the least upper end caps every row's minimum, so a candidate whose
+        # lies between its values at the least and the largest H of the block.
+        # The least upper end caps every row's minimum, so a candidate whose
         # lower end passes it is never the minimum (the relative guard
-        # absorbs a one-ulp dip of eta or exp)
-        keep = np.flatnonzero(~(lo > np.min(hi) * (1.0 + 1e-12)))
+        # absorbs a one-ulp dip of eta or exp).  Upper ends are taken over the
+        # last block's kept candidates and rows alone: their least is never
+        # below the least over every k < a
+        hi = K * g[prev] * np.exp(-lam * (ts[a] - ts[prev])) + gain(np.max(H[a:b]) - H[prev])
+        cap = np.min(hi) * (1.0 + 1e-12)
+        lo = K * g[:a] * lag_decay[b - a:b][::-1] + gain(np.min(H[a:b]) - H[:a])
+        keep = np.flatnonzero(~(lo > cap))
         low = np.full(b - a, np.inf)
         for c0 in range(0, keep.size, _ORACLE_CHUNK):
             k = keep[c0:c0 + _ORACLE_CHUNK]
-            cand = Kg[None, k] * np.exp(-lam * (ts[a:b, None] - ts[None, k])) \
+            cand = K * g[None, k] * np.exp(-lam * (ts[a:b, None] - ts[None, k])) \
                 + gain(H[a:b, None] - H[None, k])
             low = np.minimum(low, np.min(cand, axis=1))
-        # the block's own candidates join as each value settles; the
-        # triangle is small, so plain floats beat per-row array calls
-        own = np.arange(a, b)
-        decay = np.exp(-lam * (ts[None, a:b] - ts[a:b, None])).tolist()
-        rise = gain(np.where(own[:, None] < own[None, :], H[None, a:b] - H[a:b, None],
-                             0.0)).tolist()
-        low = low.tolist()
-        for k in range(b - a - 1):
-            Kg_k = K * low[k]
-            d, r = decay[k], rise[k]
-            for i in range(k + 1, b - a):
-                v = Kg_k * d[i] + r[i]
-                if v < low[i]:
-                    low[i] = v
+        # the block's own candidates join as each value settles; when none
+        # undercuts a later row at the values so far, none does after either
+        up = upper[:b - a, :b - a]
+        decay = np.exp(-lam * (ts[None, a:b] - ts[a:b, None]))
+        rise = gain(np.where(up, H[None, a:b] - H[a:b, None], 0.0))
+        if np.any(up & ((K * low)[:, None] * decay + rise < low)):
+            # the triangle is small, so plain floats beat per-row array calls
+            decay, rise, low = decay.tolist(), rise.tolist(), low.tolist()
+            for k in range(b - a - 1):
+                Kg_k = K * low[k]
+                d, r = decay[k], rise[k]
+                for i in range(k + 1, b - a):
+                    v = Kg_k * d[i] + r[i]
+                    if v < low[i]:
+                        low[i] = v
         g[a:b] = low
+        prev = np.concatenate([keep, np.arange(a, b)])
     return g
 
 
@@ -328,55 +339,74 @@ def _window_check(K, lambda_tilde, amplification, T, ts, H, H_lo, g, gain):
     # t_j - T, and W_j = H_j - H(t_j - T) there does not depend on the row
     W = H - H_lo
     jstar = np.searchsorted(ts - T, ts, side="right")
+    # every row's running max past jstar is at least max(W_j, 0), and the
+    # decay from row i to column j at least its value one grid step further
+    gain_W0 = amplification * gain(np.maximum(W, 0.0))
+    lag_decay = np.exp(-lambda_tilde * (ts + ts[1]))
+    tail_floor = gain_W0 * (1.0 - 1e-12) - g
     min_slack = math.inf
     worst = (0.0, 0.0)
+
+    def window(a, b, e):
+        """Windows of rows a..b-1 at columns a..e-1, -inf left of each row's own."""
+        cols = np.arange(a, e)
+        win = np.where(cols[None, :] < jstar[a:b, None], H[None, a:e] - H[a:b, None], W[None, a:e])
+        win[cols[None, :] < np.arange(a, b)[:, None]] = -np.inf
+        return win
+
     for a in range(0, n1, _ORACLE_BLOCK):
         b = min(a + _ORACLE_BLOCK, n1)
         sb = int(jstar[b - 1])
-        rows = np.arange(a, b)
-        cols = np.arange(a, sb)
-        # band, columns a <= j < sb: the running max of each row's window
-        win = np.where(cols[None, :] < jstar[a:b, None], H[None, a:sb] - H[a:b, None],
-                       W[None, a:sb])
-        win[cols[None, :] < rows[:, None]] = -np.inf
-        phi = np.maximum.accumulate(win, axis=1)
-        valid = np.isfinite(phi)
-        # tail, columns j >= sb: phi_i(j) = max(head_i, Wmax_j), so its gain
-        # is one of two precomputed values, selected, not compared
-        head = phi[:, -1]
-        Wmax = np.maximum.accumulate(W[sb:])
-        gain_W = amplification * gain(Wmax)
-        gain_head = amplification * gain(head)
-        # a floor on every slack of a column over the block's rows: the least
-        # decay (least K g_i, longest lag t_j - t_a) plus the gain of the
-        # least phi, less a relative 1e-12 that absorbs one-ulp dips of exp
-        # and eta
         Kg = K * g[a:b]
-        least_gain = np.concatenate([
-            amplification * gain(np.min(np.where(valid, phi, np.inf), axis=0)), gain_W])
-        floor = (np.min(Kg) * np.exp(-lambda_tilde * (ts[a:] - ts[a])) + least_gain) \
-            * (1.0 - 1e-12) - g[a:]
+        # a floor on every slack of a band column a <= j < sb over the
+        # block's rows: the least decay (least K g_i, longest lag t_j - t_a)
+        # plus the gain of a floor on every row's running max, less a
+        # relative 1e-12 that absorbs one-ulp dips of exp and eta.  On the
+        # block's own triangle that floor is 0 (row j's window at j); past it
+        # each window is H_l - H_i >= H_l - max H[a:b], or W_l
+        phi_floor = np.concatenate([np.zeros(b - a), np.maximum.accumulate(
+            np.maximum(np.minimum(H[b:sb] - np.max(H[a:b]), W[b:sb]), 0.0))])
+        floor = (np.min(Kg) * lag_decay[:sb - a] + amplification * gain(phi_floor)) \
+            * (1.0 - 1e-12) - g[a:sb]
         # only a column whose floor reaches the least slack so far can hold
-        # the first least pair
+        # the first least pair, so the band's running max is built only up
+        # to the last such column
         row_min = np.full(b - a, np.inf)
         row_j = np.zeros(b - a, dtype=int)
-        c = np.flatnonzero(~(floor[:sb - a] > min_slack))
-        js = a + c
-        ok = valid[:, c]
-        slack = np.where(
-            ok,
-            Kg[:, None] * np.exp(-lambda_tilde * (ts[None, js] - ts[a:b, None]))
-            + amplification * gain(np.where(ok, phi[:, c], 0.0)) - g[None, js],
-            np.inf)
-        _fold_first_min(slack, js, row_min, row_j)
-        tail = np.flatnonzero(~(floor[sb - a:] > min(min_slack, float(np.min(row_min)))))
-        for c0 in range(0, tail.size, _ORACLE_CHUNK):
-            c = tail[c0:c0 + _ORACLE_CHUNK]
-            js = sb + c
-            slack = Kg[:, None] * np.exp(-lambda_tilde * (ts[None, js] - ts[a:b, None])) \
-                + np.where(Wmax[c] >= head[:, None], gain_W[c], gain_head[:, None]) \
-                - g[None, js]
+        c = np.flatnonzero(~(floor > min_slack))
+        if c.size:
+            phi = np.maximum.accumulate(window(a, b, a + c[-1] + 1), axis=1)
+            js = a + c
+            ok = np.isfinite(phi[:, c])
+            slack = np.where(
+                ok,
+                Kg[:, None] * np.exp(-lambda_tilde * (ts[None, js] - ts[a:b, None]))
+                + amplification * gain(np.where(ok, phi[:, c], 0.0)) - g[None, js],
+                np.inf)
             _fold_first_min(slack, js, row_min, row_j)
+        # tail, columns j >= sb: phi_i(j) = max(head_i, Wmax_j) with
+        # Wmax_j = max W[sb:j+1], so its gain is one of two values, selected,
+        # not compared.  A column is evaluated only when it passes three
+        # floors in turn: the block-independent one, the one with the lower
+        # decay and max(W_j, 0), and the band's form with Wmax_j
+        least = min(min_slack, float(np.min(row_min)))
+        js = sb + np.flatnonzero(~(tail_floor[sb:] > least))
+        js = js[~((np.min(Kg) * lag_decay[js - a] + gain_W0[js]) * (1.0 - 1e-12) - g[js] > least)]
+        if js.size:
+            Wmax = np.maximum.accumulate(W[sb:js[-1] + 1])[js - sb]
+            gain_W = amplification * gain(Wmax)
+            keep = ~((np.min(Kg) * np.exp(-lambda_tilde * (ts[js] - ts[a])) + gain_W)
+                     * (1.0 - 1e-12) - g[js] > least)
+            js, Wmax, gain_W = js[keep], Wmax[keep], gain_W[keep]
+        if js.size:
+            head = np.max(window(a, b, sb), axis=1)
+            gain_head = amplification * gain(head)
+            for c0 in range(0, js.size, _ORACLE_CHUNK):
+                c = slice(c0, c0 + _ORACLE_CHUNK)
+                slack = Kg[:, None] * np.exp(-lambda_tilde * (ts[None, js[c]] - ts[a:b, None])) \
+                    + np.where(Wmax[None, c] >= head[:, None], gain_W[None, c],
+                               gain_head[:, None]) - g[None, js[c]]
+                _fold_first_min(slack, js[c], row_min, row_j)
         r = int(np.argmin(row_min))
         if float(row_min[r]) < min_slack:
             min_slack = float(row_min[r])
@@ -403,23 +433,39 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
     - forward pass: each block brackets every earlier candidate over its
       rows and drops those whose lower end exceeds the least upper end by
       a relative 1e-12 (the guard absorbs a one-ulp dip of ``eta`` or
-      ``exp``); only the kept candidates and the block's own triangle are
-      evaluated, with the same per-element expressions;
+      ``exp``).  Upper ends come from the last block's kept candidates and
+      rows, lower ends from one decay table taken one grid step further.
+      Only the kept candidates are evaluated, with the same per-element
+      expressions; the block's own triangle runs only when an array test
+      shows that an in-block candidate undercuts a later row;
     - check pass: from column ``jstar_i``, the first whose window start
       ``t_j - T`` passes ``t_i``, the window is ``W_j = H_j - H(t_j - T)``
-      for every row.  A band of columns up to ``jstar`` of the block's last
-      row needs the row's own running max; past it the running max is
-      ``max(head_i, Wmax_j)`` with ``Wmax`` one running max of ``W`` per
-      block, and the gain is selected from ``eta(head_i)`` and
-      ``eta(Wmax_j)``.  A column is evaluated only when its floor (least
-      decay plus least gain over the block's rows, less the same relative
-      guard, minus ``g_j``) is not strictly above the least slack so far,
-      so the first least pair is never skipped.
+      for every row.  A column is evaluated only when its floor (least
+      decay plus the gain of a floor on every row's running max, less the
+      same relative guard, minus ``g_j``) is not strictly above the least
+      slack so far, so the first least pair is never skipped.  In the band
+      of columns up to ``jstar`` of the block's last row, the rows' running
+      maxima are built only up to the last such column.  Past the band the
+      running max is ``max(head_i, Wmax_j)``, with ``Wmax_j`` the running
+      max of ``W`` from the band's end; a column first passes a
+      block-independent floor (the gain of ``W_j`` less ``g_j``) and a
+      cheap one with ``W_j`` for ``Wmax_j``, and the gain is selected from
+      ``eta(head_i)`` and ``eta(Wmax_j)``.
+
+    Each floor bounds from below, and each upper end from above, the values
+    it stands for, so no prune drops a candidate that could set a value of
+    ``g`` or a column that could hold the first least pair.  Raises
+    :class:`ParameterError` unless ``grid_step > 0``, ``t_max >= grid_step``
+    and ``g0 >= 0`` are finite.
 
     Exact when the profile breakpoints and ``T`` lie on the grid.
     """
-    if grid_step <= 0:
-        raise ParameterError("grid step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ParameterError(f"grid_step must be finite and positive, got {grid_step}")
+    if not (math.isfinite(t_max) and t_max >= grid_step):
+        raise ParameterError(f"t_max must be finite and at least grid_step, got {t_max}")
+    if not (math.isfinite(g0) and g0 >= 0):
+        raise ParameterError(f"g0 must be finite and nonnegative, got {g0}")
     lambda_tilde, amplification = exponential_window_bound(K, lam, T)
     n = int(round(t_max / grid_step))
     ts = grid_step * np.arange(n + 1)

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipss_lab
 from ipss_lab import comparison_functions as cf
 from ipss_lab import signals as sig
 from ipss_lab import simulator as sm
@@ -356,3 +360,24 @@ class TestDeterminism:
         for s in (20.0, 100.0):
             with pytest.raises(RangeError, match="beyond its s grid"):
                 beta.eval(s, 0.0)
+
+
+def test_measure_configs_do_not_import_numpy_ma(tmp_path):
+    """``np.unique`` imports ``numpy.ma`` on its first call: about 85 ms cold."""
+    names = ["example1_norms.json", "linear_dissipation_check.json", "linear_ipss.json",
+             "prop2_transform.json", "lemma3_oracle.json"]
+    script = (
+        "import json, sys\n"
+        "from importlib import resources\n"
+        "from pathlib import Path\n"
+        "from ipss_lab.cli_harness import ExperimentConfig, run_experiment\n"
+        "for name in sys.argv[2:]:\n"
+        "    raw = json.loads((resources.files('ipss_lab') / 'configs' / name).read_text())\n"
+        "    run_experiment(ExperimentConfig(raw=raw), Path(sys.argv[1]) / name)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(ipss_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path), *names], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
