@@ -3,9 +3,9 @@
 Comparison functions are the nonnegative, zero-at-zero scalar maps used
 throughout stability analysis: class P (positive definite), class K
 (additionally strictly increasing) and class K-infinity (additionally
-unbounded).  This module provides constructors, composition, numeric
-monotone inversion, sampled class verification, and the exponential
-Sontag factorization used by the converse construction.
+unbounded).  This module provides constructors, composition, inversion
+through the analytic inverse a function carries, JSON specs, and the
+exponential Sontag factorization used by the converse construction.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, RangeError
+from .errors import ParameterError, RangeError
 
 __all__ = [
     "MonotoneFn",
     "KLBound",
-    "ClassReport",
     "identity_fn",
     "make_power_fn",
     "make_table_fn",
     "scale_fn",
     "compose",
-    "invert",
     "apply_inverse",
     "inverse_fn",
-    "verify_class",
     "sontag_factorize_exponential",
     "monotone_to_spec",
     "monotone_from_spec",
@@ -46,7 +43,8 @@ class MonotoneFn:
 
     ``eval`` maps nonnegative reals to nonnegative reals and should accept
     numpy arrays as well as scalars.  ``derivative`` and ``inverse`` are
-    optional analytic companions; numeric fallbacks exist for both.
+    optional analytic companions; only a function that carries ``inverse``
+    can be inverted.
     ``class_tag`` is one of ``"P"``, ``"K"`` or ``"Kinf"``.
     """
 
@@ -102,21 +100,6 @@ class KLBound:
         if self.kind == "exponential":
             return self.K * np.asarray(s, dtype=float) * np.exp(-self.lam * np.asarray(t, dtype=float))
         return self.eval2(s, t)
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    """Sampled class-membership flags for a candidate comparison function."""
-
-    zero_at_zero: bool
-    strictly_increasing_on_grid: bool
-    unbounded_heuristic: bool
-    first_violation: Optional[tuple] = None
-    grid_size: int = 0
-
-    @property
-    def all_kinf_flags(self) -> bool:
-        return self.zero_at_zero and self.strictly_increasing_on_grid and self.unbounded_heuristic
 
 
 def identity_fn() -> MonotoneFn:
@@ -200,12 +183,10 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
         return float(out) if np.ndim(y) == 0 else out
 
     inv = _inv if end_slope > 0 and inv_ys.size >= 2 else None
-    return MonotoneFn(
-        eval=_eval,
-        class_tag=class_tag,
-        inverse=inv,
-        spec={"kind": "table", "xs": [float(v) for v in xs], "ys": [float(v) for v in ys]},
-    )
+    spec = {"kind": "table", "xs": xs.tolist(), "ys": ys.tolist()}
+    if class_tag != "Kinf":  # the spec reader's default
+        spec["class_tag"] = class_tag
+    return MonotoneFn(eval=_eval, class_tag=class_tag, inverse=inv, spec=spec)
 
 
 def _power_spec(f: MonotoneFn) -> bool:
@@ -263,101 +244,29 @@ def compose(outer: MonotoneFn, inner: MonotoneFn) -> MonotoneFn:
     )
 
 
-def invert(f: MonotoneFn, y: float, tol: float) -> float:
-    """Solve ``f(x) = y`` for a class K/Kinf function by bracketing + bisection.
+_NO_INVERSE = "function carries no inverse; a table carries one only when its last segment rises"
 
-    The bracket starts at ``[0, 1]`` and the upper end doubles until it
-    encloses ``y``; bisection then runs until ``|f(x) - y| <= tol * max(1, y)``.
-    ``invert(f, 0, tol)`` returns 0 exactly.
+
+def apply_inverse(f: MonotoneFn, y):
+    """Evaluate ``f^{-1}(y)`` with the analytic inverse that ``f`` carries.
+
+    Accepts arrays when that inverse does; raises :class:`ParameterError`
+    when ``f`` carries none.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    if y < 0.0:
-        raise ParameterError(f"cannot invert at negative value {y}")
-    if f.class_tag == "P":
-        raise ParameterError("inversion is only defined for class K/Kinf tags")
-    if y == 0.0:
-        return 0.0
-
-    hi = 1.0
-    doublings = 0
-    while float(f.eval(hi)) < y:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            if f.class_tag == "K":
-                raise RangeError(
-                    f"value {y} appears to exceed the range of a bounded class-K function"
-                )
-            raise ConvergenceError(
-                f"no bracket for f(x) = {y} after 200 doublings (x up to {hi})"
-            )
-    lo = 0.0
-    target = tol * max(1.0, y)
-    for _ in range(512):
-        mid = 0.5 * (lo + hi)
-        fm = float(f.eval(mid))
-        if abs(fm - y) <= target:
-            return mid
-        if fm < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if f.inverse is None:
+        raise ParameterError(_NO_INVERSE)
+    return f.inverse(y)
 
 
-def apply_inverse(f: MonotoneFn, y, tol: float = 1e-12):
-    """Evaluate ``f^{-1}(y)``, preferring an analytic inverse when available.
+def inverse_fn(f: MonotoneFn) -> MonotoneFn:
+    """Wrap ``f^{-1}`` as a MonotoneFn (same class tag as ``f``, inverse ``f``).
 
-    Accepts arrays when the analytic inverse does; otherwise falls back to
-    the numeric :func:`invert` per scalar.
+    Raises :class:`ParameterError` when ``f`` carries no inverse.
     """
-    if f.inverse is not None:
-        return f.inverse(y)
-    if np.ndim(y) == 0:
-        return invert(f, float(y), tol)
-    return np.array([invert(f, float(v), tol) for v in np.asarray(y).ravel()]).reshape(np.shape(y))
-
-
-def inverse_fn(f: MonotoneFn, tol: float = 1e-12) -> MonotoneFn:
-    """Wrap ``f^{-1}`` as a MonotoneFn (same class tag as ``f``, inverse ``f``)."""
-    return MonotoneFn(
-        eval=lambda y, _f=f, _t=tol: apply_inverse(_f, y, _t),
-        class_tag=f.class_tag,
-        inverse=f.eval,
-    )
-
-
-def verify_class(f: MonotoneFn, grid: Sequence[float]) -> ClassReport:
-    """Sampled class-K-infinity checks on ``grid`` (sorted, >= 2 points).
-
-    ``unbounded_heuristic`` is ``f(max(grid)) > 1e6 * f(1)``, a finite-sample
-    stand-in for unboundedness.  The first strict-increase violation, if any,
-    is reported as the offending pair.
-    """
-    grid = [float(g) for g in grid]
-    if len(grid) < 2:
-        raise ParameterError("grid must contain at least 2 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("grid must be strictly increasing")
-    vals = [float(f.eval(g)) for g in grid]
-
-    zero_at_zero = abs(float(f.eval(0.0))) <= _ZERO_TOL
-    first_violation = None
-    strictly_increasing = True
-    for (xa, va), (xb, vb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if vb <= va:
-            strictly_increasing = False
-            first_violation = ((xa, va), (xb, vb))
-            break
-    unbounded = vals[-1] > 1e6 * float(f.eval(1.0))
-    return ClassReport(
-        zero_at_zero=zero_at_zero,
-        strictly_increasing_on_grid=strictly_increasing,
-        unbounded_heuristic=unbounded,
-        first_violation=first_violation,
-        grid_size=len(grid),
-    )
+    if f.inverse is None:
+        raise ParameterError(_NO_INVERSE)
+    return MonotoneFn(eval=lambda y, _f=f: apply_inverse(_f, y), class_tag=f.class_tag,
+                      inverse=f.eval)
 
 
 def sontag_factorize_exponential(K: float, lam: float) -> tuple[MonotoneFn, MonotoneFn]:
@@ -384,7 +293,8 @@ def monotone_to_spec(f: MonotoneFn, sample_grid: Optional[Sequence[float]] = Non
     """JSON-serializable spec for ``f``.
 
     Functions without a closed-form spec are sampled on ``sample_grid``
-    into table form; omitting the grid in that case is an error.
+    into table form with their class tag; omitting the grid in that case
+    is an error.
     """
     if f.spec is not None:
         return dict(f.spec)
@@ -398,7 +308,7 @@ def monotone_to_spec(f: MonotoneFn, sample_grid: Optional[Sequence[float]] = Non
     except (TypeError, ValueError):  # an evaluator that takes scalars only
         ys = np.array([float(f.eval(x)) for x in xs])
     ys = np.maximum.accumulate(ys)  # guard against sub-tolerance numeric dips
-    return {"kind": "table", "xs": xs.tolist(), "ys": ys.tolist()}
+    return make_table_fn(xs, ys, f.class_tag).spec
 
 
 def monotone_from_spec(spec: dict) -> MonotoneFn:

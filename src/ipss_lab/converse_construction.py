@@ -33,6 +33,7 @@ from .lyapunov_tools import LyapunovCandidate
 from .signals import constant_signal
 from .simulator import (SystemDef, _as_rowwise, _disturbance, _random_ball, _simulate_members,
                         lipschitz_probes, simulate_batch)
+from .stability_certificates import Certificate, check_envelope
 
 __all__ = [
     "DisturbedSystem",
@@ -41,7 +42,8 @@ __all__ = [
     "ConverseReport",
     "ConverseEvaluator",
     "regularized_rho",
-    "wk_estimate",
+    "disturbance_draws",
+    "disturbance_batch",
     "wk_estimates",
     "check_converse_properties",
     "iss_to_dissipation_candidate",
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 _WK_ROWS = 128  # rows of one lockstep batch of probe runs
+_PROBE_SAMPLES = 10  # Lipschitz probes per layer of the weight table
+_PROBE_STEP = 2e-3  # RK4 step of those probes
 
 
 @dataclass(frozen=True)
@@ -181,18 +185,6 @@ def horizon_for(k: int, theta1: MonotoneFn, R: float) -> float:
     return math.log(1.0 + k * float(theta1.eval(R)))
 
 
-def _check_urgas(traj, beta: KLBound, xi_norm: float, t0: float, slack: float = 1e-3):
-    norms = traj.norms()
-    bounds = np.asarray(beta.eval(xi_norm, traj.times - t0), dtype=float)
-    worst = float(np.max(norms - bounds))
-    if worst > slack:
-        t_bad = float(traj.times[int(np.argmax(norms - bounds))])
-        raise ModelError(
-            f"probe trajectory violates the declared decay envelope by {worst:.3e} "
-            f"at t={t_bad:.4g} (|xi|={xi_norm:.4g})"
-        )
-
-
 def _layer_gains(rho: MonotoneFn, r, k_max: int) -> np.ndarray:
     """``G_k(rho(r)) = max(rho(r) - 1/k, 0)`` for ``k = 1..k_max``, stacked on axis 0."""
     rho_r = np.asarray(rho.eval(r), dtype=float)
@@ -200,12 +192,18 @@ def _layer_gains(rho: MonotoneFn, r, k_max: int) -> np.ndarray:
     return np.maximum(rho_r - inv_k, 0.0)
 
 
-def _layer_sups(traj, t0: float, R: float, sys: DisturbedSystem, rho: MonotoneFn,
+def _layer_sups(traj, t0: float, R: float, urgas: Certificate, rho: MonotoneFn,
                 k_max: int) -> np.ndarray:
-    """All ``k_max`` layer suprema along one probe trajectory that passes the model checks."""
+    """All ``k_max`` layer suprema along one probe trajectory that passes the model checks:
+    no blow-up, and the decay envelope ``urgas`` held within 1e-3."""
     if traj.blown_up:
         raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
-    _check_urgas(traj, sys.urgas_beta, R, t0)
+    rep = check_envelope(traj, urgas, None, R, t0, tolerance=1e-3)
+    if not rep.satisfied:
+        raise ModelError(
+            f"probe trajectory violates the declared decay envelope by {-rep.margin:.3e} "
+            f"at t={rep.worst_time:.4g} (|xi|={R:.4g})"
+        )
     gains = np.exp(0.5 * (traj.times - t0)) * _layer_gains(rho, traj.norms(), k_max)
     return np.max(gains, axis=1)
 
@@ -220,12 +218,13 @@ def _fold_rows(sys: DisturbedSystem, rows: list, rho: MonotoneFn, cfg: ConverseC
     """
     idx, t0s, xis, radii, ds, t_ends = zip(*rows)
     trajs = _simulate_members(sys.as_systemdef(), t0s, xis, ds, t_ends, cfg.sim_step)
+    urgas = Certificate(kind="URGAS", beta=sys.urgas_beta)
     for i, t0, R, traj in zip(idx, t0s, radii, trajs):
         if isinstance(traj, DynamicsError) and not isinstance(errors.get(i), DynamicsError):
             errors[i] = traj
         elif i not in errors:
             try:
-                best[i] = np.maximum(best[i], _layer_sups(traj, t0, R, sys, rho, cfg.k_max))
+                best[i] = np.maximum(best[i], _layer_sups(traj, t0, R, urgas, rho, cfg.k_max))
             except ModelError as exc:
                 errors[i] = exc
 
@@ -270,12 +269,6 @@ def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,
     return best
 
 
-def wk_estimate(sys: DisturbedSystem, t0: float, xi, theta1: MonotoneFn,
-                rho: MonotoneFn, cfg: ConverseConfig) -> np.ndarray:
-    """:func:`wk_estimates` at the one point ``(t0, xi)``."""
-    return wk_estimates(sys, [(t0, xi)], theta1, rho, cfg)[0]
-
-
 class ConverseEvaluator:
     """Caching evaluator of the truncated layer series.
 
@@ -307,9 +300,6 @@ class ConverseEvaluator:
             self._cache.update(zip(missing, found))
         return [self._cache[key] for key in keys]
 
-    def wk(self, t0: float, xi) -> np.ndarray:
-        return self.wk_many([(t0, xi)])[0]
-
     def values(self, t0s, xis) -> np.ndarray:
         """The truncated series at the ``(S,)`` times and ``(S, n)`` states, from one
         :meth:`wk_many`: the weighted layers summed in layer order."""
@@ -319,10 +309,6 @@ class ConverseEvaluator:
 
     def value(self, t0: float, xi) -> float:
         return float(self.values([t0], [xi])[0])
-
-    def tail_bound(self, xi) -> float:
-        R = float(np.linalg.norm(np.atleast_1d(xi)))
-        return 2.0 ** (-self.cfg.k_max) * float(self.theta1.eval(R))
 
     def alpha1_value(self, r):
         """Truncated lower sandwich: the series of layer gains at time 0.
@@ -358,8 +344,7 @@ class ConverseEvaluator:
         )
 
 
-def build_mrk_table(sys: DisturbedSystem, theta1: MonotoneFn, cfg: ConverseConfig,
-                    probe_samples: int = 10, probe_step: float = 2e-3) -> Callable:
+def build_mrk_table(sys: DisturbedSystem, theta1: MonotoneFn, cfg: ConverseConfig) -> Callable:
     """Empirical Lipschitz-weight table ``(R, k) -> M_{R,k}``.
 
     Probes the solution sensitivity at radius ``k`` over each layer horizon,
@@ -367,10 +352,10 @@ def build_mrk_table(sys: DisturbedSystem, theta1: MonotoneFn, cfg: ConverseConfi
     ``M_{R,k} = e^{T_{R,k}/2} * Lbar(ceil(max(R,1)))``, nondecreasing in
     both arguments.
     """
-    specs = [(float(k), max(horizon_for(k, theta1, float(k)), 0.1), probe_samples,
+    specs = [(float(k), max(horizon_for(k, theta1, float(k)), 0.1), _PROBE_SAMPLES,
               cfg.seed + 1000 + k) for k in range(1, cfg.k_max + 1)]
     lbar = []
-    for rep in lipschitz_probes(sys.as_systemdef(), specs, step=probe_step):
+    for rep in lipschitz_probes(sys.as_systemdef(), specs, step=_PROBE_STEP):
         val = max(rep.state_ratio_max, rep.shift_ratio_max, 1e-6)
         lbar.append(val if not lbar else max(val, lbar[-1]))
 

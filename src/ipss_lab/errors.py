@@ -9,10 +9,6 @@ class RangeError(ValueError):
     """A requested value lies outside the representable/reachable range."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative numerical procedure failed to converge."""
-
-
 class NumericsError(RuntimeError):
     """A quadrature or tabulation step could not reach its tolerance."""
 

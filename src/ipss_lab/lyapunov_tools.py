@@ -162,24 +162,20 @@ def make_plan(n: int, m: int, times: Sequence[float], radii: Sequence[float],
               h0: float = 1e-3, levels: int = 8) -> SamplingPlan:
     """Log-radii-times-random-directions sampling plan with explicit seed."""
     rng = np.random.default_rng(seed)
-    states = []
-    for r in radii:
-        for _ in range(dirs_per_radius):
-            v = rng.standard_normal(n)
-            nv = np.linalg.norm(v)
-            v = v / nv if nv > 0 else np.eye(n)[0]
-            states.append(tuple(float(x) for x in (r * v)))
-    inputs = [tuple(0.0 for _ in range(m))]
-    for r in mu_radii:
-        for _ in range(mu_dirs_per_radius):
-            v = rng.standard_normal(m)
-            nv = np.linalg.norm(v)
-            v = v / nv if nv > 0 else np.eye(m)[0]
-            inputs.append(tuple(float(x) for x in (r * v)))
-    return SamplingPlan(
+
+    def points(dim, rs, per_radius):  # per radius, random unit directions scaled to it
+        out = []
+        for r in rs:
+            for _ in range(per_radius):
+                v = rng.standard_normal(dim)
+                nv = np.linalg.norm(v)
+                out.append(tuple(float(x) for x in r * (v / nv if nv > 0 else np.eye(dim)[0])))
+        return out
+
+    return SamplingPlan(  # keyword arguments run in order: states are drawn before inputs
         times=tuple(float(t) for t in times),
-        states=tuple(states),
-        inputs=tuple(inputs),
+        states=tuple(points(n, radii, dirs_per_radius)),
+        inputs=(tuple(0.0 for _ in range(m)), *points(m, mu_radii, mu_dirs_per_radius)),
         seed=seed,
         h0=h0,
         levels=levels,
@@ -390,6 +386,9 @@ class KappaBundle:
         return float(out) if out.ndim == 0 else out
 
 
+_POINTS_PER_DECADE = 160  # nodes of the a and kappa tables per decade of q
+
+
 def _log_grid(q_min: float, q_max: float, per_decade: int) -> np.ndarray:
     """Log-spaced grid on [q_min, q_max] containing 1.0 exactly, for q_min < 1 < q_max."""
     down = int(math.ceil(per_decade * math.log10(1.0 / q_min)))
@@ -447,12 +446,12 @@ def _cell_integrals(f, lo, hi, tol: float) -> np.ndarray:
     raise NumericsError(f"quadrature stalled on [{lo[0]}, {hi[0]}] at tolerance {tol:g}")
 
 
-def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10,
-                points_per_decade: int = 160) -> KappaBundle:
+def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10) -> KappaBundle:
     """Tabulate ``a`` and ``kappa`` for a class-Kinf gauge ``sigma``.
 
     ``a`` accumulates adaptive Gauss-Legendre cell integrals of
-    ``(2/pi) * min(s, sigma(s)) / (1 + s^2)`` on a log grid; ``kappa``
+    ``(2/pi) * min(s, sigma(s)) / (1 + s^2)`` on a log grid of
+    ``_POINTS_PER_DECADE`` nodes per decade; ``kappa``
     accumulates the exact cell integrals of ``2/a`` outward from 1 in
     both directions, stored as ``ln kappa`` so deep attenuation never
     underflows.  ``kappa(1) = 1`` holds exactly.
@@ -468,7 +467,7 @@ def build_kappa(sigma: MonotoneFn, q_range: tuple, quadrature_tol: float = 1e-10
     def w(s):
         return (2.0 / math.pi) * np.minimum(s, sigma.eval(s)) / (1.0 + s * s)
 
-    qs = _log_grid(q_min, q_max, points_per_decade)
+    qs = _log_grid(q_min, q_max, _POINTS_PER_DECADE)
     a_vals = np.cumsum(_cell_integrals(w, np.concatenate([[0.0], qs[:-1]]), qs, quadrature_tol))
     if not np.all(a_vals > 0):  # nan included
         raise NumericsError("a(tau) table has nonpositive or nan values; sigma may not be Kinf")

@@ -25,16 +25,13 @@ __all__ = [
     "make_signal",
     "constant_signal",
     "zero_signal",
-    "concat",
     "restrict",
     "sup_norm",
     "rho_energy",
     "avg_power_norm",
     "pulse_train",
     "cumulative_energy",
-    "signal_to_json",
     "signal_from_json",
-    "signal_to_csv",
 ]
 
 _CSV_BLOCK = 4096  # rows formatted at once by the CSV writers
@@ -159,28 +156,6 @@ class NormValue:
             raise ParameterError("diverged flag must match infinite value")
 
 
-def concat(u: Signal, v: Signal, tau: float) -> Signal:
-    """Concatenation: equals ``u`` on ``[0, tau)`` and ``v`` from ``tau`` on."""
-    if u.dim != v.dim:
-        raise ParameterError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    if tau < 0:
-        raise ParameterError(f"concatenation time must be nonnegative, got {tau}")
-    pieces = []
-    for start, end, val in u.pieces():
-        if start < tau:
-            pieces.append((start, val))
-    if u.horizon < tau:
-        pieces.append((u.horizon, np.zeros(u.dim)))  # u's zero tail up to tau
-    pieces.append((tau, v.eval(tau)))
-    for start, _end, val in v.pieces():
-        if start > tau:
-            pieces.append((start, val))
-    # beyond tau the result is v, zero once past v's horizon; below tau it is
-    # u, zero once past u's horizon
-    horizon = max(min(u.horizon, tau), v.horizon if v.horizon > tau else 0.0)
-    return _normalize_pieces(*zip(*pieces), u.dim, max(horizon, 0.0))
-
-
 def restrict(u: Signal, a: float, b: float) -> Signal:
     """The signal coinciding with ``u`` on ``[a, b)`` and zero elsewhere."""
     if not (0 <= a <= b):
@@ -302,17 +277,6 @@ def pulse_train(tau: float, count: int) -> Signal:
 # serialization
 
 
-def signal_to_json(u: Signal) -> dict:
-    return {
-        "dim": u.dim,
-        "horizon": float(u.horizon),
-        "pieces": [
-            {"t": float(t), "v": [float(x) for x in v]}
-            for t, v in zip(u.breakpoints, u.values)
-        ],
-    }
-
-
 def signal_from_json(d: dict) -> Signal:
     pieces = d["pieces"]
     return _normalize_pieces([float(p["t"]) for p in pieces], [p["v"] for p in pieces],
@@ -331,13 +295,3 @@ def _write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         for a in range(0, len(columns[0]), _CSV_BLOCK):
             cells = [map(repr, col[a:a + _CSV_BLOCK].tolist()) for col in columns]
             fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
-
-
-def signal_to_csv(u: Signal, times: Sequence[float], path) -> None:
-    """Sample the signal at ``times`` and write columns ``t, v_1..v_m``."""
-    t = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(t < 0):
-        raise ParameterError(f"signal evaluated at negative time {float(t[t < 0][0])}")
-    vals = u.values[np.searchsorted(u.breakpoints, t, side="right") - 1]
-    vals = np.where((t >= u.horizon)[:, None], 0.0, vals)  # as Signal.eval, zero past the horizon
-    _write_csv(path, ["t"] + [f"v_{i + 1}" for i in range(u.dim)], [t, *vals.T])

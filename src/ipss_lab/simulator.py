@@ -31,7 +31,6 @@ __all__ = [
     "counterexample_system",
     "linear_test_system",
     "perturbed_decay_system",
-    "lipschitz_probe",
     "lipschitz_probes",
     "trajectory_to_csv",
     "SYSTEM_REGISTRY",
@@ -52,16 +51,13 @@ class SystemDef:
     passes them (and checks once per call); one that fails the check is
     called row by row, with a float time, an ``(n,)`` state and ``(m,)`` input.
     ``discontinuity_times`` samples the zero-measure set where the dynamics
-    may jump in ``t``; the integrator lands on them exactly.  When
-    ``lipschitz_hint`` is present, solutions are treated as unique;
-    otherwise probe reports flag uniqueness as untested.
+    may jump in ``t``; the integrator lands on them exactly.
     """
 
     rhs: Callable
     n: int
     m: int
     discontinuity_times: tuple = ()
-    lipschitz_hint: Optional[Callable] = None
     name: str = ""
 
 
@@ -362,8 +358,7 @@ def linear_test_system(lam: float) -> SystemDef:
     def rhs(t, x, u, _lam=float(lam)):
         return -_lam * x + u
 
-    return SystemDef(rhs=rhs, n=1, m=1, lipschitz_hint=lambda R, _l=lam: _l + 1.0,
-                     name=f"linear(lam={lam})")
+    return SystemDef(rhs=rhs, n=1, m=1, name=f"linear(lam={lam})")
 
 
 def counterexample_system() -> SystemDef:
@@ -386,8 +381,7 @@ def perturbed_decay_system() -> SystemDef:
     def rhs(t, x, d):
         return -x * (1.0 + 0.5 * d)
 
-    return SystemDef(rhs=rhs, n=1, m=1, lipschitz_hint=lambda R: 1.5,
-                     name="perturbed_decay")
+    return SystemDef(rhs=rhs, n=1, m=1, name="perturbed_decay")
 
 
 SYSTEM_REGISTRY = {
@@ -413,11 +407,6 @@ class LipschitzReport:
     state_ratio_max: float
     shift_ratio_max: float
     n_blowups: int
-    uniqueness_tested: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.n_blowups == 0
 
 
 def _random_ball(rng, dim: int, radius: float) -> np.ndarray:
@@ -498,16 +487,8 @@ def lipschitz_probes(sys: SystemDef, specs: Sequence[tuple], step: float = 1e-3,
             state_ratio_max=state_max,
             shift_ratio_max=shift_max,
             n_blowups=n_blow,
-            uniqueness_tested=sys.lipschitz_hint is not None,
         ))
     return reports
-
-
-def lipschitz_probe(sys: SystemDef, R: float, T: float, samples: int, seed: int,
-                    step: float = 1e-3, pieces: int = 8,
-                    query_points: int = 25) -> LipschitzReport:
-    """:func:`lipschitz_probes` of the one spec ``(R, T, samples, seed)``."""
-    return lipschitz_probes(sys, [(R, T, samples, seed)], step, pieces, query_points)[0]
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

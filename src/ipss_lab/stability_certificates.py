@@ -123,17 +123,17 @@ class EnvelopeReport:
     margins: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def check_envelope(traj: Trajectory, cert: Certificate, u: Signal, xi_norm: float,
+def check_envelope(traj: Trajectory, cert: Certificate, u: Optional[Signal], xi_norm: float,
                    t0: float, tolerance: Optional[float] = None) -> EnvelopeReport:
     """Evaluate the certified bound at every trajectory grid time.
 
     The input measure matching the certificate kind is taken of ``u`` over
-    the whole simulated window ``[t0, t_end]``.  Returns the minimal
-    ``bound - |x|`` margin, where it occurs, and the per-sample bound and
-    margin arrays.  A blown-up trajectory fails outright.  When
-    ``tolerance`` is omitted it defaults to ``1e-6 * (1 + bound)`` at the
-    worst point, matching the combined integrator and quadrature error
-    scales.
+    the whole simulated window ``[t0, t_end]``; URGAS and URLS take no
+    input, and ``u`` may be None.  Returns the minimal ``bound - |x|``
+    margin, where it occurs, and the per-sample bound and margin arrays.
+    A blown-up trajectory fails outright.  When ``tolerance`` is omitted
+    it defaults to ``1e-6 * (1 + bound)`` at the worst point, matching
+    the combined integrator and quadrature error scales.
     """
     if traj.blown_up:
         return EnvelopeReport(

@@ -27,7 +27,7 @@ from ipss_lab.converse_construction import (
     build_mrk_table,
     check_converse_properties,
     regularized_rho,
-    wk_estimate,
+    wk_estimates,
 )
 from ipss_lab.lyapunov_tools import (
     DissipationSpec,
@@ -51,7 +51,7 @@ from ipss_lab.simulator import (
     SystemDef,
     counterexample_system,
     linear_test_system,
-    lipschitz_probe,
+    lipschitz_probes,
     perturbed_decay_system,
     simulate,
     simulate_batch,
@@ -255,15 +255,15 @@ def test_criterion_7_converse_construction():
 
         cfg64 = ConverseConfig(k_max=5, disturbance_samples=64,
                                pieces_per_horizon=8, sim_step=2e-3, seed=1)
-        w1 = wk_estimate(dsys, 0.0, [3.0], theta1, rho, cfg64)[0]
+        w1 = wk_estimates(dsys, [(0.0, [3.0])], theta1, rho, cfg64)[0][0]
         assert w1 == pytest.approx(1.75, rel=0.02)
 
         cfg = ConverseConfig(k_max=5, disturbance_samples=16,
                              pieces_per_horizon=6, sim_step=5e-3, seed=1)
-        for k in range(1, cfg.k_max + 1):
-            for s in (0.5, 1.0, 3.0):
-                wk = wk_estimate(dsys, 0.0, [s], theta1, rho, cfg)[k - 1]
-                assert wk <= theta1.eval(s) + 1e-9
+        states = (0.5, 1.0, 3.0)
+        for s, wk in zip(states, wk_estimates(dsys, [(0.0, [s]) for s in states],
+                                              theta1, rho, cfg)):
+            assert np.all(wk <= theta1.eval(s) + 1e-9)
 
         plan = ConverseProbePlan(states=(0.5, 1.0, 3.0), decay_horizon=4.0,
                                  decay_eval_points=4,
@@ -308,9 +308,8 @@ def test_criterion_8_dini_estimator_accuracy():
 def test_criterion_9_solution_sensitivity_probe():
     """The disturbed contraction never amplifies initial separations."""
     with _Criterion(9, "solution-sensitivity probe (100 seeded samples)", 30.0):
-        rep = lipschitz_probe(perturbed_decay_system(), R=2.0, T=2.0,
-                              samples=100, seed=9, step=2e-3)
-        assert rep.valid
+        rep = lipschitz_probes(perturbed_decay_system(), [(2.0, 2.0, 100, 9)], step=2e-3)[0]
+        assert rep.n_blowups == 0
         assert rep.state_ratio_max <= 1.0 + 1e-6
 
 

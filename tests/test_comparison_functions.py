@@ -1,4 +1,4 @@
-"""Comparison-function algebra: constructors, inversion, factorization."""
+"""Comparison-function algebra: constructors, inversion, factorization, specs."""
 
 import math
 
@@ -11,7 +11,6 @@ from ipss_lab.comparison_functions import (
     apply_inverse,
     compose,
     identity_fn,
-    invert,
     inverse_fn,
     klbound_from_spec,
     klbound_to_spec,
@@ -21,9 +20,8 @@ from ipss_lab.comparison_functions import (
     monotone_to_spec,
     scale_fn,
     sontag_factorize_exponential,
-    verify_class,
 )
-from ipss_lab.errors import ConvergenceError, ParameterError, RangeError
+from ipss_lab.errors import ParameterError, RangeError
 
 
 class TestPowerFunctions:
@@ -84,82 +82,107 @@ class TestCompose:
 
 
 class TestInvert:
-    """Numeric bracketing + bisection path (analytic inverses bypassed)."""
+    """Inversion through the analytic inverse a function carries."""
 
     @staticmethod
-    def raw(fn):
-        return MonotoneFn(eval=fn, class_tag="Kinf")
+    def bounded(tag):
+        return MonotoneFn(eval=lambda s: float(s) / (1 + float(s)), class_tag=tag)
 
     def test_square_root(self):
-        f = self.raw(lambda s: float(s) ** 2)
-        assert invert(f, 4.0, 1e-10) == pytest.approx(2.0, abs=1e-8)
+        assert apply_inverse(make_power_fn(1, 2), 4.0) == 2.0
 
     def test_identity_case(self):
-        assert invert(self.raw(float), 7.5, 1e-10) == pytest.approx(7.5, abs=1e-8)
+        assert apply_inverse(identity_fn(), 7.5) == 7.5
 
     def test_scaled_root(self):
-        f = self.raw(lambda s: 2.0 * float(s) ** 0.5)
-        assert invert(f, 6.0, 1e-10) == pytest.approx(9.0, abs=1e-8)
+        assert apply_inverse(make_power_fn(2, 0.5), 6.0) == pytest.approx(9.0, rel=1e-15)
 
     def test_zero_is_exact(self):
-        assert invert(self.raw(lambda s: float(s) ** 3), 0.0, 1e-10) == 0.0
+        table = make_table_fn([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 2.0])
+        for f in (make_power_fn(1, 3), table, compose(table, make_power_fn(2, 0.5)),
+                  scale_fn(table, 3.0)):
+            assert apply_inverse(f, 0.0) == 0.0
 
-    def test_bounded_k_function_range_error(self):
-        f = MonotoneFn(eval=lambda s: float(s) / (1 + float(s)), class_tag="K")
-        with pytest.raises(RangeError):
-            invert(f, 2.0, 1e-10)
+    def test_bounded_k_function_without_inverse_rejected(self):
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            apply_inverse(self.bounded("K"), 0.5)
 
-    def test_kinf_tag_that_never_brackets_diverges(self):
-        f = MonotoneFn(eval=lambda s: float(s) / (1 + float(s)), class_tag="Kinf")
-        with pytest.raises(ConvergenceError):
-            invert(f, 2.0, 1e-10)
+    def test_kinf_tag_alone_gives_no_inverse(self):
+        """The tag promises unboundedness, but only ``inverse`` is ever used."""
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            apply_inverse(self.bounded("Kinf"), 0.5)
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            inverse_fn(self.bounded("Kinf"))
 
-    def test_p_tag_rejected(self):
+    def test_p_tag_without_inverse_rejected(self):
         f = MonotoneFn(eval=lambda s: float(s) ** 2 / (1 + float(s)), class_tag="P")
-        with pytest.raises(ParameterError):
-            invert(f, 1.0, 1e-10)
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            apply_inverse(f, 1.0)
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            apply_inverse(compose(make_power_fn(1, 2), f), 1.0)
 
     def test_round_trip_random_power_family(self, rng):
-        """f(invert(f, y)) = y within 1e-8 relative over the power family.
-
-        The stopping rule is absolute below y = 1, so the relative claim
-        applies from 1e-2 up.
-        """
+        """f(f^{-1}(y)) = y within 1e-12 relative over the power family."""
         for _ in range(50):
-            c = float(rng.uniform(0.1, 10.0))
-            p = float(rng.uniform(0.2, 4.0))
-            f = MonotoneFn(eval=lambda s, c=c, p=p: c * float(s) ** p, class_tag="Kinf")
-            for y in np.geomspace(1e-2, 1e6, 7):
-                x = invert(f, float(y), 1e-10)
-                assert f.eval(x) == pytest.approx(y, rel=1e-8)
+            f = make_power_fn(float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.2, 4.0)))
+            for y in np.geomspace(1e-6, 1e6, 13):
+                assert f.eval(apply_inverse(f, float(y))) == pytest.approx(y, rel=1e-12)
+
+    def test_array_inverse_equals_scalar_calls(self):
+        table = make_table_fn([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 3.0])
+        y = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)])
+        for f in (make_power_fn(1.7, 0.6), table, scale_fn(table, 2.5),
+                  compose(table, make_power_fn(2, 0.5))):
+            out = apply_inverse(f, y)
+            assert out.shape == y.shape
+            assert np.array_equal(out, [apply_inverse(f, float(v)) for v in y])
+
+    def test_table_inverse_continues_the_end_slope(self):
+        f = make_table_fn([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+        assert apply_inverse(f, 2.0) == pytest.approx(1.5)
+        assert apply_inverse(f, 5.0) == pytest.approx(3.0)
+        assert f.eval(apply_inverse(f, 1e6)) == pytest.approx(1e6, rel=1e-12)
+
+    def test_composition_inverts_inner_after_outer(self):
+        outer = make_table_fn([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+        inner = make_power_fn(2.0, 0.5)
+        c = compose(outer, inner)
+        for s in np.geomspace(1e-4, 1e4, 30):
+            assert apply_inverse(c, c.eval(s)) == pytest.approx(s, rel=1e-10)
+        assert apply_inverse(c, 2.0) == pytest.approx(0.25)
+
+    def test_scaled_table_round_trip(self):
+        f = scale_fn(make_table_fn([0.0, 1.0, 2.0], [0.0, 2.0, 3.0]), 4.0)
+        for s in (0.25, 1.0, 1.5, 7.0):
+            assert apply_inverse(f, f.eval(s)) == pytest.approx(s, rel=1e-12)
+
+    def test_inverse_of_the_inverse_is_the_function(self):
+        f = make_table_fn([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+        inv = inverse_fn(f)
+        assert inv.class_tag == f.class_tag
+        again = inverse_fn(inv)
+        for s in (0.0, 0.5, 1.0, 1.75, 10.0):
+            assert again.eval(s) == f.eval(s)
 
 
-class TestVerifyClass:
-    def test_identity_all_flags(self):
-        rep = verify_class(identity_fn(), [0, 1, 10, 1e7])
-        assert rep.zero_at_zero and rep.strictly_increasing_on_grid
-        assert rep.unbounded_heuristic
-        assert rep.all_kinf_flags
-
-    def test_saturating_function_not_unbounded(self):
-        f = MonotoneFn(eval=lambda s: float(s) / (1 + float(s)), class_tag="K")
-        rep = verify_class(f, [0, 1, 10, 1e7])
-        assert not rep.unbounded_heuristic
-
-    def test_shifted_function_fails_zero(self):
-        f = MonotoneFn(eval=lambda s: abs(float(s) - 1.0) + float(s), class_tag="P")
-        rep = verify_class(f, [0, 1, 10])
-        assert not rep.zero_at_zero
-
-    def test_violation_pair_reported(self):
-        f = MonotoneFn(eval=lambda s: min(float(s), 2.0), class_tag="P")
-        rep = verify_class(f, [0, 1, 2, 3])
-        assert not rep.strictly_increasing_on_grid
-        assert rep.first_violation == ((2.0, 2.0), (3.0, 2.0))
-
-    def test_short_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            verify_class(identity_fn(), [1.0])
+@pytest.mark.parametrize("f", [
+    pytest.param(make_power_fn(1.7, 0.6), id="power"),
+    pytest.param(make_table_fn([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 3.0]), id="table"),
+    pytest.param(scale_fn(make_table_fn([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 3.0]), 2.5),
+                 id="scaled_table"),
+    pytest.param(compose(make_table_fn([0.0, 1.0, 2.0], [0.0, 2.0, 3.0]), make_power_fn(2.0, 0.5)),
+                 id="table_after_power"),
+    pytest.param(inverse_fn(make_table_fn([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])), id="inverse_table"),
+    pytest.param(compose(*sontag_factorize_exponential(2.0, 0.5)), id="sontag_factors"),
+])
+def test_constructors_build_kinf_functions(f):
+    """Each constructor keeps the Kinf tag, vanishes at 0 and rises strictly on a sampled grid."""
+    s = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 40)])
+    vals = np.array([f.eval(float(v)) for v in s])
+    assert f.class_tag == "Kinf"
+    assert vals[0] == 0.0
+    assert np.all(np.diff(vals) > 0)
+    assert vals[-1] > 10.0 * vals[len(s) // 2]
 
 
 class TestSontagFactorization:
@@ -209,6 +232,14 @@ class TestTablesAndSpecs:
         assert apply_inverse(f, 0.5) == pytest.approx(1.5)
         assert apply_inverse(f, 1.0) == pytest.approx(2.0)
 
+    def test_table_with_flat_last_segment_has_no_inverse(self):
+        """There is no numeric fallback: a table inverts only through its own inverse."""
+        f = make_table_fn([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+        with pytest.raises(ParameterError, match="last segment rises"):
+            apply_inverse(f, 0.5)
+        with pytest.raises(ParameterError, match="last segment rises"):
+            inverse_fn(f)
+
     @pytest.mark.parametrize("xs,ys", [
         ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
         ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
@@ -233,6 +264,14 @@ class TestTablesAndSpecs:
         g = monotone_from_spec(spec)
         for x in spec["xs"]:
             assert g.eval(x) == pytest.approx(f.eval(x), rel=1e-12)
+
+    def test_class_tag_survives_the_spec(self):
+        """A bounded class-K function used to reload as Kinf, sampled or as a table."""
+        bounded = MonotoneFn(eval=lambda s: s / (1.0 + s), class_tag="K")
+        sampled = monotone_to_spec(bounded, sample_grid=np.linspace(0.0, 5.0, 11))
+        table = monotone_to_spec(make_table_fn([0.0, 1.0, 2.0], [0.0, 1.0, 1.5], "K"))
+        assert monotone_from_spec(sampled).class_tag == monotone_from_spec(table).class_tag == "K"
+        assert "class_tag" not in monotone_to_spec(make_table_fn([0.0, 1.0], [0.0, 1.0]))
 
     def test_scale_fn(self):
         f = scale_fn(make_power_fn(1, 2), 3.0)
@@ -262,12 +301,9 @@ class TestKLBound:
 
     def test_general_bound_class_checks(self):
         b = KLBound(kind="general", eval2=lambda s, t: s / (1.0 + t))
+        s = np.geomspace(1e-3, 1e3, 20)
         for t in (0.0, 1.0, 10.0):
-            rep = verify_class(
-                MonotoneFn(eval=lambda s, t=t: b.eval(float(s), t), class_tag="K"),
-                list(np.geomspace(1e-3, 1e3, 20)),
-            )
-            assert rep.strictly_increasing_on_grid
+            assert np.all(np.diff([b.eval(float(v), t) for v in s]) > 0)
         vals = [b.eval(1.0, t) for t in np.linspace(0, 50, 30)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 

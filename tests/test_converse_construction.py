@@ -27,7 +27,6 @@ from ipss_lab.converse_construction import (
     horizon_for,
     iss_to_dissipation_candidate,
     regularized_rho,
-    wk_estimate,
     wk_estimates,
 )
 from ipss_lab.errors import ModelError, RangeError
@@ -39,7 +38,7 @@ from ipss_lab.lyapunov_tools import (
 )
 from ipss_lab.signals import constant_signal
 import ipss_lab.simulator as sm
-from ipss_lab.simulator import (linear_test_system, lipschitz_probe, perturbed_decay_system,
+from ipss_lab.simulator import (linear_test_system, lipschitz_probes, perturbed_decay_system,
                                 simulate, simulate_batch)
 
 THETA1, THETA2 = sontag_factorize_exponential(1.0, 0.5)
@@ -121,25 +120,24 @@ class TestRegularizedRho:
 class TestWkEstimate:
     def test_small_state_gives_zero_layer(self, decay_system, rho, cfg):
         """rho(1) = 3/4 < 1 keeps the first layer silent from |xi| = 1."""
-        assert wk_estimate(decay_system, 0.0, [1.0], THETA1, rho, cfg)[0] == 0.0
+        assert wk_estimates(decay_system, [(0.0, [1.0])], THETA1, rho, cfg)[0][0] == 0.0
 
     def test_first_layer_value_from_xi_three(self, decay_system, rho, cfg):
         """Worst case is the slowest decay, attained at the initial time:
         G_1(rho(3)) = 2.75 - 1 = 1.75, and G_k(rho(3)) = 2.75 - 1/k for
         every layer."""
-        w = wk_estimate(decay_system, 0.0, [3.0], THETA1, rho, cfg)
+        w = wk_estimates(decay_system, [(0.0, [3.0])], THETA1, rho, cfg)[0]
         assert w[0] == pytest.approx(1.75, rel=0.02)
         assert w.shape == (cfg.k_max,)
         for k in range(1, cfg.k_max + 1):
             assert w[k - 1] == pytest.approx(max(2.75 - 1.0 / k, 0.0), rel=0.02)
 
     def test_zero_state(self, decay_system, rho, cfg):
-        assert wk_estimate(decay_system, 7.0, [0.0], THETA1, rho, cfg)[2] == 0.0
+        assert wk_estimates(decay_system, [(7.0, [0.0])], THETA1, rho, cfg)[0][2] == 0.0
 
     def test_layers_monotone_and_bounded(self, decay_system, rho, cfg_small):
         prev = 0.0
-        for k in range(1, 6):
-            w = wk_estimate(decay_system, 0.0, [3.0], THETA1, rho, cfg_small)[k - 1]
+        for w in wk_estimates(decay_system, [(0.0, [3.0])], THETA1, rho, cfg_small)[0]:
             assert w >= prev - 1e-12
             assert w <= THETA1.eval(3.0) + 1e-9
             prev = w
@@ -149,7 +147,7 @@ class TestWkEstimate:
         for n in (8, 16, 32):
             c = ConverseConfig(k_max=3, disturbance_samples=n,
                                pieces_per_horizon=8, sim_step=5e-3, seed=1)
-            vals.append(wk_estimate(decay_system, 0.0, [2.5], THETA1, rho, c)[1])
+            vals.append(wk_estimates(decay_system, [(0.0, [2.5])], THETA1, rho, c)[0][1])
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_overstated_decay_raises_model_error(self, rho, cfg):
@@ -158,7 +156,7 @@ class TestWkEstimate:
             urgas_beta=KLBound(kind="exponential", K=1.0, lam=5.0),
         )
         with pytest.raises(ModelError):
-            wk_estimate(bad, 0.0, [3.0], THETA1, rho, cfg)[0]
+            wk_estimates(bad, [(0.0, [3.0])], THETA1, rho, cfg)
 
     def test_layer_horizon_formula(self):
         assert horizon_for(1, THETA1, 3.0) == pytest.approx(math.log(10.0))
@@ -179,7 +177,8 @@ class TestWkEstimate:
 
 
 def _wk_reference(sys, t0, xi, theta1, rho, cfg):
-    """The per-point layer estimate, one disturbance batch simulated alone."""
+    """The per-point layer estimate, one disturbance batch simulated alone, with its own
+    check of the decay envelope."""
     xi = np.asarray(xi, dtype=float).reshape(sys.n)
     R = float(np.linalg.norm(xi))
     best = np.zeros(cfg.k_max)
@@ -193,7 +192,12 @@ def _wk_reference(sys, t0, xi, theta1, rho, cfg):
     for traj in trajs:
         if traj.blown_up:
             raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
-        cc._check_urgas(traj, sys.urgas_beta, R, t0)
+        excess = traj.norms() - np.asarray(sys.urgas_beta.eval(R, traj.times - t0), dtype=float)
+        if float(np.max(excess)) > 1e-3:
+            raise ModelError(
+                f"probe trajectory violates the declared decay envelope by "
+                f"{float(np.max(excess)):.3e} at t={float(traj.times[np.argmax(excess)]):.4g} "
+                f"(|xi|={R:.4g})")
         gains = np.exp(0.5 * (traj.times - t0)) * cc._layer_gains(rho, traj.norms(), cfg.k_max)
         best = np.maximum(best, np.max(gains, axis=1))
     return best
@@ -258,7 +262,7 @@ class TestWkEstimates:
         again = ev.wk_many([(1.0, [2.0]), (0.0, [0.5])])
         assert calls[1:] == [[(0.0, (0.5,))]]
         assert again[0] is first[2]
-        assert ev.wk(0.0, [0.5]) is again[1] and len(calls) == 2
+        assert ev.wk_many([(0.0, [0.5])])[0] is again[1] and len(calls) == 2
 
 
 class TestMrkTable:
@@ -279,8 +283,8 @@ class TestMrkTable:
         lbar = []
         for k in range(1, cfg_small.k_max + 1):
             T = max(horizon_for(k, THETA1, float(k)), 0.1)
-            rep = lipschitz_probe(decay_system.as_systemdef(), R=float(k), T=T, samples=10,
-                                  seed=cfg_small.seed + 1000 + k, step=2e-3)
+            rep = lipschitz_probes(decay_system.as_systemdef(),
+                                   [(float(k), T, 10, cfg_small.seed + 1000 + k)], step=2e-3)[0]
             val = max(rep.state_ratio_max, rep.shift_ratio_max, 1e-6)
             lbar.append(val if not lbar else max(val, lbar[-1]))
         for R in (0.3, 1.0, 2.5, 4.0, 7.0):
@@ -333,15 +337,12 @@ class TestConverseValue:
     def test_zero_state(self, decay_system, rho, cfg_small, mrk_small):
         ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
         assert ev.value(0.0, [0.0]) == 0.0
-        assert ev.tail_bound([0.0]) == 0.0
 
     def test_truncation_bounded_at_unit_state(self, decay_system, rho,
                                               cfg_small, mrk_small):
-        """All layers vanish from |xi|=1, so V is within the dropped tail."""
+        """rho(1) = 3/4 keeps the first layer silent at |xi| = 1, so V stays small."""
         ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
-        v, tail = ev.value(0.0, [1.0]), ev.tail_bound([1.0])
-        assert v <= 0.25
-        assert tail == pytest.approx(2.0 ** -cfg_small.k_max * THETA1.eval(1.0))
+        assert ev.value(0.0, [1.0]) <= 0.25
 
     def test_sandwich_at_probe_states(self, decay_system, rho, cfg_small,
                                       mrk_small):
@@ -358,7 +359,8 @@ class TestConverseValue:
         t, x = np.array([0.0, 0.4, 1.3, 0.0]), np.array([[3.0], [-1.7], [0.8], [0.0]])
         rows = ev.values(t, x)
         assert [repr(float(v)) for v in rows] == [
-            repr(float(sum(w * v for w, v in zip(ev.weights, ev.wk(a, b))))) for a, b in zip(t, x)]
+            repr(float(sum(w * v for w, v in zip(ev.weights, ev.wk_many([(a, b)])[0]))))
+            for a, b in zip(t, x)]
         assert [ev.value(a, b) for a, b in zip(t, x)] == rows.tolist()
 
     def test_alpha1_array_call_matches_scalar_calls(self, decay_system, rho,

@@ -7,6 +7,7 @@ import pytest
 
 from ipss_lab.comparison_functions import (
     MonotoneFn,
+    apply_inverse,
     compose,
     identity_fn,
     inverse_fn,
@@ -590,6 +591,14 @@ class TestGainSynthesis:
     def test_gamma_vanishes_at_zero(self, gains):
         _, gamma, _ = gains
         assert gamma.eval(0.0) == 0.0
+
+    def test_gamma_carries_no_inverse(self, gains):
+        """Inverting the synthesized gain raises; there is no numeric fallback."""
+        _, gamma, _ = gains
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            apply_inverse(gamma, 1.0)
+        with pytest.raises(ParameterError, match="carries no inverse"):
+            inverse_fn(gamma)
 
     def test_rho_vanishes_at_zero_and_grows(self, gains):
         _, _, rho = gains

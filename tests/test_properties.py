@@ -18,19 +18,21 @@ from hypothesis import strategies as st
 from ipss_lab.comparison_functions import (
     KLBound,
     MonotoneFn,
+    apply_inverse,
     klbound_from_spec,
     klbound_to_spec,
     make_power_fn,
+    make_table_fn,
     monotone_from_spec,
     monotone_to_spec,
 )
 from ipss_lab.lyapunov_tools import build_kappa
 from ipss_lab.signals import (
     avg_power_norm,
-    concat,
     make_signal,
     restrict,
     rho_energy,
+    signal_from_json,
     sup_norm,
 )
 
@@ -117,21 +119,31 @@ def test_restrict_agrees_inside_and_vanishes_outside(u, a, b):
 
 
 @PROPERTY
-@given(u=signals(), v=signals(), tau=st.integers(0, 28))
-def test_concat_takes_u_before_tau_and_v_from_tau(u, v, tau):
-    tau = TICK * tau
-    c = concat(u, v, tau)
-    for t in probe_times(u, v, tau):
-        assert np.array_equal(c.eval(t), u.eval(t) if t < tau else v.eval(t))
+@given(u=signals())
+def test_json_pieces_rebuild_the_signal(u):
+    """The CLI's ``input.kind = "signal"`` form of a signal reads back to that signal."""
+    v = signal_from_json({"dim": u.dim, "horizon": u.horizon, "pieces": [
+        {"t": float(t), "v": val.tolist()} for t, val in zip(u.breakpoints, u.values)]})
+    assert np.array_equal(v.breakpoints, u.breakpoints) and np.array_equal(v.values, u.values)
+    assert (v.horizon, v.dim) == (u.horizon, u.dim)
 
 
 @PROPERTY
-@given(u=signals(), tau=st.integers(0, 24))
-def test_concat_of_restrictions_rebuilds_the_signal(u, tau):
-    tau = TICK * tau
-    c = concat(restrict(u, 0.0, tau), restrict(u, tau, max(tau, u.horizon)), tau)
-    for t in probe_times(u, tau):
-        assert np.array_equal(c.eval(t), u.eval(t))
+@given(steps=st.lists(st.integers(0, 8), min_size=1, max_size=8), last=st.integers(1, 8),
+       y=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))
+def test_table_inverse_never_undershoots(steps, last, y):
+    """f(f^{-1}(y)) >= y, with equality when the table has no flat run.
+
+    Before a flat run the inverse interpolates to the run's right edge, an
+    overestimate of the preimage that keeps a state bound ``alpha^{-1}(V)`` safe.
+    """
+    ys = np.cumsum([0.0] + [TICK * k for k in steps] + [TICK * last])
+    f = make_table_fn(np.arange(ys.size, dtype=float), ys)
+    for target in y:
+        back = f.eval(apply_inverse(f, target))
+        assert back >= target * (1.0 - 1e-12) - 1e-12
+        if min(steps) > 0:
+            assert np.isclose(back, target, rtol=1e-12, atol=1e-12)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,6 @@ from ipss_lab.simulator import (
     _random_disturbance,
     counterexample_system,
     linear_test_system,
-    lipschitz_probe,
     lipschitz_probes,
     perturbed_decay_system,
     simulate,
@@ -421,29 +420,20 @@ class TestBuiltInSystems:
 class TestLipschitzProbe:
     def test_contraction_state_ratio(self):
         """Disturbed contraction keeps the sensitivity ratio at one."""
-        rep = lipschitz_probe(perturbed_decay_system(), R=2.0, T=2.0,
-                              samples=20, seed=9, step=2e-3)
-        assert rep.valid
+        rep = lipschitz_probes(perturbed_decay_system(), [(2.0, 2.0, 20, 9)], step=2e-3)[0]
+        assert rep.n_blowups == 0
         assert rep.state_ratio_max <= 1.0 + 1e-6
 
     def test_time_invariant_shift_ratio_bounded(self):
         """For pure decay the shift ratio is at most sup |xdot| <= R."""
-        pure = SystemDef(rhs=lambda t, x, d: -x, n=1, m=1,
-                         lipschitz_hint=lambda R: 1.0)
+        pure = SystemDef(rhs=lambda t, x, d: -x, n=1, m=1)
         R = 2.0
-        rep = lipschitz_probe(pure, R=R, T=2.0, samples=15, seed=4,
-                              step=2e-3)
+        rep = lipschitz_probes(pure, [(R, 2.0, 15, 4)], step=2e-3)[0]
         assert rep.shift_ratio_max <= R * (1.0 + 1e-3)
 
     def test_identical_states_give_zero_numerator(self):
-        rep = lipschitz_probe(perturbed_decay_system(), R=1e-12, T=1.0,
-                              samples=5, seed=1, step=5e-3)
+        rep = lipschitz_probes(perturbed_decay_system(), [(1e-12, 1.0, 5, 1)], step=5e-3)[0]
         assert rep.state_ratio_max <= 1.0 + 1e-6
-
-    def test_uniqueness_flag_follows_hint(self):
-        rep = lipschitz_probe(counterexample_system(), R=1.0, T=1.0,
-                              samples=3, seed=2, step=5e-3)
-        assert not rep.uniqueness_tested
 
     @staticmethod
     def per_sample_reference(sys, R, T, samples, seed, step, pieces=8, query_points=25):
@@ -490,7 +480,7 @@ class TestLipschitzProbe:
             sysd, R, T = perturbed_decay_system(), 2.0, 2.0
         else:  # xdot = x^2 + d escapes within T from x0 >~ 1/T
             sysd, R, T = SystemDef(rhs=lambda t, x, d: x ** 2 + d, n=1, m=1), 1.5, 3.0
-        rep = lipschitz_probe(sysd, R=R, T=T, samples=10, seed=3, step=2e-3)
+        rep = lipschitz_probes(sysd, [(R, T, 10, 3)], step=2e-3)[0]
         ref = self.per_sample_reference(sysd, R, T, samples=10, seed=3, step=2e-3)
         assert (rep.state_ratio_max, rep.shift_ratio_max, rep.n_blowups) == ref
         if case == "blowup":
@@ -511,7 +501,7 @@ class TestLipschitzProbe:
         monkeypatch.setattr(sm, "_rk4", counted)
         reps = lipschitz_probes(square, specs, step=2e-3)
         assert len(loops) == 1
-        assert reps == [lipschitz_probe(square, *spec, step=2e-3) for spec in specs]
+        assert reps == [lipschitz_probes(square, [spec], step=2e-3)[0] for spec in specs]
         assert reps[0].n_blowups == 0 < reps[1].n_blowups
 
     def test_one_lockstep_run_per_probe(self, monkeypatch):
@@ -525,13 +515,12 @@ class TestLipschitzProbe:
             return rk4(rhs, x, *args)
 
         monkeypatch.setattr(sm, "_rk4", counted)
-        rep = lipschitz_probe(perturbed_decay_system(), R=2.0, T=2.0,
-                              samples=6, seed=9, step=2e-3)
-        assert rep.valid
+        rep = lipschitz_probes(perturbed_decay_system(), [(2.0, 2.0, 6, 9)], step=2e-3)[0]
+        assert rep.n_blowups == 0
         assert len(calls) == 1 and calls[0][0] >= 2 * 6
         calls.clear()
         square = SystemDef(rhs=lambda t, x, d: x ** 2 + d, n=1, m=1)
-        rep = lipschitz_probe(square, R=1.5, T=3.0, samples=10, seed=3)
+        rep = lipschitz_probes(square, [(1.5, 3.0, 10, 3)])[0]
         assert rep.n_blowups == 4
         assert len(calls) == 1 and calls[0][0] >= 2 * 10
 
