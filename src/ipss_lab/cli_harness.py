@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -450,19 +450,9 @@ def _op_falsify(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     system = _build_system(raw["system"])
     cert = sc.certificate_from_json(raw["certificate"])
     fam_spec = raw["input"]
-    family = sc.InputFamilySpec(
-        family=fam_spec["family"],
-        t0_values=tuple(fam_spec.get("t0_values", (0.0,))),
-        xi_values=tuple(fam_spec.get("xi_values", (0.0,))),
-        levels=tuple(fam_spec.get("levels", (1.0,))),
-        tau=float(fam_spec.get("tau", 1.0)),
-        count=int(fam_spec.get("count", 5)),
-        amplitude=float(fam_spec.get("amplitude", 0.5)),
-        duration_scale=float(fam_spec.get("duration_scale", 1.0)),
-        period=float(fam_spec.get("period", 1.0)),
-        horizon=float(fam_spec.get("horizon", 10.0)),
-        settle=float(fam_spec.get("settle", 3.0)),
-    )
+    family = sc.InputFamilySpec(family=fam_spec["family"], **{
+        f.name: type(f.default)(fam_spec[f.name]) for f in fields(sc.InputFamilySpec)
+        if f.name != "family" and f.name in fam_spec})
     opt = raw["options"]
     report = sc.falsify(system, cert, family, int(opt.get("budget", 100)),
                         step=float(opt.get("step", 1e-3)), tolerance=opt.get("tolerance"))

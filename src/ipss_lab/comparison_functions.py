@@ -168,13 +168,12 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
         out = np.where(s_arr > _xs[-1], _ys[-1] + _m * (s_arr - _xs[-1]), out)
         return float(out) if np.ndim(s) == 0 else out
 
-    # a flat run inside the table inverts to its rightmost x (the loose, safe
-    # choice for a lower bound inverted in a state bound), but y <= 0 gives 0
-    # even after a leading flat run: [0, 1, 2, 3] -> [0, 0, 1, 2] inverts 0 to 0, 1e-12 to ~1
-    keep = np.concatenate([np.diff(ys) > 0, [True]])
-    inv_ys, inv_xs = ys[keep], xs[keep]
-
-    def _inv(y, _xs=inv_xs, _ys=inv_ys, _m=end_slope):
+    # the inverse interpolates the nodes with x and y swapped: np.interp takes
+    # the segment with ys[j] <= y < ys[j + 1], so y off a flat run gets its one
+    # preimage and a flat level its rightmost x (the loose, safe choice for a
+    # lower bound inverted in a state bound); y <= 0 gives 0 even after a
+    # leading flat run: [0, 1, 2, 3] -> [0, 0, 1, 2] inverts 0 to 0, 1e-12 to ~1
+    def _inv(y, _xs=xs, _ys=ys, _m=end_slope):
         y_arr = np.asarray(y, dtype=float)
         out = np.interp(y_arr, _ys, _xs)
         out = np.where(y_arr <= 0.0, 0.0, out)
@@ -182,7 +181,7 @@ def make_table_fn(xs: Sequence[float], ys: Sequence[float], class_tag: str = "Ki
             out = np.where(y_arr > _ys[-1], _xs[-1] + (y_arr - _ys[-1]) / _m, out)
         return float(out) if np.ndim(y) == 0 else out
 
-    inv = _inv if end_slope > 0 and inv_ys.size >= 2 else None
+    inv = _inv if end_slope > 0 else None
     spec = {"kind": "table", "xs": xs.tolist(), "ys": ys.tolist()}
     if class_tag != "Kinf":  # the spec reader's default
         spec["class_tag"] = class_tag

@@ -287,18 +287,19 @@ def _as_rowwise(fn, t, *rows):
     return row_by_row
 
 
-def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: float,
+def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step,
                       include_times=()) -> list:
     """:func:`simulate_batch`, with the :class:`DynamicsError` of a failing member in its entry."""
-    t0s, t_ends = ([v] * len(us) if np.ndim(v) == 0 else list(v) for v in (t0, t_end))
+    t0s, t_ends, steps = ([v] * len(us) if np.ndim(v) == 0 else list(v) for v in (t0, t_end, step))
     shared = len(include_times) == 0 or np.ndim(include_times[0]) == 0
     includes = [include_times] * len(us) if shared else list(include_times)
-    if not len(xis) == len(t0s) == len(t_ends) == len(includes) == len(us):
+    if not len(xis) == len(t0s) == len(t_ends) == len(steps) == len(includes) == len(us):
         raise ParameterError(f"per-member arguments for {len(us)} inputs differ in length")
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
     grids = {}
-    plans = [_plan(sys, *run, step, inc, grids) for run, inc in zip(zip(t0s, us, t_ends), includes)]
-    t_col = (np.asarray(t0s) + np.arange(len(xs)) * step)[:, None]
+    plans = [_plan(sys, t0, u, t_end, h, inc, grids)
+             for t0, u, t_end, h, inc in zip(t0s, us, t_ends, steps, includes)]
+    t_col = (np.asarray(t0s) + np.arange(len(xs)) * np.asarray(steps))[:, None]
     u0 = [u.eval(a) for u, a in zip(us, t0s)]
     rhs = _as_rowwise(sys.rhs, t_col, xs, u0)
     counts = np.array([plan[0].size - 1 for plan in plans])
@@ -319,16 +320,17 @@ def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step
     return trajs
 
 
-def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step: float,
+def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step,
                    include_times=()) -> list:
     """:func:`simulate` for the members ``(xis[i], us[i])``, one list entry each.
 
-    ``t0``, ``t_end`` and ``include_times`` are shared or given per member.
+    ``t0``, ``t_end``, ``step`` and ``include_times`` are shared or given per
+    member; a per-member argument of the wrong length is a :class:`ParameterError`.
     All members advance in lockstep by step index as one ``(B, n)`` state,
     each on its own anchor grid: it gets its own time, step length and input
     on every step and leaves the batch once its grid has ended, so it takes
     exactly the float steps of its lone :func:`simulate` run.  Members with
-    equal anchors share one read-only ``times`` array.  The step schedule
+    equal anchors and step share one read-only ``times`` array.  The step schedule
     is built in blocks of at most ``_CELLS`` rows times steps, and the
     states of members with step counts within ``_COHORT`` of each other
     share one array, so only the states grow with members times steps.

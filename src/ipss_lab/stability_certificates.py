@@ -10,6 +10,7 @@ the falsifier searches structured input families for counterexamples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,7 +39,7 @@ from .signals import (
     rho_energy,
     sup_norm,
 )
-from .simulator import SystemDef, Trajectory, simulate
+from .simulator import SystemDef, Trajectory, simulate_batch
 
 __all__ = [
     "Certificate",
@@ -545,21 +546,22 @@ class FalsificationReport:
         }
 
 
-def _family_candidates(family: InputFamilySpec):
-    """Yield (t0, xi, input signal, step hint, t_end, include times, description)."""
+def _family_candidates(family: InputFamilySpec, step: float):
+    """Yield (t0, xi, input signal, step, t_end, include times, description); ``step`` is the
+    step of every family but ``late_pulses``."""
     if family.family == "constants":
         for t0 in family.t0_values:
             for xi in family.xi_values:
                 for c in family.levels:
                     t_end = t0 + family.horizon
                     u = constant_signal([c], t_end)
-                    yield t0, xi, u, None, t_end, (), f"constant(c={c})"
+                    yield t0, xi, u, step, t_end, (), f"constant(c={c})"
     elif family.family == "pulse_trains":
         for t0 in family.t0_values:
             for xi in family.xi_values:
                 u = pulse_train(family.tau, family.count)
                 t_end = max(t0 + family.horizon, u.horizon)
-                yield t0, xi, u, None, t_end, (), (
+                yield t0, xi, u, step, t_end, (), (
                     f"pulse_train(tau={family.tau}, count={family.count})")
     elif family.family == "late_pulses":
         for t0 in family.t0_values:
@@ -589,7 +591,7 @@ def _family_candidates(family: InputFamilySpec):
                     k += 1
                     t = k * family.period
                 u = make_signal(pieces, horizon=t_end)
-                yield t0, xi, u, None, t_end, (), (
+                yield t0, xi, u, step, t_end, (), (
                     f"bang_bang(amp={family.amplitude}, period={family.period})"
                 )
 
@@ -599,22 +601,25 @@ def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
             tolerance: Optional[float] = None) -> FalsificationReport:
     """Search the family for envelope violations, deterministically.
 
-    Up to ``budget`` candidates are simulated and checked against the
-    certificate; candidates with negative margin are collected and the
-    minimal-margin candidate reported.  Candidate order is deterministic
-    and ties in margin go to the lower index, so the outcome is
-    reproducible.
+    The first ``budget`` candidates run as one :func:`simulate_batch`, so the
+    trajectories of at most ``budget`` candidates are held at once, and
+    each is checked against the certificate with :func:`check_envelope`
+    at ``tolerance``.  Candidates that the check does not call satisfied
+    are collected and the minimal-margin candidate reported.  Candidate
+    order is deterministic and ties in margin go to the lower index, so
+    the outcome is reproducible; the first failing candidate's
+    :class:`~ipss_lab.errors.DynamicsError` is raised.
     """
     if budget < 1:
         raise ParameterError("budget must be at least 1")
+    candidates = list(itertools.islice(_family_candidates(family, step), budget))
+    if not candidates:
+        return FalsificationReport(worst=None, violations=(), n_evaluated=0)
+    t0s, xis, us, steps, t_ends, includes, descs = zip(*candidates)
+    xis = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in xis]
+    trajs = simulate_batch(sys, t0s, xis, us, t_ends, steps, includes)
     results = []
-    for idx, (t0, xi, u, step_hint, t_end, include, desc) in enumerate(
-            _family_candidates(family)):
-        if idx >= budget:
-            break
-        use_step = step_hint if step_hint is not None else step
-        xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
-        traj = simulate(sys, t0, xi_vec, u, t_end, use_step, include)
+    for idx, (t0, xi_vec, u, desc, traj) in enumerate(zip(t0s, xis, us, descs, trajs)):
         report = check_envelope(traj, cert, u, float(np.linalg.norm(xi_vec)),
                                 t0, tolerance)
         results.append({
@@ -629,11 +634,9 @@ def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
             "measure": report.measure,
         })
 
-    worst = min(results, key=lambda r: (r["margin"], r["index"])) if results else None
-    violations = tuple(r for r in results if r["margin"] < 0.0)
     return FalsificationReport(
-        worst=worst,
-        violations=violations,
+        worst=min(results, key=lambda r: (r["margin"], r["index"])),
+        violations=tuple(r for r in results if not r["satisfied"]),
         n_evaluated=len(results),
     )
 

@@ -53,7 +53,6 @@ from ipss_lab.simulator import (
     linear_test_system,
     lipschitz_probes,
     perturbed_decay_system,
-    simulate,
     simulate_batch,
 )
 from ipss_lab.stability_certificates import (
@@ -187,14 +186,17 @@ def test_criterion_5_ramp_gain_counterexample_demonstration():
 
         # peaks and energies of the pulse responses, on the falsifier's
         # schedule: 20 anchored steps on the pulse, the stability step after
+        t0s = (10.0, 100.0, 1000.0)
+        durs = [1.0 / (1.0 + t0) for t0 in t0s]
+        t_ends = [t0 + dur + 3.0 for t0, dur in zip(t0s, durs)]
+        us = [make_signal([(0.0, [0.0]), (t0, [0.5]), (t0 + dur, [0.0])], horizon=t_end)
+              for t0, dur, t_end in zip(t0s, durs, t_ends)]
+        pulses = [tuple(t0 + dur * k / 20.0 for k in range(1, 20))
+                  for t0, dur in zip(t0s, durs)]
+        trajs = simulate_batch(ce, t0s, [[0.0]] * 3, us, t_ends,
+                               [2.0 / (3.0 + t_end) for t_end in t_ends], pulses)
         peaks = {}
-        for t0 in (10.0, 100.0, 1000.0):
-            dur = 1.0 / (1.0 + t0)
-            t_end = t0 + dur + 3.0
-            u = make_signal([(0.0, [0.0]), (t0, [0.5]), (t0 + dur, [0.0])],
-                            horizon=t_end)
-            pulse = tuple(t0 + dur * k / 20.0 for k in range(1, 20))
-            traj = simulate(ce, t0, [0.0], u, t_end, 2.0 / (3.0 + t_end), pulse)
+        for t0, u, traj in zip(t0s, us, trajs):
             peaks[t0] = float(np.max(traj.norms()))
             assert peaks[t0] >= 0.25
             energy = rho_energy(u, IDENT).value

@@ -136,6 +136,41 @@ class TestOperations:
         assert len(report["violations"]) == 3
         assert sorted(v["t0"] for v in report["violations"]) == [10.0, 100.0, 1000.0]
 
+    def test_falsify_round_off_is_no_violation(self, tmp_path):
+        """The exact ISS bound of linear(1) under zero input misses by round-off only."""
+        raw = dict(load_bundled("counterexample_falsify.json"),
+                   system={"name": "linear", "params": {"lam": 1.0}},
+                   certificate={"kind": "ISS",
+                                "beta": {"kind": "exponential", "K": 1.0, "lambda": 1.0},
+                                "gamma": {"kind": "power", "c": 1.0, "p": 1.0}},
+                   input={"family": "constants", "levels": [0.0], "xi_values": [1.0, 2.0]})
+        arts = run_config(raw, tmp_path)
+        report = json.load(open(arts.paths[0]))
+        assert report["n_evaluated"] == 2 and report["violations"] == []
+        assert arts.exit_status == 0
+
+    @staticmethod
+    def _family_of(raw_input, tmp_path, monkeypatch):
+        seen = []
+        real = sc.falsify
+        monkeypatch.setattr(sc, "falsify", lambda sys, cert, family, *a, **k: (
+            seen.append(family) or real(sys, cert, family, *a, **k)))
+        run_config(dict(load_bundled("counterexample_falsify.json"), input=raw_input,
+                        options={"budget": 1}), tmp_path)
+        return seen[0]
+
+    def test_falsify_family_defaults_come_from_the_spec(self, tmp_path, monkeypatch):
+        family = self._family_of({"family": "constants"}, tmp_path, monkeypatch)
+        assert family == sc.InputFamilySpec(family="constants")
+
+    def test_falsify_family_lists_become_tuples(self, tmp_path, monkeypatch):
+        family = self._family_of({"family": "late_pulses", "t0_values": [10, 100.0],
+                                  "xi_values": [0.0], "count": 3, "tau": 2},
+                                 tmp_path, monkeypatch)
+        assert family.t0_values == (10, 100.0) and family.xi_values == (0.0,)
+        assert family.count == 3 and family.tau == 2.0
+        assert isinstance(family.tau, float)
+
     def test_transform_constants_and_envelope(self, tmp_path):
         arts = run_config(load_bundled("prop2_transform.json"), tmp_path)
         assert arts.exit_status == 0

@@ -232,6 +232,12 @@ class TestTablesAndSpecs:
         assert apply_inverse(f, 0.5) == pytest.approx(1.5)
         assert apply_inverse(f, 1.0) == pytest.approx(2.0)
 
+    def test_table_inverse_keeps_the_rise_before_an_interior_flat_run(self):
+        f = make_table_fn([0.0, 1.0, 2.0, 3.0], [0.0, 1.25, 1.25, 1.5])
+        assert apply_inverse(f, 1.0) == pytest.approx(0.8, rel=1e-15)
+        assert apply_inverse(f, 1.25) == 2.0  # the flat level, at its right edge
+        assert apply_inverse(f, 1.3) == pytest.approx(2.2, rel=1e-15)
+
     def test_table_with_flat_last_segment_has_no_inverse(self):
         """There is no numeric fallback: a table inverts only through its own inverse."""
         f = make_table_fn([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])

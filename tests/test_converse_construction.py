@@ -493,15 +493,18 @@ class TestPipeline:
 
         sysd = linear_test_system(1.0)
         rng = np.random.default_rng(77)
+        cases = []
         for _ in range(50):
             xi = float(rng.uniform(-2.0, 2.0))
             n_pieces = int(rng.integers(1, 8))
             starts = [0.0] + sorted(float(v)
                                     for v in rng.uniform(0, 6.0, size=n_pieces - 1))
             vals = rng.uniform(-1.0, 1.0, size=n_pieces)
-            u = make_signal([(t, [float(v)]) for t, v in zip(starts, vals)],
-                            horizon=6.0)
-            traj = simulate(sysd, 0.0, [xi], u, 6.0, 2e-3)
+            cases.append((xi, make_signal([(t, [float(v)]) for t, v in zip(starts, vals)],
+                                          horizon=6.0)))
+        trajs = simulate_batch(sysd, 0.0, [[xi] for xi, _ in cases], [u for _, u in cases],
+                               6.0, 2e-3)
+        for (xi, u), traj in zip(cases, trajs):
             rep = check_envelope(traj, cert, u, abs(xi), 0.0, tolerance=0.1)
             assert rep.margin >= -0.1
 

@@ -257,6 +257,24 @@ class TestSimulateBatch:
         for t0, xi, u, t_end, inc, tr in zip(t0s, xis, us, t_ends, includes, batch):
             assert_same_trajectory(tr, simulate(ce, t0, xi, u, t_end, 7e-3, include_times=inc))
 
+    def test_own_steps_bit_identical_to_simulate(self):
+        """Each member keeps its own step next to its own t0 and requested times."""
+        ce = counterexample_system()
+        t0s = [0.2, 1.35, 0.0, 0.2]
+        steps = [7e-3, 1e-2, 3e-3, 5e-3]
+        includes = [(0.37, 1.5), (), (2.6, 2.75), (0.37, 1.5)]
+        xis = [[0.5], [-1.0], [2.0], [0.5]]
+        us = self.MIXED + [self.MIXED[0]]
+        batch = simulate_batch(ce, t0s, xis, us, 3.0, steps, include_times=includes)
+        assert batch[0].times is not batch[3].times  # equal anchors, other step
+        for t0, xi, u, h, inc, tr in zip(t0s, xis, us, steps, includes, batch):
+            assert_same_trajectory(tr, simulate(ce, t0, xi, u, 3.0, h, include_times=inc))
+
+    def test_step_sequence_of_wrong_length_rejected(self):
+        with pytest.raises(ParameterError):
+            simulate_batch(linear_test_system(1.0), 0.0, [[1.0]] * 2,
+                           [zero_signal(1, 1.0)] * 2, 1.0, [1e-2, 1e-2, 1e-2])
+
     def test_own_start_times_blowup_is_per_member(self):
         sq = SystemDef(rhs=lambda t, x, u: x ** 2 + (1.0 + t) * u, n=1, m=1)
         t0s = [0.0, 0.6, 1.3, 0.2]
@@ -408,13 +426,13 @@ class TestBuiltInSystems:
     def test_counterexample_bounded_under_constants(self):
         """Constant inputs never push the state past their own level."""
         ce = counterexample_system()
-        for c in (0.1, 1.0):
-            for t0 in (0.0, 10.0, 100.0):
-                t_end = t0 + 10.0
-                step = min(1e-3, 2.0 / (3.0 + t_end))
-                tr = simulate(ce, t0, [0.0], constant_signal([c], t_end),
-                              t_end, step)
-                assert float(np.max(tr.norms())) <= c + 0.01
+        runs = [(c, t0, t0 + 10.0) for c in (0.1, 1.0) for t0 in (0.0, 10.0, 100.0)]
+        trajs = simulate_batch(ce, [t0 for _, t0, _ in runs], [[0.0]] * len(runs),
+                               [constant_signal([c], t_end) for c, _, t_end in runs],
+                               [t_end for _, _, t_end in runs],
+                               [min(1e-3, 2.0 / (3.0 + t_end)) for _, _, t_end in runs])
+        for (c, _, _), tr in zip(runs, trajs):
+            assert float(np.max(tr.norms())) <= c + 0.01
 
 
 class TestLipschitzProbe:

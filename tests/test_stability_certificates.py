@@ -14,7 +14,7 @@ from ipss_lab.comparison_functions import (
     make_table_fn,
     scale_fn,
 )
-from ipss_lab.errors import ParameterError
+from ipss_lab.errors import DynamicsError, ParameterError
 from ipss_lab.signals import (
     constant_signal,
     cumulative_energy,
@@ -22,7 +22,8 @@ from ipss_lab.signals import (
     rho_energy,
     zero_signal,
 )
-from ipss_lab.simulator import counterexample_system, linear_test_system, simulate
+from ipss_lab.simulator import (SystemDef, counterexample_system, linear_test_system, simulate,
+                                simulate_batch)
 from ipss_lab.stability_certificates import (
     Certificate,
     InputFamilySpec,
@@ -158,12 +159,15 @@ class TestTransformers:
         sysd = linear_test_system(1.0)
         ipss = exp_iiss_to_ipss(1.0, 1.0, IDENT, IDENT, 1.0)
         iss, iiss = ipss_to_iss_iiss(ipss)
+        cases = []
         for _ in range(100):
             xi = float(rng.uniform(-3, 3))
             vals = rng.uniform(-2, 2, size=3)
-            u = make_signal([(0.0, [vals[0]]), (1.0, [vals[1]]), (2.5, [vals[2]])],
-                            horizon=6.0)
-            traj = simulate(sysd, 0.0, [xi], u, 6.0, 2e-3)
+            cases.append((xi, make_signal([(0.0, [vals[0]]), (1.0, [vals[1]]),
+                                           (2.5, [vals[2]])], horizon=6.0)))
+        trajs = simulate_batch(sysd, 0.0, [[xi] for xi, _ in cases], [u for _, u in cases],
+                               6.0, 2e-3)
+        for (xi, u), traj in zip(cases, trajs):
             rep_p = check_envelope(traj, ipss, u, abs(xi), 0.0)
             if rep_p.margin >= 0:
                 assert check_envelope(traj, iss, u, abs(xi), 0.0).margin >= -1e-9
@@ -453,19 +457,22 @@ class TestFalsify:
             assert v["peak_state_norm"] >= 0.25
 
     def test_late_pulse_steps_fine_on_the_pulse_only(self, monkeypatch):
-        """20 anchored steps on each pulse, the coarse stability step elsewhere."""
-        runs = []
+        """20 anchored steps on each pulse, the coarse stability step elsewhere,
+        all candidates in one batch."""
+        batches = []
 
         def recorded(*args):
-            runs.append(simulate(*args))
-            return runs[-1]
+            batches.append(simulate_batch(*args))
+            return batches[-1]
 
-        monkeypatch.setattr(sc, "simulate", recorded)
+        monkeypatch.setattr(sc, "simulate_batch", recorded)
         ce = counterexample_system()
         cert = Certificate(kind="iISS", beta=EXP_BETA, gamma=IDENT, rho=IDENT)
         family = InputFamilySpec(family="late_pulses", t0_values=(10.0, 100.0, 1000.0),
                                  xi_values=(0.0,), amplitude=0.5)
         rep = falsify(ce, cert, family, budget=10)
+        assert len(batches) == 1
+        runs = batches[0]
         assert len(runs) == len(rep.violations) == 3  # every candidate violates
         assert runs[2].times.size - 1 <= 2000  # 60,080 at the pulse step throughout
         for traj, res in zip(runs, rep.violations):
@@ -510,6 +517,34 @@ class TestFalsify:
                                  period=0.7, horizon=6.0)
         rep = falsify(sysd, cert, family, budget=20, step=2e-3)
         assert not rep.falsified
+
+    def test_round_off_below_the_tolerance_is_no_violation(self):
+        """An exact bound at zero input misses by round-off only, which the
+        envelope check calls satisfied; such a candidate is no violation."""
+        cert = Certificate(kind="ISS", beta=EXP_BETA, gamma=IDENT)
+        family = InputFamilySpec(family="constants", xi_values=(1.0, 2.0), levels=(0.0,))
+        rep = falsify(linear_test_system(1.0), cert, family, budget=10)
+        assert rep.n_evaluated == 2
+        assert rep.worst["margin"] < 0.0 and rep.worst["satisfied"]
+        assert not rep.falsified
+
+    def test_empty_family_evaluates_nothing(self, monkeypatch):
+        monkeypatch.setattr(sc, "simulate_batch", None)  # never called
+        cert = Certificate(kind="ISS", beta=EXP_BETA, gamma=IDENT)
+        rep = falsify(linear_test_system(1.0), cert,
+                      InputFamilySpec(family="constants", levels=()), budget=5)
+        assert rep.worst is None and rep.n_evaluated == 0 and not rep.falsified
+
+    def test_first_failing_candidate_error_is_raised(self):
+        """Candidates run as one batch; the first nonfinite one's error is raised."""
+        bad = SystemDef(rhs=lambda t, x, u: np.where(u > 0.5, np.nan * x, -x), n=1, m=1)
+        cert = Certificate(kind="ISS", beta=EXP_BETA, gamma=IDENT)
+        family = InputFamilySpec(family="constants", levels=(0.1, 0.7, 0.9), horizon=1.0)
+        with pytest.raises(DynamicsError) as batched:
+            falsify(bad, cert, family, budget=10)
+        with pytest.raises(DynamicsError) as lone:
+            simulate(bad, 0.0, [0.0], constant_signal([0.7], 1.0), 1.0, 1e-3)
+        assert str(batched.value) == str(lone.value)
 
     def test_budget_respected_and_deterministic(self):
         ce = counterexample_system()
