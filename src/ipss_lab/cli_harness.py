@@ -129,11 +129,15 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj) and not any(map(math.isinf, obj)):
+            return list(obj)  # a row of finite floats, as a table's tolist gives
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # one tolist; walked only for the inf strings
+        out = obj.tolist()
+        plain = obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and not np.isinf(obj).any())
+        return out if plain else _jsonable(out)
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -450,9 +454,15 @@ def _op_falsify(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     system = _build_system(raw["system"])
     cert = sc.certificate_from_json(raw["certificate"])
     fam_spec = raw["input"]
+    defaults = {f.name: f.default for f in fields(sc.InputFamilySpec) if f.name != "family"}
+    for key, value in fam_spec.items():
+        if key != "family" and key not in defaults:
+            raise ConfigError(f"$.input.{key}: unknown key for an input family; "
+                              f"known: {sorted(defaults)}")
+        if isinstance(defaults.get(key), tuple) and not isinstance(value, list):
+            raise ConfigError(f"$.input.{key}: {value!r} is not a list")
     family = sc.InputFamilySpec(family=fam_spec["family"], **{
-        f.name: type(f.default)(fam_spec[f.name]) for f in fields(sc.InputFamilySpec)
-        if f.name != "family" and f.name in fam_spec})
+        key: type(default)(fam_spec[key]) for key, default in defaults.items() if key in fam_spec})
     opt = raw["options"]
     report = sc.falsify(system, cert, family, int(opt.get("budget", 100)),
                         step=float(opt.get("step", 1e-3)), tolerance=opt.get("tolerance"))

@@ -9,6 +9,8 @@ is smooth on every sub-interval, so the method keeps its full order.
 Blow-up is modeled by a hard threshold on the state norm; exceeding it
 stops integration and marks the trajectory.  One step loop serves a
 batch of states, each on its own anchor grid; a lone run is a batch of one.
+While one row of a scalar system is left in the batch (all of a lone run),
+the same loop steps it on float64 scalars if its ``rhs`` takes them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class SystemDef:
     ``(B, n)`` stack of the per-row values, as :func:`simulate_batch`
     passes them (and checks once per call); one that fails the check is
     called row by row, with a float time, an ``(n,)`` state and ``(m,)`` input.
+    For ``n == m == 1``, a batch with one row left (a lone run throughout)
+    calls ``rhs`` with a float64 scalar time, state and input, if a call at
+    the row's first such step gives a 0-d value bit-equal to the batched one
+    (checked once per run); otherwise it keeps the ``(1, 1)`` arrays.
     ``discontinuity_times`` samples the zero-measure set where the dynamics
     may jump in ``t``; the integrator lands on them exactly.
     """
@@ -185,13 +191,28 @@ def _lockstep_blocks(plans, m: int, n: int):
         lo = int(np.searchsorted(counts, k0, side="right"))
 
 
+def _takes_scalars(rhs, t, x, u) -> bool:
+    """Whether ``rhs`` at the float64 scalars of the ``(1, 1)`` time, state and input of a
+    lone row gives a 0-d value bit-equal to its value on the row."""
+    try:
+        value = rhs(t[0, 0], x[0, 0], u[0, 0])
+        return np.ndim(value) == 0 and (np.asarray(value, dtype=float).tobytes()
+                                         == np.asarray(rhs(t, x, u), dtype=float).tobytes())
+    except Exception:  # rhs rejects a 0-d state
+        return False
+
+
 def _rk4(rhs, x, counts, blocks, limit2: float):
     """RK4 on the ``(B, n)`` states ``x`` of rows sorted by step count ``counts``, fed by
     :func:`_lockstep_blocks`.
 
     Step ``j`` of a block takes each of its rows ``lo:`` from ``times[j]``
     over ``hs[j]`` with ``inputs[j]``; a row whose grid has ended has left
-    the batch.  A row stops at the first step ``k`` after which its squared
+    the batch.  A block with one row of a scalar system (``n == m == 1``)
+    takes the same steps on float64 scalars, read from 1-D views of its
+    arrays, if ``rhs`` passes :func:`_takes_scalars` at the first such
+    block's first step (once per run), so a lone run pays no array calls.
+    A row stops at the first step ``k`` after which its squared
     norm is nonfinite (with a :class:`DynamicsError`) or not ``<= limit2``
     (blown up), and is held at zero from then on.  The states are stored
     per cohort, a run of rows whose step counts stay within ``_COHORT`` of
@@ -222,37 +243,48 @@ def _rk4(rhs, x, counts, blocks, limit2: float):
                 out.append(states[i - r0, :last + 1])
         return out, stops, errors
 
+    # the summed squared norm bounds every row's; the margin keeps rounding
+    # from hiding a row past limit2
+    bound = limit2 * (1.0 - 1e-9)
     stops, errors, running = [None] * rows, {}, None  # running: live rows' mask once one stopped
     k = lo_prev = 0
+    scalar = None  # whether rhs takes scalars, checked at the first block of one row (n == m == 1)
     for lo, times, hs, h2s, mids, h6s, inputs, xs in blocks:
         if lo > lo_prev:  # the rows lo_prev:lo have left
             x = x[lo - lo_prev:]
             running = None if running is None or running[lo - lo_prev:].all() \
                 else running[lo - lo_prev:]
             lo_prev = lo
-        for j, (t, h, h2, mid, h6, u) in enumerate(zip(times, hs, h2s, mids, h6s, inputs)):
+            if running is not None and not running.any():  # the rows left have all stopped
+                return results()
+        if scalar is None and xs.shape[1:] == (1, 1) and inputs.shape[2] == 1:
+            scalar = _takes_scalars(rhs, times[0], x, inputs[0])  # later blocks have one row too
+        feed, out = (times, hs, h2s, mids, h6s, inputs), xs
+        if scalar:  # its row is running, as the loop returns once all rows left stopped
+            feed, out, x = [a.reshape(-1) for a in feed], xs.reshape(-1), np.ravel(x)[0]
+        for j, (t, h, h2, mid, h6, u) in enumerate(zip(*feed)):
             k1 = rhs(t, x, u)
             k2 = rhs(mid, x + h2 * k1, u)
             k3 = rhs(mid, x + h2 * k2, u)
             k4 = rhs(t + h, x + h * k3, u)
             x_new = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
             x_old, x = x, (x_new if running is None else np.where(running, x_new, x))
-            xs[j] = x
-            # the summed squared norm bounds every row's; the margin keeps
-            # rounding from hiding a row past limit2
-            if not float(np.vdot(x, x)) <= limit2 * (1.0 - 1e-9):
-                for i in range(x.shape[0]):  # a stopped row is zero and passes
-                    nrm2 = float(np.vdot(x[i], x[i]))
+            out[j] = x
+            if not (x * x if scalar else float(np.vdot(x, x))) <= bound:
+                rows_x, rows_old = np.atleast_2d(x, x_old)  # x itself, or the lone row as (1, 1)
+                for i in range(len(rows_x)):  # a stopped row is zero and passes
+                    nrm2 = float(np.vdot(rows_x[i], rows_x[i]))
                     if not nrm2 <= limit2:
                         if not math.isfinite(nrm2):
                             errors[lo + i] = DynamicsError(
                                 f"nonfinite state update at t={float(times[j + 1, i, 0])} "
-                                f"(x={x_old[i]}, u={u[i]})")
-                        stops[lo + i], x[i] = k + j, 0.0
+                                f"(x={rows_old[i]}, u={inputs[j, i]})")
+                        stops[lo + i], rows_x[i] = k + j, 0.0
                 if None not in stops[lo:]:
                     store(xs[:j + 1], lo, k)
                     return results()
-                running = np.array([[stop is None] for stop in stops[lo:]])
+                if not scalar:  # a lone row under limit2 after all runs on as it was
+                    running = np.array([[stop is None] for stop in stops[lo:]])
         store(xs, lo, k)
         k += len(hs)
     return results()
@@ -337,7 +369,11 @@ def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step,
     ``sys.rhs`` is called on the whole batch when it
     acts row-wise, in ``t`` too: one batched call at distinct per-row times
     is compared exactly with the per-row calls, and on any difference or
-    exception it is called row by row inside the same step loop.  A member
+    exception it is called row by row inside the same step loop.  With one
+    row of a scalar system left (a batch of one throughout), a row-wise
+    ``rhs`` is called on float64 scalars if it passes a once-per-run check
+    that its 0-d value is bit-equal to its batched one; the float operations,
+    and so the states, are unchanged.  A member
     that blows up or turns nonfinite stops alone, so blow-up flags and times
     are per member; the first failing member's (in input order)
     :class:`DynamicsError` is raised after all ran.

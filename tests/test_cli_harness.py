@@ -21,12 +21,13 @@ from ipss_lab.cli_harness import (
     ExperimentConfig,
     _draw_linear_scenarios,
     _envelope_csv,
+    _jsonable,
     _run_envelope_sims,
     main,
     run_experiment,
     validate_config,
 )
-from ipss_lab.errors import RangeError
+from ipss_lab.errors import ConfigError, RangeError
 
 CONFIG_DIR = resources.files("ipss_lab") / "configs"
 
@@ -170,6 +171,24 @@ class TestOperations:
         assert family.t0_values == (10, 100.0) and family.xi_values == (0.0,)
         assert family.count == 3 and family.tau == 2.0
         assert isinstance(family.tau, float)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"amplitud": 9.0}, r"^\$\.input\.amplitud: unknown key for an input family; "
+                            r"known: \['amplitude', 'count', "),
+        ({"t0_values": 5.0}, r"^\$\.input\.t0_values: 5\.0 is not a list$"),
+        ({"levels": "1.0"}, r"^\$\.input\.levels: '1\.0' is not a list$"),
+    ])
+    def test_falsify_input_errors_name_their_key(self, edit, message, tmp_path, capsys):
+        """A typo in a family key ran with the default; a scalar for a list was a TypeError."""
+        raw = load_bundled("counterexample_falsify.json")
+        raw["input"].update(edit)
+        with pytest.raises(ConfigError, match=message):
+            run_config(raw, tmp_path)
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("schema violation: $.input.")
+        assert not list(tmp_path.glob("*falsification.json"))
 
     def test_transform_constants_and_envelope(self, tmp_path):
         arts = run_config(load_bundled("prop2_transform.json"), tmp_path)
@@ -376,6 +395,22 @@ class TestDeterminism:
         for s in (20.0, 100.0):
             with pytest.raises(RangeError, match="beyond its s grid"):
                 beta.eval(s, 0.0)
+
+    def test_json_arrays_are_walked_only_for_infinities(self):
+        """An array becomes one ``tolist``, and a row of floats is copied whole; only one
+        holding +-inf is walked, so its infinities become strings, and nan is left to
+        ``json.dumps``."""
+        plain = np.array([[0.5, -1e300], [np.nan, 2.0]])
+        infinite = np.array([[0.5, np.inf], [-np.inf, np.nan]])
+        rows = [[0.5, 1.0], (2.0, -math.inf), [np.float64(1.5), 2], [0.25, np.float32(0.5)]]
+        out = _jsonable({"a": plain, "b": [infinite, np.arange(3)], "c": np.array([True]),
+                         "d": rows})
+        assert json.dumps(out) == json.dumps({
+            "a": [[0.5, -1e300], [math.nan, 2.0]], "b": [[[0.5, "inf"], ["-inf", math.nan]],
+                                                        [0, 1, 2]], "c": [True],
+            "d": [[0.5, 1.0], [2.0, "-inf"], [1.5, 2], [0.25, 0.5]]})
+        assert [type(v) for row in out["d"] for v in row] \
+            == [float, float, float, str, float, int, float, float]
 
 
 def test_measure_configs_do_not_import_numpy_ma(tmp_path):

@@ -253,7 +253,11 @@ class TestSimulateBatch:
         assert len(set(steps)) == 4
         expected = [4 * (b - a) for a, b in zip([0] + steps, steps)]
         expected[0] += 1  # the row-wise check's batched call
-        assert [shapes.count((rows, 1)) for rows in (4, 3, 2, 1)] == expected
+        # the longest row runs its lone steps on scalars, after one scalar check
+        # (one call on its (1, 1) row and one on its 0-d state)
+        expected[3:] = [1, expected[3] + 1]
+        assert [shapes.count(shape) for shape in ((4, 1), (3, 1), (2, 1), (1, 1), ())] \
+            == expected
         for t0, xi, u, t_end, inc, tr in zip(t0s, xis, us, t_ends, includes, batch):
             assert_same_trajectory(tr, simulate(ce, t0, xi, u, t_end, 7e-3, include_times=inc))
 
@@ -405,6 +409,67 @@ class TestSimulateBatch:
         states_bytes = 30 * batch[0].times.size * 8
         assert batch[0].times.size == 2001
         assert peak < 3 * states_bytes
+
+
+class TestScalarFed:
+    """A lone run of a scalar system steps on float64 scalars when its rhs takes them;
+    the same member inside a two-member batch, whose partner runs longer, steps on
+    ``(2, 1)`` arrays, and the two take the same float steps."""
+
+    U = make_signal([(0.0, [0.4]), (0.33, [-1.2]), (0.9, [1.7])], horizon=1.5)
+
+    @staticmethod
+    def reads_column(t, x, u):  # x[..., 0] needs an array state
+        return (-1.5 * x[..., 0] + u[..., 0])[..., None]
+
+    @pytest.mark.parametrize("rhs, xi, outcome, scalar_fed", [
+        (linear_test_system(1.3).rhs, [1.0], "finished", True),
+        (counterexample_system().rhs, [0.5], "finished", True),  # reads t, np.maximum
+        (lambda t, x, u: x ** 2 + u, [2.0], "blown up", True),
+        (lambda t, x, u: np.where(x > 0.45, np.nan, -x + u), [0.2], "nonfinite", True),
+        # held in the rounding margin under the threshold: checked on every step, runs on
+        (lambda t, x, u: 0.0 * x, [sm.BLOWUP_THRESHOLD * (1 - 1e-10)], "finished", True),
+        (reads_column, [1.0], "finished", False),
+        (lambda t, x, u: np.atleast_1d(-1.5 * x + u), [1.0], "finished", False),  # (1,) value
+    ])
+    def test_lone_run_equals_member_of_two(self, rhs, xi, outcome, scalar_fed):
+        def run(t_ends, xis, us):
+            shapes = []
+            sysd = SystemDef(rhs=lambda t, x, u: shapes.append(np.shape(x)) or rhs(t, x, u),
+                             n=1, m=1)
+            return sm._simulate_members(sysd, 0.1, xis, us, t_ends, 1e-2)[0], shapes
+
+        lone, lone_shapes = run(1.5, [xi], [self.U])
+        member, member_shapes = run([1.5, 2.5], [xi, [0.0]], [self.U, zero_signal(1, 2.5)])
+        if outcome == "nonfinite":
+            assert isinstance(lone, DynamicsError)
+            assert str(lone) == str(member)
+            assert str(lone).startswith("nonfinite state update at t=")
+        else:
+            assert lone.times.tobytes() == member.times.tobytes()
+            assert lone.states.tobytes() == member.states.tobytes()
+            assert (lone.blown_up, lone.blowup_time) == (member.blown_up, member.blowup_time)
+            assert lone.blown_up == (outcome == "blown up")
+        # the member steps in the batch of two over its whole grid (140 steps,
+        # stopped or not), after the row-wise check's batched call
+        assert member_shapes.count((2, 1)) == 4 * 140 + 1
+        # after the row-wise check (a (1,) row, then the (1, 1) batch), the scalar
+        # check calls rhs on the 0-d state and, if that gives a 0-d value, on the row
+        head = [(1,), (1, 1), ()] + [(1, 1)] * scalar_fed
+        assert lone_shapes[:len(head)] == head
+        assert set(lone_shapes[len(head):]) == {() if scalar_fed else (1, 1)}
+
+    def test_lone_linear_run_calls_rhs_on_scalars(self):
+        """A guard that the lone run of a scalar system does take the scalar steps."""
+        lin, seen = linear_test_system(1.0).rhs, []
+        sysd = SystemDef(rhs=lambda t, x, u: seen.append((type(t), np.ndim(x), np.ndim(u)))
+                         or lin(t, x, u), n=1, m=1)
+        tr = simulate(sysd, 0.0, [1.0], zero_signal(1, 1.0), 1.0, 1e-2)
+        assert tr.times.size == 101
+        assert seen[4:] == [(np.float64, 0, 0)] * 400
+        assert tr.states.tobytes() == \
+            simulate(linear_test_system(1.0), 0.0, [1.0], zero_signal(1, 1.0), 1.0,
+                     1e-2).states.tobytes()
 
 
 class TestBuiltInSystems:
