@@ -296,28 +296,39 @@ def _draw_linear_scenarios(rng, n_sims: int, horizon: float, xi_range: float,
     return scenarios
 
 
-def _envelope_csv(path: Path, rows) -> None:
-    columns = list(zip(*rows)) or [()] * 5
-    sig._write_csv(path, ["candidate", "t", "x_norm", "bound", "margin"], columns)
+def _n_sims(v: dict, where: str) -> int:
+    """The scenario count ``v["n_sims"]`` of an envelope validation configured at ``where``."""
+    n_sims = int(v.get("n_sims", 25))
+    if n_sims < 1:
+        raise ConfigError(f"{where}.n_sims: {n_sims!r} is not a positive number of scenarios")
+    return n_sims
 
 
-def _run_envelope_sims(system, cert, scenarios, t0, step):
-    """Envelope rows of every scenario; an early-stopped check gives its margin, no rows."""
-    trajs = sm.simulate_batch(system, t0, [[xi] for xi, _ in scenarios], [u for _, u in scenarios],
-                              [u.horizon for _, u in scenarios], step)
-    rows = []
+def _validate_envelope(path: Path, system, cert_json: dict, scenarios, v: dict) -> dict:
+    """Check the reloaded ``cert_json`` on the runs of all ``scenarios`` from time 0, one batch.
+
+    Writes every ``max(1, n // 200)``-th of the ``n`` samples of each run whose check ran to
+    its end to the envelope CSV at ``path``; an early-stopped check gives its margin, no rows.
+    Returns ``min_margin`` and ``passed`` under ``v["tolerance"]``.
+    """
+    cert = sc.certificate_from_json(cert_json)
+    trajs = sm.simulate_batch(system, 0.0, [[xi] for xi, _ in scenarios], [u for _, u in scenarios],
+                              [u.horizon for _, u in scenarios], float(v.get("step", 2e-3)))
+    parts = []  # (candidate, t, x_norm, bound, margin) samples of each run
     min_margin = math.inf
     for idx, ((xi, u), traj) in enumerate(zip(scenarios, trajs)):
-        rep = sc.check_envelope(traj, cert, u, abs(xi), t0)
+        rep = sc.check_envelope(traj, cert, u, abs(xi), 0.0)
         min_margin = min(min_margin, rep.margin)
-        if rep.bounds is None:
-            continue
-        norms = traj.norms()
-        stride = max(1, norms.size // 200)
-        for j in range(0, norms.size, stride):
-            rows.append((idx, float(traj.times[j]), float(norms[j]),
-                         float(rep.bounds[j]), float(rep.margins[j])))
-    return rows, min_margin
+        if rep.bounds is not None:
+            take = np.arange(0, traj.times.size, max(1, traj.times.size // 200))
+            t = traj.times[take]
+            parts.append((np.full(t.size, idx), t, traj.norms()[take], rep.bounds[take],
+                          rep.margins[take]))
+    del trajs  # freed before the CSV is formatted
+    columns = [np.concatenate(col) for col in zip(*parts)] or [()] * 5
+    sig._write_csv(path, ["candidate", "t", "x_norm", "bound", "margin"], columns)
+    return {"min_margin": min_margin,
+            "passed": min_margin >= -float(v.get("tolerance", 1e-6))}
 
 
 def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
@@ -336,11 +347,10 @@ def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     spec = lt.DissipationSpec(alpha4=alpha4, chi4=chi4)
     beta, gamma, rho = lt.ipss_gains_from_dissipation(alpha1, alpha2, spec, T, bundle)
 
-    n_sims = int(opt.get("n_sims", 25))
+    n_sims = _n_sims(opt, "$.options")
     horizon = float(opt.get("horizon", 8.0))
     xi_range = float(opt.get("xi_range", 10.0))
     u_range = float(opt.get("u_range", 10.0))
-    step = float(opt.get("step", 2e-3))
     rng = np.random.default_rng(cfg.seed)
     scenarios = _draw_linear_scenarios(rng, n_sims, horizon, xi_range, u_range)
 
@@ -349,10 +359,7 @@ def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     u_max = max(float(sig.sup_norm(u).value) for _, u in scenarios) + 1.0
     rho_grid = np.concatenate([[0.0], np.geomspace(1e-6, u_max, 400)])
     s_max = xi_range * 1.1 + 1.0
-    power_max = max(
-        sig.avg_power_norm(u, rho, T).value
-        for _, u in scenarios
-    )
+    power_max = max(sig.avg_power_norm(u, rho, T).value for _, u in scenarios)
     gamma_grid = np.concatenate([[0.0], np.geomspace(1e-9, power_max * 1.1 + 1.0, 400)])
     cert_json = {
         "kind": "IPSS",
@@ -363,23 +370,13 @@ def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         "rho": cf.monotone_to_spec(rho, sample_grid=rho_grid),
         "T": T,
     }
-    canonical = sc.certificate_from_json(cert_json)
-
-    rows, min_margin = _run_envelope_sims(system, canonical,
-                                          scenarios, 0.0, step)
     env_path = out / f"{cfg.prefix}_envelope.csv"
-    _envelope_csv(env_path, rows)
+    checked = _validate_envelope(env_path, system, cert_json, scenarios, opt)
     cert_path = out / f"{cfg.prefix}_certificate.json"
     _write_json(cert_path, cert_json)
     bundle_path = out / f"{cfg.prefix}_kappa.json"
     _write_json(bundle_path, lt.kappa_bundle_to_json(bundle))
-    tol = float(opt.get("tolerance", 1e-6))
-    summary = {
-        "operation": "synth-gains",
-        "min_margin": min_margin,
-        "n_sims": n_sims,
-        "passed": min_margin >= -tol,
-    }
+    summary = {"operation": "synth-gains", "n_sims": n_sims, **checked}
     sum_path = out / f"{cfg.prefix}_summary.json"
     _write_json(sum_path, summary)
     return ArtifactSet(
@@ -413,23 +410,16 @@ def _op_transform(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
             "lambda_tilde": lambda_tilde,
             "amplification": amplification,
         }
-        status = 0
         if "validate" in opt:
             v = opt["validate"]
             system = _build_system(v["system"])
-            rng = np.random.default_rng(cfg.seed)
             scenarios = _draw_linear_scenarios(
-                rng, int(v.get("n_sims", 25)), float(v.get("horizon", 8.0)),
-                float(v.get("xi_range", 5.0)), float(v.get("u_range", 5.0)))
-            canonical = sc.certificate_from_json(cert_json)
-            rows, min_margin = _run_envelope_sims(system, canonical, scenarios,
-                                                  0.0, float(v.get("step", 2e-3)))
+                np.random.default_rng(cfg.seed), _n_sims(v, "$.options.validate"),
+                float(v.get("horizon", 8.0)), float(v.get("xi_range", 5.0)),
+                float(v.get("u_range", 5.0)))
             env_path = out / f"{cfg.prefix}_envelope.csv"
-            _envelope_csv(env_path, rows)
+            summary.update(_validate_envelope(env_path, system, cert_json, scenarios, v))
             paths.append(str(env_path))
-            summary["min_margin"] = min_margin
-            summary["passed"] = min_margin >= -float(v.get("tolerance", 1e-6))
-            status = 0 if summary["passed"] else 2
     elif kind == "ipss-to-iss-iiss":
         cert = sc.certificate_from_json(raw["certificate"])
         iss, iiss = sc.ipss_to_iss_iiss(cert)
@@ -440,13 +430,13 @@ def _op_transform(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         _write_json(iiss_path, sc.certificate_to_json(iiss, gain_grid=grid))
         paths.extend([str(iss_path), str(iiss_path)])
         summary = {"operation": "transform", "transform": kind}
-        status = 0
     else:
         raise ConfigError(f"$.options.transform: unknown transform {kind!r}")
     sum_path = out / f"{cfg.prefix}_summary.json"
     _write_json(sum_path, summary)
     paths.append(str(sum_path))
-    return ArtifactSet(paths=tuple(paths), summary=summary, exit_status=status)
+    return ArtifactSet(paths=tuple(paths), summary=summary,
+                       exit_status=0 if summary.get("passed", True) else 2)
 
 
 def _op_falsify(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
@@ -515,8 +505,11 @@ def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         sim_step=float(opt.get("sim_step", 5e-3)),
         seed=cfg.seed,
     )
+    states = tuple(opt.get("probe_states", (0.5, 1.0, 3.0)))
+    if not states:
+        raise ConfigError("$.options.probe_states: [] is empty; the checks need a probe state")
     plan = cc.ConverseProbePlan(
-        states=tuple(opt.get("probe_states", (0.5, 1.0, 3.0))),
+        states=states,
         decay_horizon=float(opt.get("decay_horizon", 4.0)),
         decay_eval_points=int(opt.get("decay_eval_points", 3)),
         lipschitz_pairs=int(opt.get("lipschitz_pairs", 4)),
@@ -602,12 +595,12 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    try:
+        cfg = _load_config(args.config, getattr(args, "seed", None))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 1
     if args.command == "validate":
-        try:
-            cfg = _load_config(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
         errors = validate_config(cfg.raw)
         if errors:
             for path, msg in errors:
@@ -615,12 +608,6 @@ def main(argv=None) -> int:
             return 1
         print(f"{args.config}: OK")
         return 0
-
-    try:
-        cfg = _load_config(args.config, args.seed)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
     try:
         artifacts = run_experiment(cfg, args.out)
     except ConfigError as exc:

@@ -139,16 +139,12 @@ def regularized_rho(theta2: MonotoneFn, grid: Sequence[float]) -> MonotoneFn:
 
 
 def _extreme_disturbances(m: int) -> list:
-    vecs = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        vecs.append(e.copy())
-        vecs.append(-e)
-    corner = np.full(m, 1.0 / math.sqrt(m))
-    for c in (corner, -corner):
-        if not any(np.array_equal(c, v) for v in vecs):
-            vecs.append(c)
+    """``+-e_i`` of every axis, then the corners ``+-(1, ..., 1)/sqrt(m)``, which for
+    ``m = 1`` are ``+-e_0`` already."""
+    vecs = [sign * e for e in np.eye(m) for sign in (1.0, -1.0)]
+    if m > 1:
+        corner = np.full(m, 1.0 / math.sqrt(m))
+        vecs += [corner, -corner]
     return vecs
 
 
@@ -307,9 +303,6 @@ class ConverseEvaluator:
                             (-1, self.cfg.k_max)).T
         return sum(w * v for w, v in zip(self.weights, layers))
 
-    def value(self, t0: float, xi) -> float:
-        return float(self.values([t0], [xi])[0])
-
     def alpha1_value(self, r):
         """Truncated lower sandwich: the series of layer gains at time 0.
 
@@ -415,18 +408,13 @@ def check_converse_properties(ev: ConverseEvaluator,
 
     The decay check follows constant-disturbance trajectories and accepts
     ``V(t, x(t)) <= e^{-(t-t0)/2} V(t0, xi) (1 + slack)``; the slack covers
-    the one-sided sampling of both sides.  The probe states run in two
-    batched phases: the sandwich states with both ends of every Lipschitz
-    pair, then the decay query states.
+    the one-sided sampling of both sides.  The series is evaluated in two
+    phases of one :meth:`ConverseEvaluator.values` call each: the sandwich
+    states with both ends of every Lipschitz pair, then the decay samples,
+    whose runs from every ``t0`` go through one :func:`simulate_batch`.
     """
     sys, theta1, cfg, mrk_table = ev.sys, ev.theta1, ev.cfg, ev.mrk_table
     slack = plan.slack
-
-    def axis_state(s):
-        xi = np.zeros(sys.n)
-        xi[0] = s
-        return xi
-
     rng = np.random.default_rng(plan.seed)
     pairs = []
     for _ in range(plan.lipschitz_pairs):
@@ -436,76 +424,59 @@ def check_converse_properties(ev: ConverseEvaluator,
         den = abs(t_a - t_b) + float(np.linalg.norm(xa - xb))
         if den >= 1e-9:
             pairs.append((t_a, xa, t_b, xb, den))
-    # phase A: the sandwich states and both ends of every pair in one batch
-    ev.wk_many([(t0, axis_state(s)) for t0 in plan.t0_values for s in plan.states]
-               + [end for t_a, xa, t_b, xb, _ in pairs for end in ((t_a, xa), (t_b, xb))])
+    axes = np.zeros((len(plan.states), sys.n))  # the probe states on the first axis
+    axes[:, 0] = plan.states
+    probes = [(t0, s, xi) for t0 in plan.t0_values for s, xi in zip(plan.states, axes)]
+    # phase A: the sandwich states, then both ends of every pair
+    ends = [end for t_a, xa, t_b, xb, _ in pairs for end in ((t_a, xa), (t_b, xb))]
+    values = ev.values([p[0] for p in probes] + [t for t, _ in ends],
+                       [p[2] for p in probes] + [x for _, x in ends]).tolist()
+    v_probes, v_ends = values[:len(probes)], values[len(probes):]
 
     sandwich_rows = []
-    sandwich_ok = True
-    for t0 in plan.t0_values:
-        for s in plan.states:
-            v = ev.value(t0, axis_state(s))
-            lo = ev.alpha1_value(abs(s))
-            hi = float(theta1.eval(abs(s)))
-            ok = (v >= lo * (1.0 - slack) - 1e-12) and (v <= hi * (1.0 + slack) + 1e-12)
-            sandwich_ok &= ok
-            sandwich_rows.append({
-                "t0": float(t0), "state": float(s),
-                "lower": lo, "value": v, "upper": hi, "ok": ok,
-            })
+    for (t0, s, _), v in zip(probes, v_probes):
+        lo, hi = ev.alpha1_value(abs(s)), float(theta1.eval(abs(s)))
+        sandwich_rows.append({
+            "t0": float(t0), "state": float(s), "lower": lo, "value": v, "upper": hi,
+            "ok": (v >= lo * (1.0 - slack) - 1e-12) and (v <= hi * (1.0 + slack) + 1e-12),
+        })
 
-    lip_rows = []
-    lip_ok = True
     theoretical = 1.0 + sum(
         2.0 ** (-k) * float(mrk_table(plan.lipschitz_radius, k))
         / (1.0 + float(mrk_table(k, k)))
         for k in range(1, cfg.k_max + 1)
     )
-    for t_a, xa, t_b, xb, den in pairs:
-        ratio = abs(ev.value(t_a, xa) - ev.value(t_b, xb)) / den
-        ok = ratio <= theoretical * (1.0 + slack)
-        lip_ok &= ok
-        lip_rows.append({"ratio": float(ratio), "bound": float(theoretical), "ok": ok})
+    ratios = [abs(va - vb) / p[4] for p, va, vb in zip(pairs, v_ends[0::2], v_ends[1::2])]
+    lip_rows = [{"ratio": float(r), "bound": float(theoretical),
+                 "ok": r <= theoretical * (1.0 + slack)} for r in ratios]
 
+    # the decay runs from every t0 in one batch, of the probe states with V(t0, xi) > 1e-12
+    runs = [(t0, s, xi, v0, dc, t0 + plan.decay_horizon)
+            for (t0, s, xi), v0 in zip(probes, v_probes) if v0 > 1e-12
+            for dc in plan.constant_disturbances]
+    trajs = simulate_batch(sys.as_systemdef(), [r[0] for r in runs], [r[2] for r in runs],
+                           [constant_signal(np.full(sys.m, r[4]), r[5]) for r in runs],
+                           [r[5] for r in runs], cfg.sim_step)
     queries = []  # (t0, state, d, t, x(t), V(t0, xi)) of every decay sample
-    sysdef = sys.as_systemdef()
-    for t0 in plan.t0_values:
-        t_end = t0 + plan.decay_horizon
-        runs = []
-        for s in plan.states:
-            xi = axis_state(s)
-            v0 = ev.value(t0, xi)
-            if v0 > 1e-12:
-                runs.extend((s, xi, v0, dc) for dc in plan.constant_disturbances)
-        trajs = simulate_batch(sysdef, t0, [r[1] for r in runs],
-                               [constant_signal(np.full(sys.m, r[3]), t_end) for r in runs],
-                               t_end, cfg.sim_step)
+    for (t0, s, _, v0, dc, t_end), traj in zip(runs, trajs):
         eval_ts = np.linspace(t0, t_end, plan.decay_eval_points + 1)[1:]
-        for (s, _, v0, dc), traj in zip(runs, trajs):
-            for te in eval_ts:
-                idx = int(np.searchsorted(traj.times, te))
-                idx = min(idx, traj.times.size - 1)
-                tt = float(traj.times[idx])
-                queries.append((t0, s, dc, tt, traj.states[idx], v0))
-    # phase B: every decay query state in one batch
-    ev.wk_many([(tt, xt) for *_, tt, xt, _ in queries])
+        idx = np.minimum(np.searchsorted(traj.times, eval_ts), traj.times.size - 1)
+        queries += [(t0, s, dc, float(traj.times[i]), traj.states[i], v0) for i in idx]
+    # phase B: every decay sample
+    v_queries = ev.values([q[3] for q in queries], [q[4] for q in queries]).tolist()
 
     decay_rows = []
-    decay_ok = True
-    for t0, s, dc, tt, xt, v0 in queries:
-        vt = ev.value(tt, xt)
+    for (t0, s, dc, tt, _, v0), vt in zip(queries, v_queries):
         bound = math.exp(-0.5 * (tt - t0)) * v0 * (1.0 + slack)
-        ok = vt <= bound + 1e-12
-        decay_ok &= ok
         decay_rows.append({
             "t0": float(t0), "state": float(s), "d": float(dc),
-            "t": tt, "value": vt, "bound": bound, "ok": ok,
+            "t": tt, "value": vt, "bound": bound, "ok": vt <= bound + 1e-12,
         })
 
     return ConverseReport(
-        sandwich_ok=sandwich_ok,
-        lipschitz_ok=lip_ok,
-        decay_ok=decay_ok,
+        sandwich_ok=all(r["ok"] for r in sandwich_rows),
+        lipschitz_ok=all(r["ok"] for r in lip_rows),
+        decay_ok=all(r["ok"] for r in decay_rows),
         sandwich_rows=tuple(sandwich_rows),
         lipschitz_rows=tuple(lip_rows),
         decay_rows=tuple(decay_rows),

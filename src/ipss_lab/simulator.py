@@ -327,6 +327,8 @@ def _simulate_members(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step
     includes = [include_times] * len(us) if shared else list(include_times)
     if not len(xis) == len(t0s) == len(t_ends) == len(steps) == len(includes) == len(us):
         raise ParameterError(f"per-member arguments for {len(us)} inputs differ in length")
+    if not us:
+        return []
     xs = [np.array(xi, dtype=float).reshape(sys.n) for xi in xis]
     grids = {}
     plans = [_plan(sys, t0, u, t_end, h, inc, grids)
@@ -358,8 +360,8 @@ def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step,
 
     ``t0``, ``t_end``, ``step`` and ``include_times`` are shared or given per
     member; a per-member argument of the wrong length is a :class:`ParameterError`.
-    All members advance in lockstep by step index as one ``(B, n)`` state,
-    each on its own anchor grid: it gets its own time, step length and input
+    No members give ``[]``.  All members advance in lockstep by step index as one ``(B, n)``
+    state, each on its own anchor grid: it gets its own time, step length and input
     on every step and leaves the batch once its grid has ended, so it takes
     exactly the float steps of its lone :func:`simulate` run.  Members with
     equal anchors and step share one read-only ``times`` array.  The step schedule

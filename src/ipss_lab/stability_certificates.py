@@ -471,7 +471,7 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
     n = int(round(t_max / grid_step))
     ts = grid_step * np.arange(n + 1)
     knots, cum = cumulative_energy(h_profile, None)
-    H = np.interp(ts, knots, cum, right=float(cum[-1]))
+    H = np.interp(ts, knots, cum)
 
     def gain(x):
         return np.asarray(eta.eval(x), dtype=float)
@@ -479,8 +479,7 @@ def lemma3_oracle(K: float, lam: float, T: float, eta: MonotoneFn,
     g = _saturate(K, lam, ts, H, gain, g0)
 
     min_slack, worst = _window_check(K, lambda_tilde, amplification, T, ts, H,
-                                     np.interp(ts - T, knots, cum, right=float(cum[-1])),
-                                     g, gain)
+                                     np.interp(ts - T, knots, cum), g, gain)
     return OracleReport(
         min_slack=min_slack,
         worst_pair=worst,

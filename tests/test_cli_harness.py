@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -20,9 +21,8 @@ from ipss_lab import stability_certificates as sc
 from ipss_lab.cli_harness import (
     ExperimentConfig,
     _draw_linear_scenarios,
-    _envelope_csv,
     _jsonable,
-    _run_envelope_sims,
+    _validate_envelope,
     main,
     run_experiment,
     validate_config,
@@ -269,58 +269,121 @@ class TestOperations:
         assert 3 * len(loops) < 56
 
 
+    def test_converse_without_decay_runs_passes(self, tmp_path):
+        """A probe state where V is 0 gives the decay check no runs; the empty
+        batch raised ``ValueError: need at least one array to stack``."""
+        raw = load_bundled("converse_demo.json")
+        raw["options"]["probe_states"] = [0.01]
+        arts = run_config(raw, tmp_path)
+        assert arts.exit_status == 0
+        assert arts.summary["decay"] == {"ok": True, "rows": []}
+        assert [row["value"] for row in arts.summary["sandwich"]["rows"]] == [0.0]
+
+    @pytest.mark.parametrize("config, keys, value", [
+        ("linear_ipss.json", ("options", "n_sims"), 0),
+        ("linear_ipss.json", ("options", "n_sims"), -3),
+        ("prop2_transform.json", ("options", "validate", "n_sims"), 0),
+        ("converse_demo.json", ("options", "probe_states"), []),
+    ])
+    def test_empty_scenarios_or_probes_name_their_key(self, config, keys, value, tmp_path,
+                                                      capsys):
+        """No scenario or no probe state was a bare ``ValueError`` from ``max`` or
+        ``np.stack``."""
+        raw = load_bundled(config)
+        *parents, key = keys
+        section = raw
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        where = "$." + ".".join(keys)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: "):
+            run_config(raw, tmp_path)
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"schema violation: {where}: ")
+
+
 class TestEnvelopeRows:
-    """``_run_envelope_sims`` writes what ``check_envelope`` computed."""
+    """``_validate_envelope`` writes what ``check_envelope`` computed."""
 
-    CERT = sc.Certificate(kind="ISS", beta=cf.KLBound(kind="exponential", K=1.0, lam=1.0),
-                          gamma=cf.identity_fn())
+    CERT_JSON = {"kind": "ISS", "beta": {"kind": "exponential", "K": 1.0, "lambda": 1.0},
+                 "gamma": {"kind": "power", "c": 1.0, "p": 1.0}}
+    HEADER = ["candidate", "t", "x_norm", "bound", "margin"]
 
-    def test_rows_are_check_envelope_arrays_at_csv_stride(self):
+    @classmethod
+    def lone_rows(cls, system, cert_json, scenarios, step):
+        """CSV rows and margins of one lone ``simulate`` run per scenario."""
+        cert = sc.certificate_from_json(cert_json)
+        rows, margins = [], []
+        for idx, (xi, u) in enumerate(scenarios):
+            traj = sm.simulate(system, 0.0, [xi], u, u.horizon, step)
+            rep = sc.check_envelope(traj, cert, u, abs(xi), 0.0)
+            margins.append(rep.margin)
+            if rep.bounds is None:
+                continue
+            norms = traj.norms()
+            stride = max(1, norms.size // 200)
+            rows += [[str(idx)] + [repr(float(v)) for v in
+                                   (traj.times[j], norms[j], rep.bounds[j], rep.margins[j])]
+                     for j in range(0, norms.size, stride)]
+        return rows, margins
+
+    @staticmethod
+    def written_rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_rows_are_check_envelope_arrays_at_csv_stride(self, tmp_path):
         system = sm.linear_test_system(1.0)
         scenarios = [(1.5, sig.make_signal([(0.0, [1.0]), (2.0, [-0.5])], horizon=4.0)),
                      (-0.5, sig.constant_signal([0.25], 3.0))]
-        rows, min_margin = _run_envelope_sims(system, self.CERT, scenarios, 0.0, 1e-2)
-        expected, margins = [], []
-        for idx, (xi, u) in enumerate(scenarios):
-            traj = sm.simulate(system, 0.0, [xi], u, u.horizon, 1e-2)
-            rep = sc.check_envelope(traj, self.CERT, u, abs(xi), 0.0)
-            norms = traj.norms()
-            stride = max(1, norms.size // 200)  # 2 on the first run's 401 samples
-            expected += [(idx, traj.times[j], norms[j], rep.bounds[j], rep.margins[j])
-                         for j in range(0, norms.size, stride)]
-            margins.append(rep.margin)
-        assert rows == expected
-        assert min_margin == min(margins)
+        checked = _validate_envelope(tmp_path / "env.csv", system, self.CERT_JSON, scenarios,
+                                     {"step": 1e-2})
+        # a stride of 2 on the first run's 401 samples
+        expected, margins = self.lone_rows(system, self.CERT_JSON, scenarios, 1e-2)
+        assert self.written_rows(tmp_path / "env.csv") == [self.HEADER] + expected
+        assert checked == {"min_margin": min(margins), "passed": min(margins) >= -1e-6}
 
     def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        """The CSV writer the helper uses, on its int and float columns, is ``csv.writer``
+        with ``repr`` cells; with no rows it writes the header alone."""
         rows = [(0, 0.0, 1.5, 2.0, 0.5), (1, -0.0, 1e-300, math.inf, -math.inf),
                 (12, 2.5, math.nan, 3.0, math.nan)]
-        _envelope_csv(tmp_path / "new.csv", rows)
+        columns = [np.array([r[0] for r in rows])] + [np.array(c) for c in list(zip(*rows))[1:]]
+        sig._write_csv(tmp_path / "new.csv", self.HEADER, columns)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["candidate", "t", "x_norm", "bound", "margin"])
+            writer.writerow(self.HEADER)
             for row in rows:
                 writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        _envelope_csv(tmp_path / "empty.csv", [])
+        square = sm.SystemDef(rhs=lambda t, x, u: x ** 2, n=1, m=1)
+        checked = _validate_envelope(tmp_path / "empty.csv", square, self.CERT_JSON,
+                                     [(2.0, sig.zero_signal(1, 1.0))], {"step": 1e-3})
+        assert checked == {"min_margin": -math.inf, "passed": False}
         assert (tmp_path / "empty.csv").read_bytes() == b"candidate,t,x_norm,bound,margin\r\n"
 
-    def test_blown_up_scenario_gives_no_rows(self):
+    def test_blown_up_scenario_gives_no_rows(self, tmp_path):
         """A blown-up run fails outright instead of writing gain-free bounds."""
         square = sm.SystemDef(rhs=lambda t, x, u: x ** 2, n=1, m=1)
         scenarios = [(2.0, sig.zero_signal(1, 1.0)), (0.1, sig.zero_signal(1, 1.0))]
-        rows, min_margin = _run_envelope_sims(square, self.CERT, scenarios, 0.0, 1e-3)
-        assert min_margin == -math.inf
-        assert rows and {r[0] for r in rows} == {1}
+        checked = _validate_envelope(tmp_path / "env.csv", square, self.CERT_JSON, scenarios,
+                                     {"step": 1e-3})
+        assert checked["min_margin"] == -math.inf
+        rows = self.written_rows(tmp_path / "env.csv")[1:]
+        assert rows and {r[0] for r in rows} == {"1"}
+        assert rows == self.lone_rows(square, self.CERT_JSON, scenarios, 1e-3)[0]
 
-    def test_batched_rows_equal_lone_simulate_rows(self, monkeypatch):
+    def test_batched_rows_equal_lone_simulate_rows(self, tmp_path, monkeypatch):
         """One batch over all horizons gives the rows of one lone run per scenario."""
         rng = np.random.default_rng(11)
         scenarios = _draw_linear_scenarios(rng, 25, 8.0, 10.0, 10.0)
         scenarios[20:] = _draw_linear_scenarios(rng, 5, 5.0, 10.0, 10.0)
-        cert = sc.exp_iiss_to_ipss(1.0, 1.0, cf.identity_fn(), cf.identity_fn(), 1.0)
+        cert_json = sc.certificate_to_json(
+            sc.exp_iiss_to_ipss(1.0, 1.0, cf.identity_fn(), cf.identity_fn(), 1.0))
         system = sm.linear_test_system(1.0)
-        batched = _run_envelope_sims(system, cert, scenarios, 0.0, 2e-3)
+        batched = _validate_envelope(tmp_path / "batched.csv", system, cert_json, scenarios, {})
         one = sm.simulate_batch
 
         def lone(sys, t0, xis, us, t_ends, *args):
@@ -328,7 +391,9 @@ class TestEnvelopeRows:
                     for xi, u, t_end in zip(xis, us, t_ends)]
 
         monkeypatch.setattr(sm, "simulate_batch", lone)
-        assert _run_envelope_sims(system, cert, scenarios, 0.0, 2e-3) == batched
+        assert _validate_envelope(tmp_path / "lone.csv", system, cert_json, scenarios,
+                                  {}) == batched
+        assert (tmp_path / "lone.csv").read_bytes() == (tmp_path / "batched.csv").read_bytes()
 
 
 class TestSynthGainsCertificate:

@@ -336,19 +336,19 @@ class TestDisturbanceBatch:
 class TestConverseValue:
     def test_zero_state(self, decay_system, rho, cfg_small, mrk_small):
         ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
-        assert ev.value(0.0, [0.0]) == 0.0
+        assert ev.values([0.0], [[0.0]])[0] == 0.0
 
     def test_truncation_bounded_at_unit_state(self, decay_system, rho,
                                               cfg_small, mrk_small):
         """rho(1) = 3/4 keeps the first layer silent at |xi| = 1, so V stays small."""
         ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
-        assert ev.value(0.0, [1.0]) <= 0.25
+        assert ev.values([0.0], [[1.0]])[0] <= 0.25
 
     def test_sandwich_at_probe_states(self, decay_system, rho, cfg_small,
                                       mrk_small):
         ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
-        for s in (0.5, 1.0, 3.0):
-            v = ev.value(0.0, [s])
+        states = (0.5, 1.0, 3.0)
+        for s, v in zip(states, ev.values([0.0] * 3, [[s] for s in states])):
             assert ev.alpha1_value(s) * (1 - 0.05) - 1e-12 <= v
             assert v <= THETA1.eval(s) * (1 + 0.05)
 
@@ -361,7 +361,6 @@ class TestConverseValue:
         assert [repr(float(v)) for v in rows] == [
             repr(float(sum(w * v for w, v in zip(ev.weights, ev.wk_many([(a, b)])[0]))))
             for a, b in zip(t, x)]
-        assert [ev.value(a, b) for a, b in zip(t, x)] == rows.tolist()
 
     def test_alpha1_array_call_matches_scalar_calls(self, decay_system, rho,
                                                     cfg_small, mrk_small):
@@ -400,6 +399,69 @@ class TestConverseProperties:
         assert set(j) == {"sandwich", "lipschitz", "decay"}
         assert j["sandwich"]["ok"]
 
+    def test_rows_of_two_start_times_equal_lone_runs(self, decay_system, rho, cfg_small,
+                                                     mrk_small, monkeypatch):
+        """With two ``t0`` the decay runs of both share one batch, and one ``values``
+        call per phase gives every row a lone ``simulate`` run and a per-state layer
+        sum give, bit for bit."""
+        ev = ConverseEvaluator(decay_system, THETA1, rho, cfg_small, mrk_small)
+        plan = ConverseProbePlan(states=(0.5, 1.0, 3.0), t0_values=(0.0, 0.7),
+                                 decay_eval_points=3, lipschitz_pairs=4, seed=2)
+        calls = {"values": 0, "simulate_batch": 0}
+        values, batch = ConverseEvaluator.values, cc.simulate_batch
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ConverseEvaluator, "values", counted("values", values))
+        monkeypatch.setattr(cc, "simulate_batch", counted("simulate_batch", batch))
+        report = check_converse_properties(ev, plan)
+        assert calls == {"values": 2, "simulate_batch": 1}
+        monkeypatch.undo()
+
+        def V(t, x):  # the weighted layers of one state, summed in layer order
+            return float(sum(w * v for w, v in zip(ev.weights, ev.wk_many([(t, x)])[0])))
+
+        slack, sysdef = plan.slack, decay_system.as_systemdef()
+        sandwich, decay = [], []
+        for t0 in plan.t0_values:
+            for s in plan.states:
+                v0 = V(t0, [s])
+                lo, hi = ev.alpha1_value(s), float(THETA1.eval(s))
+                sandwich.append({"t0": t0, "state": s, "lower": lo, "value": v0, "upper": hi,
+                                 "ok": lo * (1 - slack) - 1e-12 <= v0 <= hi * (1 + slack) + 1e-12})
+                for dc in plan.constant_disturbances if v0 > 1e-12 else ():
+                    t_end = t0 + plan.decay_horizon
+                    traj = simulate(sysdef, t0, [s], constant_signal([dc], t_end), t_end,
+                                    cfg_small.sim_step)
+                    for te in np.linspace(t0, t_end, plan.decay_eval_points + 1)[1:]:
+                        i = min(int(np.searchsorted(traj.times, te)), traj.times.size - 1)
+                        tt = float(traj.times[i])
+                        vt = V(tt, traj.states[i])
+                        bound = math.exp(-0.5 * (tt - t0)) * v0 * (1 + slack)
+                        decay.append({"t0": t0, "state": s, "d": dc, "t": tt, "value": vt,
+                                      "bound": bound, "ok": vt <= bound + 1e-12})
+        theoretical = 1.0 + sum(2.0 ** -k * mrk_small(plan.lipschitz_radius, k)
+                                / (1.0 + mrk_small(k, k)) for k in range(1, 6))
+        rng, lipschitz = np.random.default_rng(plan.seed), []
+        for _ in range(plan.lipschitz_pairs):
+            t_a, t_b = rng.uniform(0.0, 2.0, size=2)
+            xa, xb = (rng.uniform(-plan.lipschitz_radius, plan.lipschitz_radius, size=1)
+                      for _ in range(2))
+            ratio = abs(V(t_a, xa) - V(t_b, xb)) / (abs(t_a - t_b) + float(np.linalg.norm(xa - xb)))
+            lipschitz.append({"ratio": float(ratio), "bound": theoretical,
+                              "ok": ratio <= theoretical * (1 + slack)})
+        assert {row["t0"] for row in report.decay_rows} == {0.0, 0.7}
+        assert len(decay) == 2 * 3 * 3 * 3
+        for rows, expected in ((report.sandwich_rows, sandwich),
+                               (report.lipschitz_rows, lipschitz),
+                               (report.decay_rows, decay)):
+            assert [{k: repr(v) for k, v in row.items()} for row in rows] == [
+                {k: repr(v) for k, v in row.items()} for row in expected]
+
 
 @pytest.fixture(scope="module")
 def candidate():
@@ -437,7 +499,7 @@ class TestPipeline:
         rho = regularized_rho(THETA2, np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 240)]))
         ev = ConverseEvaluator(dsys, THETA1, rho, cfgp, build_mrk_table(dsys, THETA1, cfgp))
         for t, x in ((0.0, 0.4), (0.0, -1.3), (0.7, 2.5)):
-            assert cand.eval(t, [x]) == ev.value(t, np.array([x]))
+            assert cand.eval(t, [x]) == ev.values([t], [np.array([x])])[0]
 
     def test_inadequate_gain_names_phi(self):
         """A gain that destabilizes the closed loop fails the decay envelope at

@@ -274,6 +274,19 @@ class TestSimulateBatch:
         for t0, xi, u, h, inc, tr in zip(t0s, xis, us, steps, includes, batch):
             assert_same_trajectory(tr, simulate(ce, t0, xi, u, 3.0, h, include_times=inc))
 
+    def test_zero_members_give_no_runs(self, monkeypatch):
+        """A batch of no members is empty and never reaches the integrator;
+        it raised from ``np.stack([])``."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("the integrator ran for an empty batch")
+
+        monkeypatch.setattr(sm, "_rk4", no_run)
+        sysd = linear_test_system(1.0)
+        assert simulate_batch(sysd, 0.0, [], [], 1.0, 1e-2) == []
+        assert simulate_batch(sysd, [], [], [], [], [], include_times=[]) == []
+        with pytest.raises(ParameterError):
+            simulate_batch(sysd, [0.0], [], [], 1.0, 1e-2)
+
     def test_step_sequence_of_wrong_length_rejected(self):
         with pytest.raises(ParameterError):
             simulate_batch(linear_test_system(1.0), 0.0, [[1.0]] * 2,
