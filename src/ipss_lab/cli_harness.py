@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,19 @@ def _build_candidate(spec: dict) -> lt.LyapunovCandidate:
     raise ConfigError(f"$.lyapunov.V.kind: unknown candidate kind {kind!r}")
 
 
+def _field_values(cls, section: dict, where: str, keys: dict) -> dict:
+    """Keyword arguments of dataclass ``cls`` for the ``keys`` (config key: field) that
+    ``section`` gives, each converted to the type of its field's default; a tuple takes a list."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, name in keys.items():
+        if key in section:
+            if isinstance(defaults[name], tuple) and not isinstance(section[key], list):
+                raise ConfigError(f"{where}.{key}: {section[key]!r} is not a list")
+            values[name] = type(defaults[name])(section[key])
+    return values
+
+
 def _build_plan(options: dict, n: int, m: int, seed: int) -> lt.SamplingPlan:
     p = options.get("plan", {})
     return lt.make_plan(
@@ -203,15 +217,13 @@ def _build_plan(options: dict, n: int, m: int, seed: int) -> lt.SamplingPlan:
 # operations
 
 
-def _op_simulate(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_simulate(cfg: ExperimentConfig):
     raw = cfg.raw
     system = _build_system(raw["system"])
     u = _build_input_signal(raw["input"])
     opt = raw["options"]
     traj = sm.simulate(system, float(opt.get("t0", 0.0)), opt["xi"], u,
                        float(opt["t_end"]), float(opt.get("step", 1e-3)))
-    traj_path = out / f"{cfg.prefix}_trajectory.csv"
-    sm.trajectory_to_csv(traj, traj_path)
     summary = {
         "operation": "simulate",
         "blown_up": traj.blown_up,
@@ -220,32 +232,26 @@ def _op_simulate(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         "peak_norm": float(np.max(traj.norms())),
         "n_points": int(traj.times.size),
     }
-    sum_path = out / f"{cfg.prefix}_summary.json"
-    _write_json(sum_path, summary)
-    return ArtifactSet(paths=(str(traj_path), str(sum_path)), summary=summary,
-                       exit_status=0)
+    return {"trajectory.csv": partial(sm.trajectory_to_csv, traj), "summary.json": summary}, \
+        summary, 0
 
 
-def _op_norms(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_norms(cfg: ExperimentConfig):
     raw = cfg.raw
     u = _build_input_signal(raw["input"])
     opt = raw["options"]
     rho = cf.monotone_from_spec(opt["rho"])
     T = float(opt["T"])
-    sup = sig.sup_norm(u)
-    energy = sig.rho_energy(u, rho)
     power = sig.avg_power_norm(u, rho, T)
     report = {
         "operation": "norms",
-        "sup_norm": sup.value,
-        "rho_energy": energy.value,
+        "sup_norm": sig.sup_norm(u).value,
+        "rho_energy": sig.rho_energy(u, rho).value,
         "avg_power_norm": power.value,
         "avg_power_witness": list(power.witness),
         "T": T,
     }
-    path = out / f"{cfg.prefix}_norms.json"
-    _write_json(path, report)
-    return ArtifactSet(paths=(str(path),), summary=report, exit_status=0)
+    return {"norms.json": report}, report, 0
 
 
 # gain keys per check-lyap form: D+V <= -alpha + chi, or D+V <= -alpha where |x| >= chi
@@ -253,14 +259,13 @@ _LYAP_GAINS = {"dissipation": ("alpha4", "chi4"), "implication": ("alpha3", "chi
                "iiss": ("alpha5", "chi5")}
 
 
-def _op_check_lyap(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_check_lyap(cfg: ExperimentConfig):
     raw = cfg.raw
     system = _build_system(raw["system"])
     lyap = raw["lyapunov"]
     V = _build_candidate(lyap.get("V", {"kind": "abs"}))
     opt = raw["options"]
     plan = _build_plan(opt, system.n, system.m, cfg.seed)
-    margin = opt.get("margin")
     form = lyap.get("form", "dissipation")
     if form not in _LYAP_GAINS:
         raise ConfigError(f"$.lyapunov.form: unknown form {form!r}")
@@ -268,7 +273,7 @@ def _op_check_lyap(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     if form == "dissipation":
         lt.DissipationSpec(alpha4=alpha, chi4=chi)  # rejects gains that are not Kinf
     check = lt.check_implication_form if form == "implication" else lt.check_derivative_bound
-    report = check(V, system, alpha, chi, plan, margin)
+    report = check(V, system, alpha, chi, plan, opt.get("margin"))
     payload = {
         "operation": "check-lyap",
         "form": form,
@@ -276,23 +281,18 @@ def _op_check_lyap(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         "n_checked": report.n_checked,
         "violations": report.to_json(),
     }
-    path = out / f"{cfg.prefix}_violations.json"
-    _write_json(path, payload)
-    return ArtifactSet(paths=(str(path),), summary=payload,
-                       exit_status=0 if report.passed else 2)
+    return {"violations.json": payload}, payload, 0 if report.passed else 2
 
 
-def _draw_linear_scenarios(rng, n_sims: int, horizon: float, xi_range: float,
-                           u_range: float):
+def _draw_linear_scenarios(rng, n_sims: int, horizon: float, xi_range: float, u_range: float):
     scenarios = []
     for _ in range(n_sims):
         xi = float(rng.uniform(-xi_range, xi_range))
         n_pieces = int(rng.integers(1, 12))
         starts = [0.0] + sorted(float(v) for v in rng.uniform(0, horizon, size=n_pieces - 1))
         vals = rng.uniform(-u_range, u_range, size=n_pieces)
-        u = sig.make_signal([(t, [float(v)]) for t, v in zip(starts, vals)],
-                            horizon=horizon)
-        scenarios.append((xi, u))
+        scenarios.append((xi, sig.make_signal([(t, [float(v)]) for t, v in zip(starts, vals)],
+                                              horizon=horizon)))
     return scenarios
 
 
@@ -304,12 +304,13 @@ def _n_sims(v: dict, where: str) -> int:
     return n_sims
 
 
-def _validate_envelope(path: Path, system, cert_json: dict, scenarios, v: dict) -> dict:
+def _validate_envelope(system, cert_json: dict, scenarios, v: dict):
     """Check the reloaded ``cert_json`` on the runs of all ``scenarios`` from time 0, one batch.
 
-    Writes every ``max(1, n // 200)``-th of the ``n`` samples of each run whose check ran to
-    its end to the envelope CSV at ``path``; an early-stopped check gives its margin, no rows.
-    Returns ``min_margin`` and ``passed`` under ``v["tolerance"]``.
+    Returns the writer of the envelope CSV, which takes its path, and ``min_margin`` and
+    ``passed`` under ``v["tolerance"]``.  The CSV holds every ``max(1, n // 200)``-th of the
+    ``n`` samples of each run whose check ran to its end; an early-stopped check gives its
+    margin, no rows.
     """
     cert = sc.certificate_from_json(cert_json)
     trajs = sm.simulate_batch(system, 0.0, [[xi] for xi, _ in scenarios], [u for _, u in scenarios],
@@ -324,22 +325,20 @@ def _validate_envelope(path: Path, system, cert_json: dict, scenarios, v: dict) 
             t = traj.times[take]
             parts.append((np.full(t.size, idx), t, traj.norms()[take], rep.bounds[take],
                           rep.margins[take]))
-    del trajs  # freed before the CSV is formatted
     columns = [np.concatenate(col) for col in zip(*parts)] or [()] * 5
-    sig._write_csv(path, ["candidate", "t", "x_norm", "bound", "margin"], columns)
-    return {"min_margin": min_margin,
-            "passed": min_margin >= -float(v.get("tolerance", 1e-6))}
+    writer = partial(sig._write_csv, header=["candidate", "t", "x_norm", "bound", "margin"],
+                     columns=columns)
+    return writer, {"min_margin": min_margin,
+                    "passed": min_margin >= -float(v.get("tolerance", 1e-6))}
 
 
-def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_synth_gains(cfg: ExperimentConfig):
     raw = cfg.raw
     system = _build_system(raw["system"])
     lyap = raw["lyapunov"]
     opt = raw["options"]
-    alpha1 = cf.monotone_from_spec(lyap["alpha1"])
-    alpha2 = cf.monotone_from_spec(lyap["alpha2"])
-    alpha4 = cf.monotone_from_spec(lyap["alpha4"])
-    chi4 = cf.monotone_from_spec(lyap["chi4"])
+    alpha1, alpha2, alpha4, chi4 = (cf.monotone_from_spec(lyap[key])
+                                    for key in ("alpha1", "alpha2", "alpha4", "chi4"))
     T = float(opt.get("T", 1.0))
     q_range = tuple(opt.get("q_range", (1e-3, 1e3)))
     sigma = cf.compose(alpha4, cf.inverse_fn(alpha2))
@@ -370,27 +369,18 @@ def _op_synth_gains(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         "rho": cf.monotone_to_spec(rho, sample_grid=rho_grid),
         "T": T,
     }
-    env_path = out / f"{cfg.prefix}_envelope.csv"
-    checked = _validate_envelope(env_path, system, cert_json, scenarios, opt)
-    cert_path = out / f"{cfg.prefix}_certificate.json"
-    _write_json(cert_path, cert_json)
-    bundle_path = out / f"{cfg.prefix}_kappa.json"
-    _write_json(bundle_path, lt.kappa_bundle_to_json(bundle))
+    envelope, checked = _validate_envelope(system, cert_json, scenarios, opt)
     summary = {"operation": "synth-gains", "n_sims": n_sims, **checked}
-    sum_path = out / f"{cfg.prefix}_summary.json"
-    _write_json(sum_path, summary)
-    return ArtifactSet(
-        paths=(str(env_path), str(cert_path), str(bundle_path), str(sum_path)),
-        summary=summary,
-        exit_status=0 if summary["passed"] else 2,
-    )
+    return {"envelope.csv": envelope, "certificate.json": cert_json,
+            "kappa.json": lt.kappa_bundle_to_json(bundle), "summary.json": summary}, \
+        summary, 0 if summary["passed"] else 2
 
 
-def _op_transform(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_transform(cfg: ExperimentConfig):
     raw = cfg.raw
     opt = raw["options"]
     kind = opt.get("transform", "exp-iiss-to-ipss")
-    paths = []
+    summary = {"operation": "transform", "transform": kind}
     if kind == "exp-iiss-to-ipss":
         cert_spec = raw["certificate"]
         gamma = cf.monotone_from_spec(cert_spec["gamma"])
@@ -398,18 +388,10 @@ def _op_transform(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
         K = float(cert_spec["beta"]["K"])
         lam = float(cert_spec["beta"]["lambda"])
         T = float(opt["T"])
-        ipss = sc.exp_iiss_to_ipss(K, lam, gamma, rho, T)
         lambda_tilde, amplification = sc.exponential_window_bound(K, lam, T)
-        cert_json = sc.certificate_to_json(ipss)
-        cert_path = out / f"{cfg.prefix}_ipss_certificate.json"
-        _write_json(cert_path, cert_json)
-        paths.append(str(cert_path))
-        summary = {
-            "operation": "transform",
-            "transform": kind,
-            "lambda_tilde": lambda_tilde,
-            "amplification": amplification,
-        }
+        cert_json = sc.certificate_to_json(sc.exp_iiss_to_ipss(K, lam, gamma, rho, T))
+        artifacts = {"ipss_certificate.json": cert_json}
+        summary.update(lambda_tilde=lambda_tilde, amplification=amplification)
         if "validate" in opt:
             v = opt["validate"]
             system = _build_system(v["system"])
@@ -417,79 +399,66 @@ def _op_transform(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
                 np.random.default_rng(cfg.seed), _n_sims(v, "$.options.validate"),
                 float(v.get("horizon", 8.0)), float(v.get("xi_range", 5.0)),
                 float(v.get("u_range", 5.0)))
-            env_path = out / f"{cfg.prefix}_envelope.csv"
-            summary.update(_validate_envelope(env_path, system, cert_json, scenarios, v))
-            paths.append(str(env_path))
+            artifacts["envelope.csv"], checked = _validate_envelope(system, cert_json, scenarios, v)
+            summary.update(checked)
     elif kind == "ipss-to-iss-iiss":
         cert = sc.certificate_from_json(raw["certificate"])
         iss, iiss = sc.ipss_to_iss_iiss(cert)
         grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 300)])
-        iss_path = out / f"{cfg.prefix}_iss_certificate.json"
-        iiss_path = out / f"{cfg.prefix}_iiss_certificate.json"
-        _write_json(iss_path, sc.certificate_to_json(iss, gain_grid=grid))
-        _write_json(iiss_path, sc.certificate_to_json(iiss, gain_grid=grid))
-        paths.extend([str(iss_path), str(iiss_path)])
-        summary = {"operation": "transform", "transform": kind}
+        artifacts = {"iss_certificate.json": sc.certificate_to_json(iss, gain_grid=grid),
+                     "iiss_certificate.json": sc.certificate_to_json(iiss, gain_grid=grid)}
     else:
         raise ConfigError(f"$.options.transform: unknown transform {kind!r}")
-    sum_path = out / f"{cfg.prefix}_summary.json"
-    _write_json(sum_path, summary)
-    paths.append(str(sum_path))
-    return ArtifactSet(paths=tuple(paths), summary=summary,
-                       exit_status=0 if summary.get("passed", True) else 2)
+    return {**artifacts, "summary.json": summary}, summary, \
+        0 if summary.get("passed", True) else 2
 
 
-def _op_falsify(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_falsify(cfg: ExperimentConfig):
     raw = cfg.raw
     system = _build_system(raw["system"])
     cert = sc.certificate_from_json(raw["certificate"])
     fam_spec = raw["input"]
-    defaults = {f.name: f.default for f in fields(sc.InputFamilySpec) if f.name != "family"}
-    for key, value in fam_spec.items():
-        if key != "family" and key not in defaults:
+    known = {f.name: f.name for f in fields(sc.InputFamilySpec) if f.name != "family"}
+    for key in fam_spec:
+        if key != "family" and key not in known:
             raise ConfigError(f"$.input.{key}: unknown key for an input family; "
-                              f"known: {sorted(defaults)}")
-        if isinstance(defaults.get(key), tuple) and not isinstance(value, list):
-            raise ConfigError(f"$.input.{key}: {value!r} is not a list")
-    family = sc.InputFamilySpec(family=fam_spec["family"], **{
-        key: type(default)(fam_spec[key]) for key, default in defaults.items() if key in fam_spec})
+                              f"known: {sorted(known)}")
+    family = sc.InputFamilySpec(family=fam_spec["family"],
+                                **_field_values(sc.InputFamilySpec, fam_spec, "$.input", known))
     opt = raw["options"]
     report = sc.falsify(system, cert, family, int(opt.get("budget", 100)),
                         step=float(opt.get("step", 1e-3)), tolerance=opt.get("tolerance"))
     payload = {"operation": "falsify", "seed": cfg.seed, **report.to_json()}
-    path = out / f"{cfg.prefix}_falsification.json"
-    _write_json(path, payload)
-    return ArtifactSet(paths=(str(path),), summary=payload,
-                       exit_status=2 if report.falsified else 0)
+    return {"falsification.json": payload}, payload, 2 if report.falsified else 0
 
 
-def _op_lemma3(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+def _op_lemma3(cfg: ExperimentConfig):
     raw = cfg.raw
     opt = raw["options"]
     eta = cf.monotone_from_spec(opt["eta"])
-    if "h_profile" in opt:
-        h = sig.signal_from_json(opt["h_profile"])
-    else:
-        h = sig.zero_signal(1, 1.0)
+    h = sig.signal_from_json(opt["h_profile"]) if "h_profile" in opt else sig.zero_signal(1, 1.0)
     report = sc.lemma3_oracle(
         float(opt["K"]), float(opt["lambda"]), float(opt["T"]), eta, h,
         float(opt.get("grid_step", 0.01)), t_max=float(opt.get("t_max", 20.0)))
-    tol = float(opt.get("tolerance", 1e-6))
     payload = {
         "operation": "lemma3",
         "min_slack": report.min_slack,
         "worst_pair": list(report.worst_pair),
         "lambda_tilde": report.lambda_tilde,
         "amplification": report.amplification,
-        "passed": report.min_slack >= -tol,
+        "passed": report.min_slack >= -float(opt.get("tolerance", 1e-6)),
     }
-    path = out / f"{cfg.prefix}_oracle.json"
-    _write_json(path, payload)
-    return ArtifactSet(paths=(str(path),), summary=payload,
-                       exit_status=0 if payload["passed"] else 2)
+    return {"oracle.json": payload}, payload, 0 if payload["passed"] else 2
 
 
-def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
+# config key: field of the converse construction and of its probe plan; the rest keep defaults
+_CONVERSE_KEYS = {key: key for key in ("k_max", "disturbance_samples", "pieces_per_horizon",
+                                       "sim_step")}
+_PROBE_KEYS = {"probe_states": "states", **{key: key for key in (
+    "decay_horizon", "decay_eval_points", "lipschitz_pairs", "slack")}}
+
+
+def _op_converse(cfg: ExperimentConfig):
     raw = cfg.raw
     opt = raw["options"]
     base = _build_system(raw["system"])
@@ -499,45 +468,26 @@ def _op_converse(cfg: ExperimentConfig, out: Path) -> ArtifactSet:
     dsys = cc.DisturbedSystem(rhs_d=base.rhs, n=base.n, m=base.m,
                               urgas_beta=cf.KLBound(kind="exponential", K=K, lam=lam))
     conv_cfg = cc.ConverseConfig(
-        k_max=int(opt.get("k_max", 5)),
-        disturbance_samples=int(opt.get("disturbance_samples", 16)),
-        pieces_per_horizon=int(opt.get("pieces_per_horizon", 6)),
-        sim_step=float(opt.get("sim_step", 5e-3)),
-        seed=cfg.seed,
-    )
-    states = tuple(opt.get("probe_states", (0.5, 1.0, 3.0)))
-    if not states:
-        raise ConfigError("$.options.probe_states: [] is empty; the checks need a probe state")
+        seed=cfg.seed, **_field_values(cc.ConverseConfig, opt, "$.options", _CONVERSE_KEYS))
     plan = cc.ConverseProbePlan(
-        states=states,
-        decay_horizon=float(opt.get("decay_horizon", 4.0)),
-        decay_eval_points=int(opt.get("decay_eval_points", 3)),
-        lipschitz_pairs=int(opt.get("lipschitz_pairs", 4)),
-        slack=float(opt.get("slack", 0.1)),
-        seed=cfg.seed,
-    )
+        seed=cfg.seed, **_field_values(cc.ConverseProbePlan, opt, "$.options", _PROBE_KEYS))
+    if not plan.states:
+        raise ConfigError("$.options.probe_states: [] is empty; the checks need a probe state")
     # one evaluator serves the checks and the export, so layers are computed once
-    top = max(plan.states) * 4.0 + 1.0
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, top, 200)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, max(plan.states) * 4.0 + 1.0, 200)])
     ev = cc.ConverseEvaluator(dsys, theta1, cc.regularized_rho(theta2, grid), conv_cfg,
                               cc.build_mrk_table(dsys, theta1, conv_cfg))
     report = cc.check_converse_properties(ev, plan)
     payload = {"operation": "converse", "all_ok": report.all_ok, **report.to_json()}
-    path = out / f"{cfg.prefix}_converse.json"
-    _write_json(path, payload)
-    paths = [str(path)]
+    artifacts = {"converse.json": payload}
     if opt.get("export_candidate", False):
         cand = ev.candidate(grid, "converse_export")
         t_grid = np.linspace(0.0, 2.0, int(opt.get("export_t_points", 3)))
         x_grid = np.linspace(-max(plan.states), max(plan.states),
                              int(opt.get("export_x_points", 9)))
         ev.wk_many([(t, [x]) for t in t_grid for x in x_grid])  # the table's states in one batch
-        table = cc.candidate_table_to_json(cand, t_grid, x_grid)
-        cand_path = out / f"{cfg.prefix}_candidate.json"
-        _write_json(cand_path, table)
-        paths.append(str(cand_path))
-    return ArtifactSet(paths=tuple(paths), summary=payload,
-                       exit_status=0 if report.all_ok else 2)
+        artifacts["candidate.json"] = cc.candidate_table_to_json(cand, t_grid, x_grid)
+    return artifacts, payload, 0 if report.all_ok else 2
 
 
 _OPS = {
@@ -553,13 +503,28 @@ _OPS = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> ArtifactSet:
-    """Dispatch to the selected operation, writing artifacts under out_dir."""
+    """Run the selected operation, then write its artifacts under out_dir.
+
+    Each operation returns its ``{suffix: content}`` map, summary and exit status; a JSON
+    content is its payload and a CSV's is its writer, which takes the path.  The map is
+    written as ``<prefix>_<suffix>`` in order, and only once the operation has returned, so
+    a run that raises writes nothing.
+    """
     errors = validate_config(config.raw)
     if errors:
         raise ConfigError("; ".join(f"{p}: {m}" for p, m in errors))
+    artifacts, summary, exit_status = _OPS[config.operation](config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _OPS[config.operation](config, out)
+    paths = []
+    for suffix, content in artifacts.items():
+        path = out / f"{config.prefix}_{suffix}"
+        if callable(content):
+            content(path)
+        else:
+            _write_json(path, content)
+        paths.append(str(path))
+    return ArtifactSet(paths=tuple(paths), summary=summary, exit_status=exit_status)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +535,7 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
     if seed_override is not None:
-        raw = dict(raw)
-        raw["seed"] = int(seed_override)
+        raw = dict(raw, seed=int(seed_override))
     return ExperimentConfig(raw=raw)
 
 

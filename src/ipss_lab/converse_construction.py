@@ -83,7 +83,7 @@ class ConverseConfig:
 
     k_max: int = 5
     disturbance_samples: int = 16
-    pieces_per_horizon: int = 8
+    pieces_per_horizon: int = 6
     sim_step: float = 5e-3
     seed: int = 0
 
@@ -371,9 +371,9 @@ class ConverseProbePlan:
     states: tuple = (0.5, 1.0, 3.0)
     t0_values: tuple = (0.0,)
     decay_horizon: float = 4.0
-    decay_eval_points: int = 4
+    decay_eval_points: int = 3
     constant_disturbances: tuple = (-1.0, 0.0, 1.0)
-    lipschitz_pairs: int = 6
+    lipschitz_pairs: int = 4
     lipschitz_radius: float = 3.0
     slack: float = 0.1
     seed: int = 0

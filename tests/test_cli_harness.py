@@ -279,16 +279,41 @@ class TestOperations:
         assert arts.summary["decay"] == {"ok": True, "rows": []}
         assert [row["value"] for row in arts.summary["sandwich"]["rows"]] == [0.0]
 
+    def test_converse_omitted_keys_take_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        """The runner repeated every default and disagreed with three of them."""
+        from ipss_lab import converse_construction as cc
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def stop(ev, plan):
+            seen.extend([ev.cfg, plan])
+            raise Stop
+
+        monkeypatch.setattr(cc, "check_converse_properties", stop)
+        raw = load_bundled("converse_demo.json")
+        opt = raw["options"] = {"k_max": 2, "disturbance_samples": 4}
+        with pytest.raises(Stop):
+            run_config(raw, tmp_path)
+        assert seen == [cc.ConverseConfig(seed=raw["seed"], **opt),
+                        cc.ConverseProbePlan(seed=raw["seed"])]
+        assert (seen[0].pieces_per_horizon, seen[1].decay_eval_points,
+                seen[1].lipschitz_pairs) == (6, 3, 4)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("config, keys, value", [
         ("linear_ipss.json", ("options", "n_sims"), 0),
         ("linear_ipss.json", ("options", "n_sims"), -3),
         ("prop2_transform.json", ("options", "validate", "n_sims"), 0),
         ("converse_demo.json", ("options", "probe_states"), []),
+        ("converse_demo.json", ("options", "probe_states"), 0.5),
     ])
     def test_empty_scenarios_or_probes_name_their_key(self, config, keys, value, tmp_path,
                                                       capsys):
         """No scenario or no probe state was a bare ``ValueError`` from ``max`` or
-        ``np.stack``."""
+        ``np.stack``; a scalar ``probe_states`` was a ``TypeError`` from ``tuple``."""
         raw = load_bundled(config)
         *parents, key = keys
         section = raw
@@ -303,9 +328,42 @@ class TestOperations:
         assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"schema violation: {where}: ")
 
+    @pytest.mark.parametrize("key, value", [("n_sims", 0), ("system", {"name": "nope"})])
+    def test_failing_run_writes_no_artifact(self, key, value, tmp_path):
+        """A bad ``validate`` section exited 1 but left the IPSS certificate behind."""
+        raw = load_bundled("prop2_transform.json")
+        raw["options"]["validate"][key] = value
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert not list(tmp_path.glob("**/*_ipss_certificate.json"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, prefix, suffixes", [
+        ("linear_simulate.json", "linear_simulate", ["trajectory.csv", "summary.json"]),
+        ("example1_norms.json", "example1_norms", ["norms.json"]),
+        ("linear_dissipation_check.json", "linear_dissipation", ["violations.json"]),
+        ("linear_ipss.json", "linear_ipss",
+         ["envelope.csv", "certificate.json", "kappa.json", "summary.json"]),
+        ("prop2_transform.json", "prop2",
+         ["ipss_certificate.json", "envelope.csv", "summary.json"]),
+        ("counterexample_falsify.json", "counterexample_falsify", ["falsification.json"]),
+        ("lemma3_oracle.json", "lemma3", ["oracle.json"]),
+        ("converse_demo.json", "converse_demo", ["converse.json", "candidate.json"]),
+    ])
+    def test_bundled_config_writes_exactly_its_artifacts(self, name, prefix, suffixes, tmp_path):
+        """The paths come in the operation's order and are the only files written."""
+        raw = load_bundled(name)
+        assert raw["output"]["prefix"] == prefix
+        arts = run_config(raw, tmp_path)
+        assert arts.paths == tuple(str(tmp_path / f"{prefix}_{s}") for s in suffixes)
+        assert all(Path(p).is_file() for p in arts.paths)
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == sorted(f"{prefix}_{s}" for s in suffixes)
+
 
 class TestEnvelopeRows:
-    """``_validate_envelope`` writes what ``check_envelope`` computed."""
+    """``_validate_envelope`` returns a CSV writer of what ``check_envelope`` computed."""
 
     CERT_JSON = {"kind": "ISS", "beta": {"kind": "exponential", "K": 1.0, "lambda": 1.0},
                  "gamma": {"kind": "power", "c": 1.0, "p": 1.0}}
@@ -338,8 +396,8 @@ class TestEnvelopeRows:
         system = sm.linear_test_system(1.0)
         scenarios = [(1.5, sig.make_signal([(0.0, [1.0]), (2.0, [-0.5])], horizon=4.0)),
                      (-0.5, sig.constant_signal([0.25], 3.0))]
-        checked = _validate_envelope(tmp_path / "env.csv", system, self.CERT_JSON, scenarios,
-                                     {"step": 1e-2})
+        writer, checked = _validate_envelope(system, self.CERT_JSON, scenarios, {"step": 1e-2})
+        writer(tmp_path / "env.csv")
         # a stride of 2 on the first run's 401 samples
         expected, margins = self.lone_rows(system, self.CERT_JSON, scenarios, 1e-2)
         assert self.written_rows(tmp_path / "env.csv") == [self.HEADER] + expected
@@ -359,8 +417,9 @@ class TestEnvelopeRows:
                 writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         square = sm.SystemDef(rhs=lambda t, x, u: x ** 2, n=1, m=1)
-        checked = _validate_envelope(tmp_path / "empty.csv", square, self.CERT_JSON,
-                                     [(2.0, sig.zero_signal(1, 1.0))], {"step": 1e-3})
+        writer, checked = _validate_envelope(square, self.CERT_JSON,
+                                             [(2.0, sig.zero_signal(1, 1.0))], {"step": 1e-3})
+        writer(tmp_path / "empty.csv")
         assert checked == {"min_margin": -math.inf, "passed": False}
         assert (tmp_path / "empty.csv").read_bytes() == b"candidate,t,x_norm,bound,margin\r\n"
 
@@ -368,8 +427,8 @@ class TestEnvelopeRows:
         """A blown-up run fails outright instead of writing gain-free bounds."""
         square = sm.SystemDef(rhs=lambda t, x, u: x ** 2, n=1, m=1)
         scenarios = [(2.0, sig.zero_signal(1, 1.0)), (0.1, sig.zero_signal(1, 1.0))]
-        checked = _validate_envelope(tmp_path / "env.csv", square, self.CERT_JSON, scenarios,
-                                     {"step": 1e-3})
+        writer, checked = _validate_envelope(square, self.CERT_JSON, scenarios, {"step": 1e-3})
+        writer(tmp_path / "env.csv")
         assert checked["min_margin"] == -math.inf
         rows = self.written_rows(tmp_path / "env.csv")[1:]
         assert rows and {r[0] for r in rows} == {"1"}
@@ -383,7 +442,8 @@ class TestEnvelopeRows:
         cert_json = sc.certificate_to_json(
             sc.exp_iiss_to_ipss(1.0, 1.0, cf.identity_fn(), cf.identity_fn(), 1.0))
         system = sm.linear_test_system(1.0)
-        batched = _validate_envelope(tmp_path / "batched.csv", system, cert_json, scenarios, {})
+        writer, batched = _validate_envelope(system, cert_json, scenarios, {})
+        writer(tmp_path / "batched.csv")
         one = sm.simulate_batch
 
         def lone(sys, t0, xis, us, t_ends, *args):
@@ -391,8 +451,9 @@ class TestEnvelopeRows:
                     for xi, u, t_end in zip(xis, us, t_ends)]
 
         monkeypatch.setattr(sm, "simulate_batch", lone)
-        assert _validate_envelope(tmp_path / "lone.csv", system, cert_json, scenarios,
-                                  {}) == batched
+        writer, checked = _validate_envelope(system, cert_json, scenarios, {})
+        writer(tmp_path / "lone.csv")
+        assert checked == batched
         assert (tmp_path / "lone.csv").read_bytes() == (tmp_path / "batched.csv").read_bytes()
 
 
