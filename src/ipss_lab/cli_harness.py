@@ -148,10 +148,10 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _build_system(spec: dict) -> sm.SystemDef:
+def _build_system(spec: dict, where: str = "$.system") -> sm.SystemDef:
     name = spec.get("name")
     if name not in sm.SYSTEM_REGISTRY:
-        raise ConfigError(f"$.system.name: unknown system {name!r}; "
+        raise ConfigError(f"{where}.name: unknown system {name!r}; "
                           f"known: {sorted(sm.SYSTEM_REGISTRY)}")
     params = spec.get("params", {})
     return sm.SYSTEM_REGISTRY[name](**params)
@@ -187,13 +187,18 @@ def _build_candidate(spec: dict) -> lt.LyapunovCandidate:
 
 def _field_values(cls, section: dict, where: str, keys: dict) -> dict:
     """Keyword arguments of dataclass ``cls`` for the ``keys`` (config key: field) that
-    ``section`` gives, each converted to the type of its field's default; a tuple takes a list."""
+    ``section`` gives, each converted to the type of its field's default; a tuple takes a
+    list of numbers, kept as given."""
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key, name in keys.items():
         if key in section:
-            if isinstance(defaults[name], tuple) and not isinstance(section[key], list):
-                raise ConfigError(f"{where}.{key}: {section[key]!r} is not a list")
+            if isinstance(defaults[name], tuple):
+                if not isinstance(section[key], list):
+                    raise ConfigError(f"{where}.{key}: {section[key]!r} is not a list")
+                for v in section[key]:
+                    if isinstance(v, bool) or not isinstance(v, (int, float)):
+                        raise ConfigError(f"{where}.{key}: {v!r} is not a number")
             values[name] = type(defaults[name])(section[key])
     return values
 
@@ -394,7 +399,7 @@ def _op_transform(cfg: ExperimentConfig):
         summary.update(lambda_tilde=lambda_tilde, amplification=amplification)
         if "validate" in opt:
             v = opt["validate"]
-            system = _build_system(v["system"])
+            system = _build_system(v["system"], "$.options.validate.system")
             scenarios = _draw_linear_scenarios(
                 np.random.default_rng(cfg.seed), _n_sims(v, "$.options.validate"),
                 float(v.get("horizon", 8.0)), float(v.get("xi_range", 5.0)),

@@ -30,9 +30,9 @@ from .comparison_functions import (KLBound, MonotoneFn, _bilinear, apply_inverse
                                    make_table_fn, monotone_from_spec, monotone_to_spec)
 from .errors import DynamicsError, ModelError, ParameterError, RangeError
 from .lyapunov_tools import LyapunovCandidate
-from .signals import constant_signal
-from .simulator import (SystemDef, _as_rowwise, _disturbance, _random_ball, _simulate_members,
-                        lipschitz_probes, simulate_batch)
+from .signals import _prechecked_signal, constant_signal
+from .simulator import (SystemDef, Trajectory, _as_rowwise, _disturbance, _random_ball,
+                        _simulate_members, lipschitz_probes, simulate_batch)
 from .stability_certificates import Certificate, check_envelope
 
 __all__ = [
@@ -148,19 +148,21 @@ def _extreme_disturbances(m: int) -> list:
     return vecs
 
 
-def disturbance_draws(m: int, count: int, pieces: int, seed: int) -> list:
-    """The piece values of the random signals of a :func:`disturbance_batch`.
+def disturbance_draws(m: int, count: int, pieces: int, seed: int) -> np.ndarray:
+    """The ``(runs, pieces, m)`` piece values of the random signals of a
+    :func:`disturbance_batch`.
 
     They do not depend on the batch's start or span, so one draw serves
     the batches of every probe state.
     """
     rng = np.random.default_rng(seed)
     n_random = count - min(count, len(_extreme_disturbances(m)))
-    return [[_random_ball(rng, m, 1.0) for _ in range(pieces)] for _ in range(n_random)]
+    return np.reshape([[_random_ball(rng, m, 1.0) for _ in range(pieces)]
+                       for _ in range(n_random)], (n_random, pieces, m))
 
 
 def disturbance_batch(m: int, count: int, t0: float, span: float, pieces: int,
-                      seed: int, draws: Optional[list] = None) -> list:
+                      seed: int, draws: Optional[np.ndarray] = None) -> list:
     """Seeded unit-ball disturbance batch of exactly ``count`` signals.
 
     The constant extreme points come first, then random piecewise-constant
@@ -168,12 +170,30 @@ def disturbance_batch(m: int, count: int, t0: float, span: float, pieces: int,
     ``count`` and the same seed are supersets.  ``draws`` are their piece
     values as :func:`disturbance_draws` returns them for the same ``m``,
     ``count``, ``pieces`` and ``seed``; they are drawn here when None.
+
+    The random signals share one read-only breakpoint array and hold read-only
+    rows of one value array, checked once for the batch; one whose pieces
+    :func:`~ipss_lab.signals.make_signal` would merge or drop is built by it.
     """
     span = max(span, 1e-9)
-    batch = [constant_signal(v, t0 + span) for v in _extreme_disturbances(m)]
+    horizon = float(t0 + span)
+    batch = [constant_signal(v, horizon) for v in _extreme_disturbances(m)][:count]
     if draws is None:
         draws = disturbance_draws(m, count, pieces, seed)
-    return batch[:count] + [_disturbance(vals, t0, span) for vals in draws]
+    draws = np.asarray(draws, dtype=float)
+    runs, p, dim = draws.shape
+    edges = t0 + span * np.arange(p) / p
+    lead = int(t0 != 0.0)  # a zero piece before the first edge, which t0 = 0 replaces
+    bps = np.append(np.zeros(lead), edges)
+    vals = np.concatenate((np.zeros((runs, lead, dim)), draws), axis=1)
+    # rows make_signal keeps as given: finite, each value a change, starts increasing
+    as_given = (np.isfinite(vals).all(axis=(1, 2))
+                & (vals[:, 1:] != vals[:, :-1]).any(axis=2).all(axis=1)
+                & bool((bps[1:] > bps[:-1]).all() and bps[-1] < horizon))
+    for a in (bps, vals):
+        a.setflags(write=False)
+    return batch + [_prechecked_signal(bps, v, horizon, dim) if ok else _disturbance(d, t0, span)
+                    for v, d, ok in zip(vals, draws, as_given)]
 
 
 def horizon_for(k: int, theta1: MonotoneFn, R: float) -> float:
@@ -190,8 +210,9 @@ def _layer_gains(rho: MonotoneFn, r, k_max: int) -> np.ndarray:
 
 def _layer_sups(traj, t0: float, R: float, urgas: Certificate, rho: MonotoneFn,
                 k_max: int) -> np.ndarray:
-    """All ``k_max`` layer suprema along one probe trajectory that passes the model checks:
-    no blow-up, and the decay envelope ``urgas`` held within 1e-3."""
+    """All ``k_max`` layer suprema along one probe trajectory, or the stacked samples of
+    the runs of one probe state, that passes the model checks: no blow-up, and the decay
+    envelope ``urgas`` held within 1e-3."""
     if traj.blown_up:
         raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
     rep = check_envelope(traj, urgas, None, R, t0, tolerance=1e-3)
@@ -206,23 +227,36 @@ def _layer_sups(traj, t0: float, R: float, urgas: Certificate, rho: MonotoneFn,
 
 def _fold_rows(sys: DisturbedSystem, rows: list, rho: MonotoneFn, cfg: ConverseConfig,
                best: list, errors: dict) -> None:
-    """Run ``rows`` as one lockstep batch and fold each run into its point's ``best``.
+    """Run ``rows`` as one lockstep batch and fold the runs of each point into its ``best``.
 
-    A failing point keeps the error its own batch would raise: its first
-    failed run's :class:`DynamicsError`, else its first failed check's
-    :class:`ModelError`.  The batch's trajectories are freed on return.
+    The runs of a point are reduced together, with one envelope check and one
+    layer-gain pass over all their samples.  A point whose runs fail goes run by
+    run, so it keeps the error its own batch would raise: its first failed run's
+    :class:`DynamicsError`, else its first failed check's :class:`ModelError`.
+    The batch's trajectories are freed on return.
     """
     idx, t0s, xis, radii, ds, t_ends = zip(*rows)
     trajs = _simulate_members(sys.as_systemdef(), t0s, xis, ds, t_ends, cfg.sim_step)
     urgas = Certificate(kind="URGAS", beta=sys.urgas_beta)
-    for i, t0, R, traj in zip(idx, t0s, radii, trajs):
-        if isinstance(traj, DynamicsError) and not isinstance(errors.get(i), DynamicsError):
-            errors[i] = traj
-        elif i not in errors:
+    ends = [j for j in range(1, len(idx)) if idx[j] != idx[j - 1]] + [len(idx)]
+    for start, stop in zip([0] + ends, ends):  # the rows of one point are consecutive
+        i, t0, R, runs = idx[start], t0s[start], radii[start], trajs[start:stop]
+        if not any(isinstance(tr, DynamicsError) or tr.blown_up for tr in runs):
+            samples = Trajectory(times=np.concatenate([tr.times for tr in runs]),
+                                 states=np.concatenate([tr.states for tr in runs]))
             try:
-                best[i] = np.maximum(best[i], _layer_sups(traj, t0, R, urgas, rho, cfg.k_max))
-            except ModelError as exc:
-                errors[i] = exc
+                best[i] = np.maximum(best[i], _layer_sups(samples, t0, R, urgas, rho, cfg.k_max))
+                continue
+            except ModelError:
+                pass  # the runs one by one give the error of the first that fails
+        for traj in runs:
+            if isinstance(traj, DynamicsError) and not isinstance(errors.get(i), DynamicsError):
+                errors[i] = traj
+            elif i not in errors:
+                try:
+                    best[i] = np.maximum(best[i], _layer_sups(traj, t0, R, urgas, rho, cfg.k_max))
+                except ModelError as exc:
+                    errors[i] = exc
 
 
 def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,

@@ -88,6 +88,14 @@ class Signal:
                 yield float(start), float(end), val
 
 
+def _prechecked_signal(breakpoints: np.ndarray, values: np.ndarray, horizon: float,
+                       dim: int) -> Signal:
+    """A Signal of float arrays already checked as :class:`Signal` checks them."""
+    u = object.__new__(Signal)
+    u.__dict__.update(breakpoints=breakpoints, values=values, horizon=horizon, dim=dim)
+    return u
+
+
 def _normalize_pieces(times, values, dim: int, horizon: float) -> Signal:
     """Assemble a Signal from piece starts and their values, in one array pass.
 

@@ -328,6 +328,43 @@ class TestOperations:
         assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"schema violation: {where}: ")
 
+    @pytest.mark.parametrize("config, keys, value", [
+        ("converse_demo.json", ("options", "probe_states"), ["a"]),
+        ("converse_demo.json", ("options", "probe_states"), [0.5, True]),
+        ("counterexample_falsify.json", ("input", "t0_values"), ["a"]),
+    ])
+    def test_list_elements_that_are_not_numbers_name_their_key(self, config, keys, value,
+                                                                tmp_path, capsys):
+        """A string in a list of numbers was a bare ``TypeError`` from the arithmetic on it,
+        and a bool was taken as 0 or 1."""
+        raw = load_bundled(config)
+        *parents, key = keys
+        section = raw
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        where = "$." + ".".join(keys)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: .* is not a number$"):
+            run_config(raw, tmp_path)
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"schema violation: {where}: ")
+
+    def test_bad_validate_system_names_its_own_key(self, tmp_path, capsys):
+        """The error named ``$.system.name``, a key the transform config does not have."""
+        raw = load_bundled("prop2_transform.json")
+        assert "system" not in raw
+        raw["options"]["validate"]["system"] = {"name": "nope"}
+        with pytest.raises(ConfigError, match=r"^\$\.options\.validate\.system\.name: "
+                                              r"unknown system 'nope'; known: "):
+            run_config(raw, tmp_path)
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "schema violation: $.options.validate.system.name: unknown system 'nope'")
+
     @pytest.mark.parametrize("key, value", [("n_sims", 0), ("system", {"name": "nope"})])
     def test_failing_run_writes_no_artifact(self, key, value, tmp_path):
         """A bad ``validate`` section exited 1 but left the IPSS certificate behind."""

@@ -29,14 +29,14 @@ from ipss_lab.converse_construction import (
     regularized_rho,
     wk_estimates,
 )
-from ipss_lab.errors import ModelError, RangeError
+from ipss_lab.errors import DynamicsError, ModelError, RangeError
 from ipss_lab.lyapunov_tools import (
     DissipationSpec,
     LyapunovCandidate,
     check_derivative_bound,
     make_plan,
 )
-from ipss_lab.signals import constant_signal
+from ipss_lab.signals import constant_signal, make_signal
 import ipss_lab.simulator as sm
 from ipss_lab.simulator import (linear_test_system, lipschitz_probes, perturbed_decay_system,
                                 simulate, simulate_batch)
@@ -245,6 +245,41 @@ class TestWkEstimates:
         assert str(got.value) == str(expected.value)
         assert "|xi|=3" in str(got.value)
 
+    def test_one_envelope_check_per_probe_state(self, decay_system, rho, cfg_small,
+                                                monkeypatch):
+        """The runs of a probe state are checked as one stack of samples: one check per
+        run made 176 calls here."""
+        calls = []
+        check = cc.check_envelope
+
+        def counted(traj, *args, **kwargs):
+            calls.append(traj.times.size)
+            return check(traj, *args, **kwargs)
+
+        monkeypatch.setattr(cc, "check_envelope", counted)
+        wk_estimates(decay_system, self.POINTS, THETA1, rho, cfg_small)
+        off_origin = sum(any(v != 0.0 for v in xi) for _, xi in self.POINTS)
+        assert off_origin == 11 and len(calls) == off_origin
+
+    @pytest.mark.parametrize("rate, error", [
+        # the extremes |d| = 1 decay and pass; the random runs grow and break the envelope
+        (lambda d: 3.0 * (1.0 - np.abs(d)) - 1.0, ModelError),
+        # the extremes grow and break the envelope; the random runs turn nonfinite after them
+        (lambda d: np.where(np.abs(d) < 1.0, np.nan, 0.5), DynamicsError),
+    ])
+    def test_error_within_one_probe_state_is_that_of_its_runs_in_order(self, rho, cfg_small,
+                                                                         rate, error):
+        """A state whose runs fail raises what its runs, checked one by one, raise: the
+        first failed check's message, or a later run's DynamicsError over it."""
+        sys = DisturbedSystem(rhs_d=lambda t, x, d: x * rate(d), n=1, m=1,
+                              urgas_beta=KLBound(kind="exponential", K=1.0, lam=0.5))
+        point = (0.5, [1.0])
+        with pytest.raises(error) as expected:
+            _wk_reference(sys, *point, THETA1, rho, cfg_small)
+        with pytest.raises(error) as got:
+            wk_estimates(sys, [(0.0, [0.0]), point], THETA1, rho, cfg_small)
+        assert str(got.value) == str(expected.value)
+
     def test_evaluator_batches_uncached_keys_once(self, decay_system, rho, cfg_small,
                                                   mrk_small, monkeypatch):
         calls = []
@@ -314,6 +349,31 @@ class TestDisturbanceBatch:
                 assert (a.horizon, a.dim) == (b.horizon, b.dim)
                 assert np.array_equal(a.breakpoints, b.breakpoints)
                 assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("m, count", [(1, 8), (2, 10)])
+    @pytest.mark.parametrize("t0, span", [(0.0, 3.0), (1.3, 0.7), (4.0, 0.0)])
+    def test_signals_equal_their_make_signal_references(self, m, count, t0, span):
+        """The random signals are the ones make_signal builds from the same pieces; a
+        draw with two equal consecutive values is merged as it merges them.  The others
+        share one read-only breakpoint array and hold read-only values."""
+        pieces = 5
+        draws = disturbance_draws(m, count, pieces, seed=7)
+        draws[1, 3] = draws[1, 2]
+        batch = disturbance_batch(m, count, t0, span, pieces, 7, draws)
+        randoms = batch[count - len(draws):]
+        s = max(span, 1e-9)
+        edges = t0 + s * np.arange(pieces) / pieces
+        for j, u in enumerate(randoms):
+            ref = make_signal([(0.0, np.zeros(m))] + list(zip(edges, draws[j])),
+                              horizon=t0 + s, dim=m)
+            assert (u.horizon, u.dim) == (ref.horizon, ref.dim)
+            assert np.array_equal(u.breakpoints, ref.breakpoints)
+            assert np.array_equal(u.values, ref.values)
+        assert randoms[1].values.shape[0] == randoms[0].values.shape[0] - 1  # merged
+        shared = randoms[:1] + randoms[2:]
+        assert all(u.breakpoints is shared[0].breakpoints for u in shared)
+        assert not shared[0].breakpoints.flags.writeable
+        assert not any(u.values.flags.writeable for u in shared)
 
     def test_wk_estimates_draws_once_per_call(self, decay_system, rho, cfg_small, monkeypatch):
         calls = []
