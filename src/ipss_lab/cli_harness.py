@@ -13,6 +13,7 @@ Exit status: 0 on pass, 2 when a violation was found, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -153,8 +154,16 @@ def _build_system(spec: dict, where: str = "$.system") -> sm.SystemDef:
     if name not in sm.SYSTEM_REGISTRY:
         raise ConfigError(f"{where}.name: unknown system {name!r}; "
                           f"known: {sorted(sm.SYSTEM_REGISTRY)}")
-    params = spec.get("params", {})
-    return sm.SYSTEM_REGISTRY[name](**params)
+    make, params = sm.SYSTEM_REGISTRY[name], spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}.params: {params!r} is not an object")
+    signature = inspect.signature(make)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"{where}.params: {exc}; system {name!r} takes "
+                          f"{list(signature.parameters)}") from None
+    return make(**params)
 
 
 def _build_input_signal(spec: dict) -> sig.Signal:
@@ -187,19 +196,19 @@ def _build_candidate(spec: dict) -> lt.LyapunovCandidate:
 
 def _field_values(cls, section: dict, where: str, keys: dict) -> dict:
     """Keyword arguments of dataclass ``cls`` for the ``keys`` (config key: field) that
-    ``section`` gives, each converted to the type of its field's default; a tuple takes a
-    list of numbers, kept as given."""
+    ``section`` gives: a number converted to the type of its field's default, or for a
+    tuple field a list of numbers, kept as given.  A bool is not a number."""
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key, name in keys.items():
         if key in section:
-            if isinstance(defaults[name], tuple):
-                if not isinstance(section[key], list):
-                    raise ConfigError(f"{where}.{key}: {section[key]!r} is not a list")
-                for v in section[key]:
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise ConfigError(f"{where}.{key}: {v!r} is not a number")
-            values[name] = type(defaults[name])(section[key])
+            value, listed = section[key], isinstance(defaults[name], tuple)
+            if listed and not isinstance(value, list):
+                raise ConfigError(f"{where}.{key}: {value!r} is not a list")
+            for v in value if listed else [value]:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ConfigError(f"{where}.{key}: {v!r} is not a number")
+            values[name] = type(defaults[name])(value)
     return values
 
 

@@ -208,55 +208,47 @@ def _layer_gains(rho: MonotoneFn, r, k_max: int) -> np.ndarray:
     return np.maximum(rho_r - inv_k, 0.0)
 
 
-def _layer_sups(traj, t0: float, R: float, urgas: Certificate, rho: MonotoneFn,
+def _layer_sups(runs: list, t0: float, R: float, urgas: Certificate, rho: MonotoneFn,
                 k_max: int) -> np.ndarray:
-    """All ``k_max`` layer suprema along one probe trajectory, or the stacked samples of
-    the runs of one probe state, that passes the model checks: no blow-up, and the decay
-    envelope ``urgas`` held within 1e-3."""
-    if traj.blown_up:
-        raise ModelError(f"probe trajectory blew up at t={traj.blowup_time}")
-    rep = check_envelope(traj, urgas, None, R, t0, tolerance=1e-3)
-    if not rep.satisfied:
-        raise ModelError(
-            f"probe trajectory violates the declared decay envelope by {-rep.margin:.3e} "
-            f"at t={rep.worst_time:.4g} (|xi|={R:.4g})"
-        )
-    gains = np.exp(0.5 * (traj.times - t0)) * _layer_gains(rho, traj.norms(), k_max)
+    """All ``k_max`` layer suprema over the runs of one probe state, from one envelope check
+    and one layer-gain pass over their stacked samples.  Raises the first
+    :class:`DynamicsError` in ``runs``, else the :class:`ModelError` of the first run that
+    blew up or broke the decay envelope ``urgas`` by more than 1e-3."""
+    failed = [tr for tr in runs if isinstance(tr, DynamicsError)]
+    if failed:
+        raise failed[0]
+    stack = Trajectory(times=np.concatenate([tr.times for tr in runs]),
+                       states=np.concatenate([tr.states for tr in runs]))
+    rep = check_envelope(stack, urgas, None, R, t0, tolerance=1e-3)
+    blown = np.array([tr.blown_up for tr in runs])
+    if blown.any() or not rep.satisfied:
+        starts = np.cumsum([0] + [tr.times.size for tr in runs[:-1]])
+        j = int(np.argmax(blown | ~(np.minimum.reduceat(rep.margins, starts) >= -rep.tolerance)))
+        if blown[j]:
+            raise ModelError(f"probe trajectory blew up at t={runs[j].blowup_time}")
+        margins = rep.margins[starts[j]:starts[j] + runs[j].times.size]
+        w = int(np.argmin(margins))
+        raise ModelError(f"probe trajectory violates the declared decay envelope by "
+                         f"{-margins[w]:.3e} at t={runs[j].times[w]:.4g} (|xi|={R:.4g})")
+    gains = np.exp(0.5 * (stack.times - t0)) * _layer_gains(rho, stack.norms(), k_max)
     return np.max(gains, axis=1)
 
 
 def _fold_rows(sys: DisturbedSystem, rows: list, rho: MonotoneFn, cfg: ConverseConfig,
                best: list, errors: dict) -> None:
-    """Run ``rows`` as one lockstep batch and fold the runs of each point into its ``best``.
-
-    The runs of a point are reduced together, with one envelope check and one
-    layer-gain pass over all their samples.  A point whose runs fail goes run by
-    run, so it keeps the error its own batch would raise: its first failed run's
-    :class:`DynamicsError`, else its first failed check's :class:`ModelError`.
-    The batch's trajectories are freed on return.
-    """
+    """Run ``rows``, the runs of whole points in turn, as one lockstep batch and fold each
+    point's :func:`_layer_sups` into its ``best``, or its error into ``errors``.  The
+    batch's trajectories are freed on return."""
     idx, t0s, xis, radii, ds, t_ends = zip(*rows)
     trajs = _simulate_members(sys.as_systemdef(), t0s, xis, ds, t_ends, cfg.sim_step)
     urgas = Certificate(kind="URGAS", beta=sys.urgas_beta)
-    ends = [j for j in range(1, len(idx)) if idx[j] != idx[j - 1]] + [len(idx)]
-    for start, stop in zip([0] + ends, ends):  # the rows of one point are consecutive
-        i, t0, R, runs = idx[start], t0s[start], radii[start], trajs[start:stop]
-        if not any(isinstance(tr, DynamicsError) or tr.blown_up for tr in runs):
-            samples = Trajectory(times=np.concatenate([tr.times for tr in runs]),
-                                 states=np.concatenate([tr.states for tr in runs]))
-            try:
-                best[i] = np.maximum(best[i], _layer_sups(samples, t0, R, urgas, rho, cfg.k_max))
-                continue
-            except ModelError:
-                pass  # the runs one by one give the error of the first that fails
-        for traj in runs:
-            if isinstance(traj, DynamicsError) and not isinstance(errors.get(i), DynamicsError):
-                errors[i] = traj
-            elif i not in errors:
-                try:
-                    best[i] = np.maximum(best[i], _layer_sups(traj, t0, R, urgas, rho, cfg.k_max))
-                except ModelError as exc:
-                    errors[i] = exc
+    for a in range(0, len(idx), cfg.disturbance_samples):  # the runs of one point
+        runs = trajs[a:a + cfg.disturbance_samples]
+        try:
+            best[idx[a]] = np.maximum(best[idx[a]], _layer_sups(runs, t0s[a], radii[a], urgas,
+                                                                rho, cfg.k_max))
+        except (DynamicsError, ModelError) as exc:
+            errors[idx[a]] = exc
 
 
 def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,
@@ -272,9 +264,10 @@ def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,
     so each estimate increases toward the true value as sampling is refined.
 
     The runs of all points, sorted by horizon, go through lockstep batches
-    of at most ``_WK_ROWS`` rows, each reduced before the next starts; a
-    point with ``xi = 0`` gets zeros without a run.  If points fail a model
-    check, the error of the first of them in ``points`` is raised.
+    of whole points, each reduced before the next starts: at most
+    ``_WK_ROWS`` rows, or one point whose runs are more.  A point with
+    ``xi = 0`` gets zeros without a run.  If points fail a model check, the
+    error of the first of them in ``points`` is raised.
     """
     best = [np.zeros(cfg.k_max) for _ in points]
     runs = []  # (span, point index, t0, xi, |xi|) of every point off the origin
@@ -289,8 +282,8 @@ def wk_estimates(sys: DisturbedSystem, points: Sequence, theta1: MonotoneFn,
         batch = disturbance_batch(sys.m, cfg.disturbance_samples, t0, span,
                                   cfg.pieces_per_horizon, cfg.seed, draws)
         rows += [(i, t0, xi, R, d, t0 + span) for d in batch]
-    # whole points per batch whenever one point's runs fit in it
-    size = _WK_ROWS - _WK_ROWS % cfg.disturbance_samples or _WK_ROWS
+    # whole points per batch, one alone when its runs outnumber _WK_ROWS
+    size = max(cfg.disturbance_samples, _WK_ROWS - _WK_ROWS % cfg.disturbance_samples)
     errors = {}
     for start in range(0, len(rows), size):
         _fold_rows(sys, rows[start:start + size], rho, cfg, best, errors)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -57,16 +58,21 @@ __all__ = [
     "certificate_from_json",
 ]
 
-_KINDS = ("ISS", "iISS", "IPSS", "URGAS", "URLS")
+# the fields each kind carries; the others are None
+_FIELDS = {
+    "ISS": ("beta", "gamma"),
+    "iISS": ("beta", "gamma", "rho"),
+    "IPSS": ("beta", "gamma", "rho", "T"),
+    "URGAS": ("beta",),
+    "URLS": ("urls_epsilon",),
+}
 
 
 @dataclass(frozen=True)
 class Certificate:
     """A stability bound of one of the five supported kinds.
 
-    Field presence is kind-dependent: ``beta`` for every kind but URLS,
-    ``gamma`` for the input-gain kinds, ``rho`` for the energy/power kinds,
-    ``T`` for the power kind only and ``urls_epsilon`` for URLS only.
+    ``_FIELDS`` lists the fields each kind carries; the others are None.
     For ISS certificates ``gamma`` holds the sup-norm gain.
     """
 
@@ -78,26 +84,14 @@ class Certificate:
     urls_epsilon: Optional[MonotoneFn] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FIELDS:
             raise ParameterError(f"unknown certificate kind {self.kind!r}")
-        need_beta = self.kind != "URLS"
-        need_gamma = self.kind in ("ISS", "iISS", "IPSS")
-        need_rho = self.kind in ("iISS", "IPSS")
-        need_T = self.kind == "IPSS"
-        need_eps = self.kind == "URLS"
-        checks = [
-            ("beta", self.beta, need_beta),
-            ("gamma", self.gamma, need_gamma),
-            ("rho", self.rho, need_rho),
-            ("T", self.T, need_T),
-            ("urls_epsilon", self.urls_epsilon, need_eps),
-        ]
-        for name, val, needed in checks:
-            if needed and val is None:
-                raise ParameterError(f"{self.kind} certificate requires field {name}")
-            if not needed and val is not None:
-                raise ParameterError(f"{self.kind} certificate must not carry field {name}")
-        if need_T and not (self.T > 0):
+        for f in fields(self)[1:]:  # every field after kind
+            carried = f.name in _FIELDS[self.kind]
+            if carried == (getattr(self, f.name) is None):
+                verb = "requires" if carried else "must not carry"
+                raise ParameterError(f"{self.kind} certificate {verb} field {f.name}")
+        if self.T is not None and not (self.T > 0):
             raise ParameterError(f"IPSS window length must be positive, got {self.T}")
         for name, fn in (("gamma", self.gamma), ("rho", self.rho)):
             if fn is not None and fn.class_tag != "Kinf":
@@ -546,53 +540,31 @@ class FalsificationReport:
 
 
 def _family_candidates(family: InputFamilySpec, step: float):
-    """Yield (t0, xi, input signal, step, t_end, include times, description); ``step`` is the
-    step of every family but ``late_pulses``."""
-    if family.family == "constants":
-        for t0 in family.t0_values:
-            for xi in family.xi_values:
-                for c in family.levels:
-                    t_end = t0 + family.horizon
-                    u = constant_signal([c], t_end)
-                    yield t0, xi, u, step, t_end, (), f"constant(c={c})"
-    elif family.family == "pulse_trains":
-        for t0 in family.t0_values:
-            for xi in family.xi_values:
-                u = pulse_train(family.tau, family.count)
-                t_end = max(t0 + family.horizon, u.horizon)
-                yield t0, xi, u, step, t_end, (), (
-                    f"pulse_train(tau={family.tau}, count={family.count})")
-    elif family.family == "late_pulses":
-        for t0 in family.t0_values:
+    """Yield (t0, xi, input signal, step, t_end, include times, description) for each t0, xi
+    and input of the family, in that order; ``step`` is the step of every family but
+    ``late_pulses``."""
+    amp = family.amplitude
+    for t0, xi in itertools.product(family.t0_values, family.xi_values):
+        t_end = t0 + family.horizon
+        if family.family == "constants":
+            for c in family.levels:
+                yield t0, xi, constant_signal([c], t_end), step, t_end, (), f"constant(c={c})"
+        elif family.family == "pulse_trains":
+            u = pulse_train(family.tau, family.count)
+            yield t0, xi, u, step, max(t_end, u.horizon), (), (
+                f"pulse_train(tau={family.tau}, count={family.count})")
+        elif family.family == "late_pulses":
             duration = family.duration_scale / (1.0 + t0)
-            for xi in family.xi_values:
-                t_end = t0 + duration + family.settle
-                u = make_signal(
-                    [(0.0, [0.0]), (t0, [family.amplitude]), (t0 + duration, [0.0])],
-                    horizon=t_end,
-                )
-                # 20 anchored steps on the pulse; elsewhere the step that
-                # keeps RK4 stable against the ramp gain (1 + t)
-                pulse = tuple(t0 + duration * k / 20.0 for k in range(1, 20))
-                yield t0, xi, u, 2.0 / (3.0 + t_end), t_end, pulse, (
-                    f"late_pulse(t0={t0}, amp={family.amplitude}, dur={duration:.6g})"
-                )
-    else:  # bang_bang
-        for t0 in family.t0_values:
-            for xi in family.xi_values:
-                t_end = t0 + family.horizon
-                pieces = []
-                k = 0
-                t = 0.0
-                while t < t_end:
-                    amp = family.amplitude if k % 2 == 0 else -family.amplitude
-                    pieces.append((t, [amp]))
-                    k += 1
-                    t = k * family.period
-                u = make_signal(pieces, horizon=t_end)
-                yield t0, xi, u, step, t_end, (), (
-                    f"bang_bang(amp={family.amplitude}, period={family.period})"
-                )
+            t_end = t0 + duration + family.settle
+            u = make_signal([(0.0, [0.0]), (t0, [amp]), (t0 + duration, [0.0])], horizon=t_end)
+            # 20 anchored steps on the pulse; elsewhere one stable against the ramp gain 1 + t
+            pulse = tuple(t0 + duration * k / 20.0 for k in range(1, 20))
+            yield t0, xi, u, 2.0 / (3.0 + t_end), t_end, pulse, (
+                f"late_pulse(t0={t0}, amp={amp}, dur={duration:.6g})")
+        else:  # bang_bang
+            ks = itertools.takewhile(lambda k: k * family.period < t_end, itertools.count())
+            u = make_signal([(k * family.period, [amp * (-1) ** k]) for k in ks], horizon=t_end)
+            yield t0, xi, u, step, t_end, (), f"bang_bang(amp={amp}, period={family.period})"
 
 
 def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
@@ -646,32 +618,21 @@ def falsify(sys: SystemDef, cert: Certificate, family: InputFamilySpec,
 
 def certificate_to_json(cert: Certificate, s_grid=None, t_grid=None,
                         gain_grid=None) -> dict:
-    """JSON form with embedded function specs.
+    """JSON form with embedded function specs: the kind and the fields ``_FIELDS`` gives it.
 
     Gains without closed-form specs are sampled on ``gain_grid`` (and the
     decay bound on ``s_grid x t_grid``); reloading reproduces evaluations
     through the stored tables exactly.
     """
-    out = {"kind": cert.kind}
-    if cert.beta is not None:
-        out["beta"] = klbound_to_spec(cert.beta, s_grid=s_grid, t_grid=t_grid)
-    if cert.gamma is not None:
-        out["gamma"] = monotone_to_spec(cert.gamma, sample_grid=gain_grid)
-    if cert.rho is not None:
-        out["rho"] = monotone_to_spec(cert.rho, sample_grid=gain_grid)
-    if cert.T is not None:
-        out["T"] = float(cert.T)
-    if cert.urls_epsilon is not None:
-        out["urls_epsilon"] = monotone_to_spec(cert.urls_epsilon, sample_grid=gain_grid)
-    return out
+    fn_spec = partial(monotone_to_spec, sample_grid=gain_grid)
+    to_spec = {"beta": partial(klbound_to_spec, s_grid=s_grid, t_grid=t_grid), "T": float}
+    return {"kind": cert.kind, **{name: to_spec.get(name, fn_spec)(getattr(cert, name))
+                                  for name in _FIELDS[cert.kind]}}
 
 
 def certificate_from_json(d: dict) -> Certificate:
-    return Certificate(
-        kind=d["kind"],
-        beta=klbound_from_spec(d["beta"]) if "beta" in d else None,
-        gamma=monotone_from_spec(d["gamma"]) if "gamma" in d else None,
-        rho=monotone_from_spec(d["rho"]) if "rho" in d else None,
-        T=float(d["T"]) if "T" in d else None,
-        urls_epsilon=monotone_from_spec(d["urls_epsilon"]) if "urls_epsilon" in d else None,
-    )
+    """Reload :func:`certificate_to_json`'s form; other keys are ignored."""
+    from_spec = {"beta": klbound_from_spec, "T": float}
+    return Certificate(kind=d["kind"], **{
+        f.name: from_spec.get(f.name, monotone_from_spec)(d[f.name])
+        for f in fields(Certificate)[1:] if f.name in d})

@@ -332,11 +332,15 @@ class TestOperations:
         ("converse_demo.json", ("options", "probe_states"), ["a"]),
         ("converse_demo.json", ("options", "probe_states"), [0.5, True]),
         ("counterexample_falsify.json", ("input", "t0_values"), ["a"]),
+        ("converse_demo.json", ("options", "k_max"), "a"),
+        ("converse_demo.json", ("options", "k_max"), True),
+        ("counterexample_falsify.json", ("input", "amplitude"), "x"),
     ])
-    def test_list_elements_that_are_not_numbers_name_their_key(self, config, keys, value,
-                                                                tmp_path, capsys):
+    def test_values_that_are_not_numbers_name_their_key(self, config, keys, value, tmp_path,
+                                                        capsys):
         """A string in a list of numbers was a bare ``TypeError`` from the arithmetic on it,
-        and a bool was taken as 0 or 1."""
+        a string for a number a ``ValueError`` from its conversion, and a bool was taken
+        as 0 or 1."""
         raw = load_bundled(config)
         *parents, key = keys
         section = raw
@@ -364,6 +368,32 @@ class TestOperations:
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(
             "schema violation: $.options.validate.system.name: unknown system 'nope'")
+
+    @pytest.mark.parametrize("config, keys, value, message", [
+        ("linear_simulate.json", ("system", "params"), {"lamda": 1.0}, "missing a required"),
+        ("linear_simulate.json", ("system", "params"), {"lam": 1.0, "mu": 2.0},
+         "got an unexpected keyword argument 'mu'"),
+        ("linear_simulate.json", ("system", "params"), [1.0], "is not an object"),
+        ("prop2_transform.json", ("options", "validate", "system", "params"), {"lamda": 1.0},
+         "missing a required"),
+    ])
+    def test_bad_system_params_name_their_key(self, config, keys, value, message, tmp_path,
+                                              capsys):
+        """A params key the system does not take was a bare ``TypeError`` from its
+        constructor."""
+        raw = load_bundled(config)
+        *parents, key = keys
+        section = raw
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        where = "$." + ".".join(keys)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: .*{message}"):
+            run_config(raw, tmp_path)
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"schema violation: {where}: ")
 
     @pytest.mark.parametrize("key, value", [("n_sims", 0), ("system", {"name": "nope"})])
     def test_failing_run_writes_no_artifact(self, key, value, tmp_path):

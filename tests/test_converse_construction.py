@@ -230,6 +230,27 @@ class TestWkEstimates:
             assert np.array_equal(w, ref), (t0, xi)
         assert np.array_equal(got[2], np.zeros(cfg_small.k_max))
 
+    def test_a_point_with_more_runs_than_a_batch_runs_alone(self, decay_system, rho,
+                                                            monkeypatch):
+        """Each batch holds whole points: 128-row batches split a point of 133 runs."""
+        cfg = ConverseConfig(k_max=5, disturbance_samples=cc._WK_ROWS + 5,
+                             pieces_per_horizon=6, sim_step=5e-3, seed=1)
+        points = self.POINTS[:5]  # an origin and four states off it
+        groups = []
+        fold = cc._fold_rows
+
+        def recording_fold(sys, group, *args):
+            groups.append({row[0] for row in group})
+            assert len(group) == cfg.disturbance_samples
+            return fold(sys, group, *args)
+
+        monkeypatch.setattr(cc, "_fold_rows", recording_fold)
+        got = wk_estimates(decay_system, points, THETA1, rho, cfg)
+        assert sorted(i for g in groups for i in g) == [0, 1, 3, 4]
+        assert all(len(g) == 1 for g in groups)
+        for (t0, xi), w in zip(points, got):
+            assert np.array_equal(w, _wk_reference(decay_system, t0, xi, THETA1, rho, cfg))
+
     def test_first_failing_point_in_query_order_raises(self, rho, cfg_small):
         """Points run by horizon, but the error is that of the first failing
         point in query order, with its own message."""
@@ -277,6 +298,26 @@ class TestWkEstimates:
         with pytest.raises(error) as expected:
             _wk_reference(sys, *point, THETA1, rho, cfg_small)
         with pytest.raises(error) as got:
+            wk_estimates(sys, [(0.0, [0.0]), point], THETA1, rho, cfg_small)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("extreme_rate, K, message", [
+        (-1.0, 1.0, "probe trajectory blew up at t="),
+        (0.5, 1.0, "probe trajectory violates the declared decay envelope by "),
+        # an envelope above the blow-up threshold: the stack's check passes
+        (-1.0, 1e12, "probe trajectory blew up at t="),
+    ])
+    def test_blown_up_runs_keep_their_place_in_run_order(self, rho, cfg_small, extreme_rate,
+                                                         K, message):
+        """The random runs blow up.  Behind extremes that decay, the first of them is named;
+        behind extremes that break the envelope, the first extreme is."""
+        sys = DisturbedSystem(
+            rhs_d=lambda t, x, d: x * np.where(np.abs(d) < 1.0, 50.0, extreme_rate), n=1, m=1,
+            urgas_beta=KLBound(kind="exponential", K=K, lam=0.5))
+        point = (0.5, [1.0])
+        with pytest.raises(ModelError, match=message) as expected:
+            _wk_reference(sys, *point, THETA1, rho, cfg_small)
+        with pytest.raises(ModelError) as got:
             wk_estimates(sys, [(0.0, [0.0]), point], THETA1, rho, cfg_small)
         assert str(got.value) == str(expected.value)
 

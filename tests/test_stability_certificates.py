@@ -1,5 +1,7 @@
 """Certificates, envelope checks, transformers, oracle, falsifier."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from ipss_lab.signals import (
     constant_signal,
     cumulative_energy,
     make_signal,
+    pulse_train,
     rho_energy,
     zero_signal,
 )
@@ -39,6 +42,16 @@ from ipss_lab.stability_certificates import (
 
 IDENT = identity_fn()
 EXP_BETA = KLBound(kind="exponential", K=1.0, lam=1.0)
+# one certificate of each kind, with power and table gains
+KIND_CERTS = {
+    "ISS": Certificate(kind="ISS", beta=EXP_BETA, gamma=make_power_fn(2.0, 1.0)),
+    "iISS": Certificate(kind="iISS", beta=EXP_BETA, rho=IDENT,
+                        gamma=make_table_fn([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], "Kinf")),
+    "IPSS": Certificate(kind="IPSS", beta=EXP_BETA, gamma=make_power_fn(2.0, 1.0),
+                        rho=make_power_fn(1.0, 2.0), T=2.0),
+    "URGAS": Certificate(kind="URGAS", beta=KLBound(kind="exponential", K=2.0, lam=0.5)),
+    "URLS": Certificate(kind="URLS", urls_epsilon=make_power_fn(3.0, 1.0)),
+}
 
 
 class TestCertificateModel:
@@ -51,13 +64,45 @@ class TestCertificateModel:
             Certificate(kind="IPSS", beta=EXP_BETA, gamma=IDENT, rho=IDENT,
                         T=-1.0)
 
-    def test_json_round_trip(self):
-        cert = Certificate(kind="IPSS", beta=EXP_BETA,
-                           gamma=make_power_fn(2.0, 1.0), rho=IDENT, T=2.0)
-        clone = certificate_from_json(certificate_to_json(cert))
-        assert clone.kind == "IPSS"
-        assert clone.gamma.eval(3.0) == cert.gamma.eval(3.0)
-        assert clone.T == 2.0
+    @pytest.mark.parametrize("kind, carried", [
+        ("ISS", {"beta", "gamma"}),
+        ("iISS", {"beta", "gamma", "rho"}),
+        ("IPSS", {"beta", "gamma", "rho", "T"}),
+        ("URGAS", {"beta"}),
+        ("URLS", {"urls_epsilon"}),
+    ])
+    def test_json_round_trip(self, kind, carried):
+        """The JSON holds the kind and exactly its fields, and the reloaded fields evaluate
+        as the originals do."""
+        cert = KIND_CERTS[kind]
+        d = json.loads(json.dumps(certificate_to_json(cert)))
+        assert set(d) == {"kind"} | carried
+        clone = certificate_from_json(d)
+        assert clone.kind == kind and certificate_to_json(clone) == d
+        s, t = np.linspace(0.0, 2.0, 9), np.linspace(0.0, 3.0, 7)
+        for name in carried - {"T"}:
+            args = (s[:, None], t[None, :]) if name == "beta" else (s,)
+            assert np.array_equal(getattr(clone, name).eval(*args),
+                                  getattr(cert, name).eval(*args)), name
+        assert clone.T == cert.T
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CERTS))
+    def test_json_field_the_kind_must_not_carry_is_refused(self, kind):
+        d = certificate_to_json(KIND_CERTS[kind])
+        every_field = {**certificate_to_json(KIND_CERTS["IPSS"]),
+                       **certificate_to_json(KIND_CERTS["URLS"])}
+        extra = sorted(set(every_field) - set(d))
+        assert extra
+        for name in extra:
+            with pytest.raises(ParameterError,
+                               match=f"^{kind} certificate must not carry field {name}$"):
+                certificate_from_json({**d, name: every_field[name]})
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CERTS))
+    def test_json_key_outside_the_fields_is_ignored(self, kind):
+        d = certificate_to_json(KIND_CERTS[kind])
+        clone = certificate_from_json({**d, "note": "not a field", "Gamma": [1.0]})
+        assert certificate_to_json(clone) == d
 
 
 class TestCheckEnvelope:
@@ -431,6 +476,88 @@ class TestLemma3OracleBitIdentity:
 def late_pulse_signal(t0, amplitude, duration, settle=3.0):
     return make_signal([(0.0, [0.0]), (t0, [amplitude]),
                         (t0 + duration, [0.0])], horizon=t0 + duration + settle)
+
+
+def _family_candidates_reference(family: InputFamilySpec, step: float):
+    """The candidate generator as it was before its four families shared one (t0, xi) loop."""
+    if family.family == "constants":
+        for t0 in family.t0_values:
+            for xi in family.xi_values:
+                for c in family.levels:
+                    t_end = t0 + family.horizon
+                    u = constant_signal([c], t_end)
+                    yield t0, xi, u, step, t_end, (), f"constant(c={c})"
+    elif family.family == "pulse_trains":
+        for t0 in family.t0_values:
+            for xi in family.xi_values:
+                u = pulse_train(family.tau, family.count)
+                t_end = max(t0 + family.horizon, u.horizon)
+                yield t0, xi, u, step, t_end, (), (
+                    f"pulse_train(tau={family.tau}, count={family.count})")
+    elif family.family == "late_pulses":
+        for t0 in family.t0_values:
+            duration = family.duration_scale / (1.0 + t0)
+            for xi in family.xi_values:
+                t_end = t0 + duration + family.settle
+                u = make_signal(
+                    [(0.0, [0.0]), (t0, [family.amplitude]), (t0 + duration, [0.0])],
+                    horizon=t_end,
+                )
+                # 20 anchored steps on the pulse; elsewhere the step that
+                # keeps RK4 stable against the ramp gain (1 + t)
+                pulse = tuple(t0 + duration * k / 20.0 for k in range(1, 20))
+                yield t0, xi, u, 2.0 / (3.0 + t_end), t_end, pulse, (
+                    f"late_pulse(t0={t0}, amp={family.amplitude}, dur={duration:.6g})"
+                )
+    else:  # bang_bang
+        for t0 in family.t0_values:
+            for xi in family.xi_values:
+                t_end = t0 + family.horizon
+                pieces = []
+                k = 0
+                t = 0.0
+                while t < t_end:
+                    amp = family.amplitude if k % 2 == 0 else -family.amplitude
+                    pieces.append((t, [amp]))
+                    k += 1
+                    t = k * family.period
+                u = make_signal(pieces, horizon=t_end)
+                yield t0, xi, u, step, t_end, (), (
+                    f"bang_bang(amp={family.amplitude}, period={family.period})"
+                )
+
+
+def _comparable(candidate):
+    """A candidate with its input signal as its breakpoints, values and horizon."""
+    t0, xi, u, *rest = candidate
+    return (t0, xi, u.breakpoints.tolist(), u.values.tolist(), u.horizon, *rest)
+
+
+class TestFamilyCandidates:
+    @pytest.mark.parametrize("family", [
+        InputFamilySpec(family="constants", t0_values=(0.0, 10.0), xi_values=(0.0, 1.5),
+                        levels=(0.1, 1.0, -2.0), horizon=4.0),
+        # the train outlasts the horizon from t0 = 0 but not from t0 = 8
+        InputFamilySpec(family="pulse_trains", t0_values=(0.0, 8.0), xi_values=(0.0, -1.0),
+                        tau=1.5, count=4, horizon=2.0),
+        InputFamilySpec(family="late_pulses", t0_values=(10.0, 100.0, 1000.0),
+                        xi_values=(0.0, 2.0), amplitude=0.5, duration_scale=2.0, settle=1.0),
+        # t_end 6 is a multiple of the period 0.5; t_end 7 is not one of 0.7 in floats
+        InputFamilySpec(family="bang_bang", t0_values=(0.0, 1.0), xi_values=(-2.0, 2.0),
+                        amplitude=1.5, period=0.5, horizon=6.0),
+        InputFamilySpec(family="bang_bang", t0_values=(1.0,), xi_values=(0.0, 1.0),
+                        amplitude=-0.25, period=0.7, horizon=6.0),
+    ], ids=lambda f: f.family)
+    def test_equal_to_the_per_family_loops(self, family):
+        got = [_comparable(c) for c in sc._family_candidates(family, 2e-3)]
+        ref = [_comparable(c) for c in _family_candidates_reference(family, 2e-3)]
+        assert len(got) > 1 and got == ref
+
+    def test_candidates_are_lazy(self):
+        """``falsify`` takes the first ``budget`` candidates without building the rest."""
+        family = InputFamilySpec(family="late_pulses", t0_values=tuple(range(10**5)))
+        first = list(itertools.islice(sc._family_candidates(family, 1e-3), 2))
+        assert [c[0] for c in first] == [0, 1]
 
 
 class TestFalsify:
