@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +146,62 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` on a line indented as ``pad``
+    (a newline and spaces); a list of finite floats is one ``join`` of their reprs, which
+    ``json``'s pure-Python indenting encoder writes float by float."""
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())) + pad + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else \
+            "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    # other keys or values, as json gives them or rejects them; its newlines all indent
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(_jsonable(obj)) + "\n")
+
+
+def _number(value, where: str, kind=float):
+    """``value`` as ``kind``; one that is not a number (a bool is not), or for an ``int`` not
+    integral, is a :class:`ConfigError` naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: {value!r} is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}: {value!r} is not an integer")
+    return kind(value)
+
+
+def _option(section: dict, key: str, where: str, default=..., kind=float):
+    """:func:`_number` of ``section[key]`` at ``where.key``, or ``default`` if the key is absent;
+    a key without a default is required."""
+    if key in section:
+        return _number(section[key], f"{where}.{key}", kind)
+    if default is ...:
+        raise ConfigError(f"{where}.{key}: a required number is missing")
+    return default
 
 
 def _build_system(spec: dict, where: str = "$.system") -> sm.SystemDef:
@@ -163,6 +218,8 @@ def _build_system(spec: dict, where: str = "$.system") -> sm.SystemDef:
     except TypeError as exc:
         raise ConfigError(f"{where}.params: {exc}; system {name!r} takes "
                           f"{list(signature.parameters)}") from None
+    for key, value in params.items():  # checked, and passed as given
+        _number(value, f"{where}.params.{key}")
     return make(**params)
 
 
@@ -171,9 +228,10 @@ def _build_input_signal(spec: dict) -> sig.Signal:
     if kind == "signal":
         return sig.signal_from_json(spec["signal"])
     if kind == "constant":
-        return sig.constant_signal(spec["value"], float(spec["horizon"]))
+        return sig.constant_signal(spec["value"], _option(spec, "horizon", "$.input"))
     if kind == "pulse_train":
-        return sig.pulse_train(float(spec["tau"]), int(spec["count"]))
+        return sig.pulse_train(_option(spec, "tau", "$.input"),
+                               _option(spec, "count", "$.input", kind=int))
     raise ConfigError(f"$.input.kind: unknown input kind {kind!r}")
 
 
@@ -182,7 +240,7 @@ def _build_candidate(spec: dict) -> lt.LyapunovCandidate:
     if kind == "abs":
         return lt.abs_candidate()
     if kind == "quadratic":
-        c = float(spec.get("c", 1.0))
+        c = _option(spec, "c", "$.lyapunov.V", 1.0)
         return lt.LyapunovCandidate(  # row-wise, one formula for a state and for rows
             eval=lambda t, x, _c=c: _c * np.sum(np.square(np.atleast_1d(x)), axis=-1),
             alpha1=cf.make_power_fn(c, 2.0),
@@ -196,34 +254,36 @@ def _build_candidate(spec: dict) -> lt.LyapunovCandidate:
 
 def _field_values(cls, section: dict, where: str, keys: dict) -> dict:
     """Keyword arguments of dataclass ``cls`` for the ``keys`` (config key: field) that
-    ``section`` gives: a number converted to the type of its field's default, or for a
-    tuple field a list of numbers, kept as given.  A bool is not a number."""
+    ``section`` gives: a :func:`_number` of the type of its field's default, or for a
+    tuple field a list of numbers, kept as given."""
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key, name in keys.items():
         if key in section:
-            value, listed = section[key], isinstance(defaults[name], tuple)
-            if listed and not isinstance(value, list):
-                raise ConfigError(f"{where}.{key}: {value!r} is not a list")
-            for v in value if listed else [value]:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"{where}.{key}: {v!r} is not a number")
-            values[name] = type(defaults[name])(value)
+            value, kind, at = section[key], type(defaults[name]), f"{where}.{key}"
+            if kind is not tuple:
+                values[name] = _number(value, at, kind)
+                continue
+            if not isinstance(value, list):
+                raise ConfigError(f"{at}: {value!r} is not a list")
+            for v in value:
+                _number(v, at)
+            values[name] = tuple(value)
     return values
 
 
 def _build_plan(options: dict, n: int, m: int, seed: int) -> lt.SamplingPlan:
-    p = options.get("plan", {})
+    p, where = options.get("plan", {}), "$.options.plan"
     return lt.make_plan(
         n, m,
         times=p.get("times", [0.0, 1.0, 10.0]),
         radii=p.get("radii", list(np.geomspace(1e-2, 10.0, 6))),
-        dirs_per_radius=int(p.get("dirs_per_radius", 2)),
+        dirs_per_radius=_option(p, "dirs_per_radius", where, 2, int),
         mu_radii=p.get("mu_radii", list(np.geomspace(0.1, 5.0, 3))),
-        mu_dirs_per_radius=int(p.get("mu_dirs_per_radius", 2)),
+        mu_dirs_per_radius=_option(p, "mu_dirs_per_radius", where, 2, int),
         seed=seed,
-        h0=float(p.get("h0", 1e-3)),
-        levels=int(p.get("levels", 8)),
+        h0=_option(p, "h0", where, 1e-3),
+        levels=_option(p, "levels", where, 8, int),
     )
 
 
@@ -236,8 +296,9 @@ def _op_simulate(cfg: ExperimentConfig):
     system = _build_system(raw["system"])
     u = _build_input_signal(raw["input"])
     opt = raw["options"]
-    traj = sm.simulate(system, float(opt.get("t0", 0.0)), opt["xi"], u,
-                       float(opt["t_end"]), float(opt.get("step", 1e-3)))
+    t0, t_end, step = (_option(opt, key, "$.options", default) for key, default in
+                       (("t0", 0.0), ("t_end", ...), ("step", 1e-3)))
+    traj = sm.simulate(system, t0, opt["xi"], u, t_end, step)
     summary = {
         "operation": "simulate",
         "blown_up": traj.blown_up,
@@ -255,7 +316,7 @@ def _op_norms(cfg: ExperimentConfig):
     u = _build_input_signal(raw["input"])
     opt = raw["options"]
     rho = cf.monotone_from_spec(opt["rho"])
-    T = float(opt["T"])
+    T = _option(opt, "T", "$.options")
     power = sig.avg_power_norm(u, rho, T)
     report = {
         "operation": "norms",
@@ -287,7 +348,7 @@ def _op_check_lyap(cfg: ExperimentConfig):
     if form == "dissipation":
         lt.DissipationSpec(alpha4=alpha, chi4=chi)  # rejects gains that are not Kinf
     check = lt.check_implication_form if form == "implication" else lt.check_derivative_bound
-    report = check(V, system, alpha, chi, plan, opt.get("margin"))
+    report = check(V, system, alpha, chi, plan, _option(opt, "margin", "$.options", None))
     payload = {
         "operation": "check-lyap",
         "form": form,
@@ -312,14 +373,15 @@ def _draw_linear_scenarios(rng, n_sims: int, horizon: float, xi_range: float, u_
 
 def _n_sims(v: dict, where: str) -> int:
     """The scenario count ``v["n_sims"]`` of an envelope validation configured at ``where``."""
-    n_sims = int(v.get("n_sims", 25))
+    n_sims = _option(v, "n_sims", where, 25, int)
     if n_sims < 1:
         raise ConfigError(f"{where}.n_sims: {n_sims!r} is not a positive number of scenarios")
     return n_sims
 
 
-def _validate_envelope(system, cert_json: dict, scenarios, v: dict):
-    """Check the reloaded ``cert_json`` on the runs of all ``scenarios`` from time 0, one batch.
+def _validate_envelope(system, cert_json: dict, scenarios, v: dict, where: str = "$.options"):
+    """Check the reloaded ``cert_json`` on the runs of all ``scenarios`` from time 0, one batch,
+    with the step and tolerance of the validation configured at ``where``.
 
     Returns the writer of the envelope CSV, which takes its path, and ``min_margin`` and
     ``passed`` under ``v["tolerance"]``.  The CSV holds every ``max(1, n // 200)``-th of the
@@ -328,7 +390,7 @@ def _validate_envelope(system, cert_json: dict, scenarios, v: dict):
     """
     cert = sc.certificate_from_json(cert_json)
     trajs = sm.simulate_batch(system, 0.0, [[xi] for xi, _ in scenarios], [u for _, u in scenarios],
-                              [u.horizon for _, u in scenarios], float(v.get("step", 2e-3)))
+                              [u.horizon for _, u in scenarios], _option(v, "step", where, 2e-3))
     parts = []  # (candidate, t, x_norm, bound, margin) samples of each run
     min_margin = math.inf
     for idx, ((xi, u), traj) in enumerate(zip(scenarios, trajs)):
@@ -343,7 +405,7 @@ def _validate_envelope(system, cert_json: dict, scenarios, v: dict):
     writer = partial(sig._write_csv, header=["candidate", "t", "x_norm", "bound", "margin"],
                      columns=columns)
     return writer, {"min_margin": min_margin,
-                    "passed": min_margin >= -float(v.get("tolerance", 1e-6))}
+                    "passed": min_margin >= -_option(v, "tolerance", where, 1e-6)}
 
 
 def _op_synth_gains(cfg: ExperimentConfig):
@@ -353,17 +415,16 @@ def _op_synth_gains(cfg: ExperimentConfig):
     opt = raw["options"]
     alpha1, alpha2, alpha4, chi4 = (cf.monotone_from_spec(lyap[key])
                                     for key in ("alpha1", "alpha2", "alpha4", "chi4"))
-    T = float(opt.get("T", 1.0))
+    T = _option(opt, "T", "$.options", 1.0)
     q_range = tuple(opt.get("q_range", (1e-3, 1e3)))
     sigma = cf.compose(alpha4, cf.inverse_fn(alpha2))
-    bundle = lt.build_kappa(sigma, q_range, float(opt.get("quadrature_tol", 1e-10)))
+    bundle = lt.build_kappa(sigma, q_range, _option(opt, "quadrature_tol", "$.options", 1e-10))
     spec = lt.DissipationSpec(alpha4=alpha4, chi4=chi4)
     beta, gamma, rho = lt.ipss_gains_from_dissipation(alpha1, alpha2, spec, T, bundle)
 
     n_sims = _n_sims(opt, "$.options")
-    horizon = float(opt.get("horizon", 8.0))
-    xi_range = float(opt.get("xi_range", 10.0))
-    u_range = float(opt.get("u_range", 10.0))
+    horizon, xi_range, u_range = (_option(opt, key, "$.options", default) for key, default in
+                                  (("horizon", 8.0), ("xi_range", 10.0), ("u_range", 10.0)))
     rng = np.random.default_rng(cfg.seed)
     scenarios = _draw_linear_scenarios(rng, n_sims, horizon, xi_range, u_range)
 
@@ -399,21 +460,21 @@ def _op_transform(cfg: ExperimentConfig):
         cert_spec = raw["certificate"]
         gamma = cf.monotone_from_spec(cert_spec["gamma"])
         rho = cf.monotone_from_spec(cert_spec["rho"])
-        K = float(cert_spec["beta"]["K"])
-        lam = float(cert_spec["beta"]["lambda"])
-        T = float(opt["T"])
+        K, lam = (_option(cert_spec["beta"], key, "$.certificate.beta") for key in ("K", "lambda"))
+        T = _option(opt, "T", "$.options")
         lambda_tilde, amplification = sc.exponential_window_bound(K, lam, T)
         cert_json = sc.certificate_to_json(sc.exp_iiss_to_ipss(K, lam, gamma, rho, T))
         artifacts = {"ipss_certificate.json": cert_json}
         summary.update(lambda_tilde=lambda_tilde, amplification=amplification)
         if "validate" in opt:
-            v = opt["validate"]
-            system = _build_system(v["system"], "$.options.validate.system")
+            v, where = opt["validate"], "$.options.validate"
+            system = _build_system(v["system"], f"{where}.system")
             scenarios = _draw_linear_scenarios(
-                np.random.default_rng(cfg.seed), _n_sims(v, "$.options.validate"),
-                float(v.get("horizon", 8.0)), float(v.get("xi_range", 5.0)),
-                float(v.get("u_range", 5.0)))
-            artifacts["envelope.csv"], checked = _validate_envelope(system, cert_json, scenarios, v)
+                np.random.default_rng(cfg.seed), _n_sims(v, where),
+                *(_option(v, key, where, default) for key, default in
+                  (("horizon", 8.0), ("xi_range", 5.0), ("u_range", 5.0))))
+            artifacts["envelope.csv"], checked = _validate_envelope(system, cert_json, scenarios, v,
+                                                                    where)
             summary.update(checked)
     elif kind == "ipss-to-iss-iiss":
         cert = sc.certificate_from_json(raw["certificate"])
@@ -440,8 +501,9 @@ def _op_falsify(cfg: ExperimentConfig):
     family = sc.InputFamilySpec(family=fam_spec["family"],
                                 **_field_values(sc.InputFamilySpec, fam_spec, "$.input", known))
     opt = raw["options"]
-    report = sc.falsify(system, cert, family, int(opt.get("budget", 100)),
-                        step=float(opt.get("step", 1e-3)), tolerance=opt.get("tolerance"))
+    report = sc.falsify(system, cert, family, _option(opt, "budget", "$.options", 100, int),
+                        step=_option(opt, "step", "$.options", 1e-3),
+                        tolerance=_option(opt, "tolerance", "$.options", None))
     payload = {"operation": "falsify", "seed": cfg.seed, **report.to_json()}
     return {"falsification.json": payload}, payload, 2 if report.falsified else 0
 
@@ -451,16 +513,16 @@ def _op_lemma3(cfg: ExperimentConfig):
     opt = raw["options"]
     eta = cf.monotone_from_spec(opt["eta"])
     h = sig.signal_from_json(opt["h_profile"]) if "h_profile" in opt else sig.zero_signal(1, 1.0)
-    report = sc.lemma3_oracle(
-        float(opt["K"]), float(opt["lambda"]), float(opt["T"]), eta, h,
-        float(opt.get("grid_step", 0.01)), t_max=float(opt.get("t_max", 20.0)))
+    K, lam, T, grid_step, t_max = (_option(opt, key, "$.options", default) for key, default in (
+        ("K", ...), ("lambda", ...), ("T", ...), ("grid_step", 0.01), ("t_max", 20.0)))
+    report = sc.lemma3_oracle(K, lam, T, eta, h, grid_step, t_max=t_max)
     payload = {
         "operation": "lemma3",
         "min_slack": report.min_slack,
         "worst_pair": list(report.worst_pair),
         "lambda_tilde": report.lambda_tilde,
         "amplification": report.amplification,
-        "passed": report.min_slack >= -float(opt.get("tolerance", 1e-6)),
+        "passed": report.min_slack >= -_option(opt, "tolerance", "$.options", 1e-6),
     }
     return {"oracle.json": payload}, payload, 0 if payload["passed"] else 2
 
@@ -476,8 +538,8 @@ def _op_converse(cfg: ExperimentConfig):
     raw = cfg.raw
     opt = raw["options"]
     base = _build_system(raw["system"])
-    K = float(opt.get("urgas_K", 1.0))
-    lam = float(opt.get("urgas_lambda", 0.5))
+    K = _option(opt, "urgas_K", "$.options", 1.0)
+    lam = _option(opt, "urgas_lambda", "$.options", 0.5)
     theta1, theta2 = cf.sontag_factorize_exponential(K, lam)
     dsys = cc.DisturbedSystem(rhs_d=base.rhs, n=base.n, m=base.m,
                               urgas_beta=cf.KLBound(kind="exponential", K=K, lam=lam))
@@ -496,9 +558,9 @@ def _op_converse(cfg: ExperimentConfig):
     artifacts = {"converse.json": payload}
     if opt.get("export_candidate", False):
         cand = ev.candidate(grid, "converse_export")
-        t_grid = np.linspace(0.0, 2.0, int(opt.get("export_t_points", 3)))
+        t_grid = np.linspace(0.0, 2.0, _option(opt, "export_t_points", "$.options", 3, int))
         x_grid = np.linspace(-max(plan.states), max(plan.states),
-                             int(opt.get("export_x_points", 9)))
+                             _option(opt, "export_x_points", "$.options", 9, int))
         ev.wk_many([(t, [x]) for t in t_grid for x in x_grid])  # the table's states in one batch
         artifacts["candidate.json"] = cc.candidate_table_to_json(cand, t_grid, x_grid)
     return artifacts, payload, 0 if report.all_ok else 2

@@ -10,7 +10,8 @@ Blow-up is modeled by a hard threshold on the state norm; exceeding it
 stops integration and marks the trajectory.  One step loop serves a
 batch of states, each on its own anchor grid; a lone run is a batch of one.
 While one row of a scalar system is left in the batch (all of a lone run),
-the same loop steps it on float64 scalars if its ``rhs`` takes them.
+the same loop steps it on Python floats if its ``rhs`` takes them, and on
+float64 scalars from a block where a Python-float step raised.
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ class SystemDef:
     passes them (and checks once per call); one that fails the check is
     called row by row, with a float time, an ``(n,)`` state and ``(m,)`` input.
     For ``n == m == 1``, a batch with one row left (a lone run throughout)
-    calls ``rhs`` with a float64 scalar time, state and input, if a call at
+    calls ``rhs`` with a Python float time, state and input, if a call at
     the row's first such step gives a 0-d value bit-equal to the batched one
-    (checked once per run); otherwise it keeps the ``(1, 1)`` arrays.
+    (checked once per run); otherwise it keeps the ``(1, 1)`` arrays.  A
+    block of steps in which such a call raises an ``ArithmeticError`` or
+    ``TypeError`` (where float64 gives inf or nan) is redone on float64
+    scalars, and so is the rest of the run.
     ``discontinuity_times`` samples the zero-measure set where the dynamics
     may jump in ``t``; the integrator lands on them exactly.
     """
@@ -192,10 +196,10 @@ def _lockstep_blocks(plans, m: int, n: int):
 
 
 def _takes_scalars(rhs, t, x, u) -> bool:
-    """Whether ``rhs`` at the float64 scalars of the ``(1, 1)`` time, state and input of a
+    """Whether ``rhs`` at the Python floats of the ``(1, 1)`` time, state and input of a
     lone row gives a 0-d value bit-equal to its value on the row."""
     try:
-        value = rhs(t[0, 0], x[0, 0], u[0, 0])
+        value = rhs(float(t[0, 0]), float(x[0, 0]), float(u[0, 0]))
         return np.ndim(value) == 0 and (np.asarray(value, dtype=float).tobytes()
                                          == np.asarray(rhs(t, x, u), dtype=float).tobytes())
     except Exception:  # rhs rejects a 0-d state
@@ -209,9 +213,13 @@ def _rk4(rhs, x, counts, blocks, limit2: float):
     Step ``j`` of a block takes each of its rows ``lo:`` from ``times[j]``
     over ``hs[j]`` with ``inputs[j]``; a row whose grid has ended has left
     the batch.  A block with one row of a scalar system (``n == m == 1``)
-    takes the same steps on float64 scalars, read from 1-D views of its
-    arrays, if ``rhs`` passes :func:`_takes_scalars` at the first such
-    block's first step (once per run), so a lone run pays no array calls.
+    takes the same steps on Python floats, read with ``tolist`` from 1-D
+    views of its arrays, if ``rhs`` passes :func:`_takes_scalars` at the
+    first such block's first step (once per run), so a lone run pays no
+    array calls.  Python floats raise where float64 gives inf or nan
+    (``**`` overflow, ``/ 0``, a complex power), so a block whose
+    Python-float step raises an ``ArithmeticError`` or ``TypeError`` is
+    redone, and the run goes on, on the float64 scalars of the views.
     A row stops at the first step ``k`` after which its squared
     norm is nonfinite (with a :class:`DynamicsError`) or not ``<= limit2``
     (blown up), and is held at zero from then on.  The states are stored
@@ -243,12 +251,28 @@ def _rk4(rhs, x, counts, blocks, limit2: float):
                 out.append(states[i - r0, :last + 1])
         return out, stops, errors
 
+    def halt(x, x_old, lo, k, ts, us):
+        """Stop the rows ``lo:`` whose squared norm after step ``k`` (to the times ``ts``, with
+        the inputs ``us``) is not ``<= limit2``; whether all of them have stopped."""
+        rows_x, rows_old = np.atleast_2d(x, x_old)  # x itself, or the lone row as (1, 1)
+        for i in range(len(rows_x)):  # a stopped row is zero and passes
+            nrm2 = float(np.vdot(rows_x[i], rows_x[i]))
+            if not nrm2 <= limit2:
+                if not math.isfinite(nrm2):
+                    errors[lo + i] = DynamicsError(
+                        f"nonfinite state update at t={float(ts[i, 0])} "
+                        f"(x={rows_old[i]}, u={us[i]})")
+                stops[lo + i], rows_x[i] = k, 0.0
+        return None not in stops[lo:]
+
     # the summed squared norm bounds every row's; the margin keeps rounding
     # from hiding a row past limit2
     bound = limit2 * (1.0 - 1e-9)
     stops, errors, running = [None] * rows, {}, None  # running: live rows' mask once one stopped
     k = lo_prev = 0
-    scalar = None  # whether rhs takes scalars, checked at the first block of one row (n == m == 1)
+    # how the lone row of a scalar system is read from 1-D views: None until checked at its first
+    # block, False for (1, 1) arrays, tolist for Python floats, list for float64 scalars
+    scalar = None
     for lo, times, hs, h2s, mids, h6s, inputs, xs in blocks:
         if lo > lo_prev:  # the rows lo_prev:lo have left
             x = x[lo - lo_prev:]
@@ -258,33 +282,35 @@ def _rk4(rhs, x, counts, blocks, limit2: float):
             if running is not None and not running.any():  # the rows left have all stopped
                 return results()
         if scalar is None and xs.shape[1:] == (1, 1) and inputs.shape[2] == 1:
-            scalar = _takes_scalars(rhs, times[0], x, inputs[0])  # later blocks have one row too
-        feed, out = (times, hs, h2s, mids, h6s, inputs), xs
-        if scalar:  # its row is running, as the loop returns once all rows left stopped
-            feed, out, x = [a.reshape(-1) for a in feed], xs.reshape(-1), np.ravel(x)[0]
-        for j, (t, h, h2, mid, h6, u) in enumerate(zip(*feed)):
-            k1 = rhs(t, x, u)
-            k2 = rhs(mid, x + h2 * k1, u)
-            k3 = rhs(mid, x + h2 * k2, u)
-            k4 = rhs(t + h, x + h * k3, u)
-            x_new = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            x_old, x = x, (x_new if running is None else np.where(running, x_new, x))
-            out[j] = x
-            if not (x * x if scalar else float(np.vdot(x, x))) <= bound:
-                rows_x, rows_old = np.atleast_2d(x, x_old)  # x itself, or the lone row as (1, 1)
-                for i in range(len(rows_x)):  # a stopped row is zero and passes
-                    nrm2 = float(np.vdot(rows_x[i], rows_x[i]))
-                    if not nrm2 <= limit2:
-                        if not math.isfinite(nrm2):
-                            errors[lo + i] = DynamicsError(
-                                f"nonfinite state update at t={float(times[j + 1, i, 0])} "
-                                f"(x={rows_old[i]}, u={inputs[j, i]})")
-                        stops[lo + i], rows_x[i] = k + j, 0.0
-                if None not in stops[lo:]:
-                    store(xs[:j + 1], lo, k)
-                    return results()
-                if not scalar:  # a lone row under limit2 after all runs on as it was
-                    running = np.array([[stop is None] for stop in stops[lo:]])
+            # later blocks have one row too
+            scalar = _takes_scalars(rhs, times[0], x, inputs[0]) and np.ndarray.tolist
+        x_in = x
+        while True:  # once, or again on float64 scalars if a Python-float step raised
+            feed, out, x = (times, hs, h2s, mids, h6s, inputs), xs, x_in
+            if scalar:  # its row is running, as the loop returns once all rows left stopped
+                feed, out = [scalar(a.reshape(-1)) for a in feed], xs.reshape(-1)
+                x = scalar(np.ravel(x))[0]
+            try:
+                for j, (t, h, h2, mid, h6, u) in enumerate(zip(*feed)):
+                    k1 = rhs(t, x, u)
+                    k2 = rhs(mid, x + h2 * k1, u)
+                    k3 = rhs(mid, x + h2 * k2, u)
+                    k4 = rhs(t + h, x + h * k3, u)
+                    x_new = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                    x_old, x = x, (x_new if running is None else np.where(running, x_new, x))
+                    out[j] = x
+                    if not (x * x if scalar else float(np.vdot(x, x))) <= bound:
+                        if halt(x, x_old, lo, k + j, times[j + 1], inputs[j]):
+                            store(xs[:j + 1], lo, k)
+                            return results()
+                        if not scalar:  # a lone row under limit2 after all runs on as it was
+                            running = np.array([[stop is None] for stop in stops[lo:]])
+            except (ArithmeticError, TypeError):
+                if scalar is not np.ndarray.tolist:
+                    raise
+                scalar = list
+            else:
+                break
         store(xs, lo, k)
         k += len(hs)
     return results()
@@ -373,8 +399,10 @@ def simulate_batch(sys: SystemDef, t0, xis, us: Sequence[Signal], t_end, step,
     is compared exactly with the per-row calls, and on any difference or
     exception it is called row by row inside the same step loop.  With one
     row of a scalar system left (a batch of one throughout), a row-wise
-    ``rhs`` is called on float64 scalars if it passes a once-per-run check
-    that its 0-d value is bit-equal to its batched one; the float operations,
+    ``rhs`` is called on Python floats if it passes a once-per-run check
+    that its 0-d value is bit-equal to its batched one, and on float64
+    scalars from the block where a Python-float step raises, as Python floats
+    do where float64 overflows to inf or gives nan; the float operations,
     and so the states, are unchanged.  A member
     that blows up or turns nonfinite stops alone, so blow-up flags and times
     are per member; the first failing member's (in input order)

@@ -18,11 +18,14 @@ from ipss_lab import comparison_functions as cf
 from ipss_lab import signals as sig
 from ipss_lab import simulator as sm
 from ipss_lab import stability_certificates as sc
+from ipss_lab import cli_harness
 from ipss_lab.cli_harness import (
     ExperimentConfig,
     _draw_linear_scenarios,
+    _json_text,
     _jsonable,
     _validate_envelope,
+    _write_json,
     main,
     run_experiment,
     validate_config,
@@ -335,6 +338,23 @@ class TestOperations:
         ("converse_demo.json", ("options", "k_max"), "a"),
         ("converse_demo.json", ("options", "k_max"), True),
         ("counterexample_falsify.json", ("input", "amplitude"), "x"),
+        ("linear_simulate.json", ("system", "params", "lam"), "a"),
+        ("linear_simulate.json", ("options", "t0"), "a"),
+        ("linear_simulate.json", ("options", "t_end"), None),
+        ("linear_simulate.json", ("options", "step"), [1e-3]),
+        ("linear_simulate.json", ("input", "horizon"), "a"),
+        ("counterexample_falsify.json", ("options", "budget"), "a"),
+        ("counterexample_falsify.json", ("options", "budget"), True),
+        ("counterexample_falsify.json", ("options", "tolerance"), "a"),
+        ("linear_ipss.json", ("options", "n_sims"), "a"),
+        ("linear_ipss.json", ("options", "horizon"), "a"),
+        ("prop2_transform.json", ("options", "validate", "horizon"), "a"),
+        ("prop2_transform.json", ("certificate", "beta", "K"), "a"),
+        ("linear_dissipation_check.json", ("options", "plan", "levels"), "a"),
+        ("linear_dissipation_check.json", ("options", "plan", "h0"), "a"),
+        ("linear_dissipation_check.json", ("options", "margin"), "a"),
+        ("lemma3_oracle.json", ("options", "t_max"), "a"),
+        ("converse_demo.json", ("options", "export_t_points"), "a"),
     ])
     def test_values_that_are_not_numbers_name_their_key(self, config, keys, value, tmp_path,
                                                         capsys):
@@ -345,8 +365,10 @@ class TestOperations:
         *parents, key = keys
         section = raw
         for name in parents:
-            section = section[name]
+            section = section.setdefault(name, {})
         section[key] = value
+        if key.startswith("export_"):
+            raw["options"]["export_candidate"] = True
         where = "$." + ".".join(keys)
         with pytest.raises(ConfigError, match=f"^{re.escape(where)}: .* is not a number$"):
             run_config(raw, tmp_path)
@@ -354,6 +376,33 @@ class TestOperations:
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"schema violation: {where}: ")
+
+    @pytest.mark.parametrize("config, keys, value", [
+        ("converse_demo.json", ("options", "k_max"), 2.5),
+        ("counterexample_falsify.json", ("input", "count"), 4.5),
+        ("counterexample_falsify.json", ("options", "budget"), 10.5),
+        ("linear_ipss.json", ("options", "n_sims"), math.inf),
+        ("linear_dissipation_check.json", ("options", "plan", "levels"), 8.5),
+    ])
+    def test_non_integral_counts_name_their_key(self, config, keys, value, tmp_path, capsys):
+        """``"k_max": 2.5`` ran as 2 and exited 0."""
+        raw = load_bundled(config)
+        *parents, key = keys
+        section = raw
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+        where = "$." + ".".join(keys)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: .* is not an integer$"):
+            run_config(raw, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_integral_floats_are_counts(self, tmp_path):
+        raw = load_bundled("counterexample_falsify.json")
+        by_float = run_config(raw | {"options": {"budget": 10.0}}, tmp_path / "float")
+        by_int = run_config(raw, tmp_path / "int")
+        assert [Path(p).read_bytes() for p in by_float.paths] \
+            == [Path(p).read_bytes() for p in by_int.paths]
 
     def test_bad_validate_system_names_its_own_key(self, tmp_path, capsys):
         """The error named ``$.system.name``, a key the transform config does not have."""
@@ -605,6 +654,73 @@ class TestDeterminism:
         assert [type(v) for row in out["d"] for v in row] \
             == [float, float, float, str, float, int, float, float]
 
+
+class TestJsonWriter:
+    """``_write_json`` joins each list of finite floats in one call and must give the text of
+    ``json.dumps(_jsonable(obj), indent=2, sort_keys=True)`` and a newline."""
+
+    @staticmethod
+    def assert_as_json(obj, path):
+        _write_json(path, obj)
+        assert path.read_text() == json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+    @staticmethod
+    def payload(rng, depth=0):
+        kind = int(rng.integers(9 if depth < 4 else 6))
+        if kind == 0:
+            return rng.normal(size=int(rng.integers(0, 5))).tolist()  # a row of floats
+        if kind == 1:
+            return [float(v) for v in rng.choice([0.5, -0.0, math.nan, math.inf, 1e-320], 3)]
+        if kind == 2:
+            return int(rng.integers(-10 ** 6, 10 ** 6))
+        if kind == 3:
+            return [None, True, False, 2.5, "s"][int(rng.integers(5))]
+        if kind == 4:
+            return "".join(rng.choice(list('aZ"\\\n\té\u2028日 '), int(rng.integers(0, 6))))
+        if kind == 5:
+            return np.round(rng.normal(size=(2, int(rng.integers(0, 3)))), 3)
+        if kind == 6:
+            return tuple(TestJsonWriter.payload(rng, depth + 1) for _ in range(rng.integers(3)))
+        if kind == 7:
+            return [TestJsonWriter.payload(rng, depth + 1) for _ in range(rng.integers(4))]
+        return {f"k{int(rng.integers(20))}": TestJsonWriter.payload(rng, depth + 1)
+                for _ in range(rng.integers(4))}
+
+    def test_seeded_random_payloads(self, tmp_path):
+        rng = np.random.default_rng(27)
+        for i in range(300):
+            self.assert_as_json(self.payload(rng), tmp_path / f"{i}.json")
+
+    def test_edge_values(self, tmp_path):
+        edge = {"empty": [[], {}, (), [[]], {"a": {}}], "nan": math.nan,
+                "infinite": [math.inf, -math.inf, 1.0], "flags": [True, False, None],
+                "ints": [0, -7, 2 ** 70, np.int64(3)], "mixed": [1.0, 2, np.float64(3.5)],
+                "text": ["é", "\u2028", 'q"\\/', "日本", ""], "tuple": (1.5, (2.5,)),
+                "floats": [0.1, -0.0, 5e-324, 1e308, 1e16], "nested": [[0.5], [math.nan, 1.0]],
+                "numeric keys": {2: [0.5, 1.5], 1: {"x": (1.0,)}}, "é": 1}
+        self.assert_as_json(edge, tmp_path / "edge.json")
+        # _jsonable makes +-inf strings; the writer itself gives json's Infinity
+        for obj in ({"x": [math.inf, -math.inf, math.nan], "y": -math.inf}, [math.inf, 1.0],
+                    math.nan, "é", None, True, 3, [], {1: 2.0}):
+            assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json_text({"a": [object()]})
+
+    @pytest.mark.parametrize("config, edit", [
+        ("linear_ipss.json", {}),  # synth-gains: the 1.3 MB certificate
+        # check-lyap with alpha4 = 2 lam x: a false pair, violated at u = 0
+        ("linear_dissipation_check.json",
+         {"alpha4": {"kind": "power", "c": 2.0, "p": 1.0}}),
+    ])
+    def test_real_payloads(self, config, edit, tmp_path):
+        raw = load_bundled(config)
+        raw.get("lyapunov", {}).update(edit)
+        artifacts, summary, status = cli_harness._OPS[raw["operation"]](ExperimentConfig(raw=raw))
+        assert status == (2 if edit else 0)
+        payloads = {k: v for k, v in artifacts.items() if k.endswith(".json")}
+        assert len(payloads) >= 1 and all(not callable(v) for v in payloads.values())
+        for suffix, obj in payloads.items():
+            self.assert_as_json(obj, tmp_path / suffix)
 
 def test_measure_configs_do_not_import_numpy_ma(tmp_path):
     """``np.unique`` imports ``numpy.ma`` on its first call: about 85 ms cold."""

@@ -425,9 +425,10 @@ class TestSimulateBatch:
 
 
 class TestScalarFed:
-    """A lone run of a scalar system steps on float64 scalars when its rhs takes them;
-    the same member inside a two-member batch, whose partner runs longer, steps on
-    ``(2, 1)`` arrays, and the two take the same float steps."""
+    """A lone run of a scalar system steps on Python floats when its rhs takes them, and
+    on float64 scalars from the block where a Python-float step raises; the same member
+    inside a two-member batch, whose partner runs longer, steps on ``(2, 1)`` arrays,
+    and the two take the same float steps."""
 
     U = make_signal([(0.0, [0.4]), (0.33, [-1.2]), (0.9, [1.7])], horizon=1.5)
 
@@ -435,17 +436,24 @@ class TestScalarFed:
     def reads_column(t, x, u):  # x[..., 0] needs an array state
         return (-1.5 * x[..., 0] + u[..., 0])[..., None]
 
-    @pytest.mark.parametrize("rhs, xi, outcome, scalar_fed", [
-        (linear_test_system(1.3).rhs, [1.0], "finished", True),
-        (counterexample_system().rhs, [0.5], "finished", True),  # reads t, np.maximum
-        (lambda t, x, u: x ** 2 + u, [2.0], "blown up", True),
-        (lambda t, x, u: np.where(x > 0.45, np.nan, -x + u), [0.2], "nonfinite", True),
+    @pytest.mark.parametrize("rhs, xi, outcome, scalar_fed, pair_steps", [
+        (linear_test_system(1.3).rhs, [1.0], "finished", True, 140),
+        (counterexample_system().rhs, [0.5], "finished", True, 140),  # reads t, np.maximum
+        (lambda t, x, u: x ** 2 + u, [2.0], "blown up", True, 140),
+        (lambda t, x, u: np.where(x > 0.45, np.nan, -x + u), [0.2], "nonfinite", True, 140),
         # held in the rounding margin under the threshold: checked on every step, runs on
-        (lambda t, x, u: 0.0 * x, [sm.BLOWUP_THRESHOLD * (1 - 1e-10)], "finished", True),
-        (reads_column, [1.0], "finished", False),
-        (lambda t, x, u: np.atleast_1d(-1.5 * x + u), [1.0], "finished", False),  # (1,) value
+        (lambda t, x, u: 0.0 * x, [sm.BLOWUP_THRESHOLD * (1 - 1e-10)], "finished", True, 140),
+        (reads_column, [1.0], "finished", False, 140),
+        (lambda t, x, u: np.atleast_1d(-1.5 * x + u), [1.0], "finished", False, 140),  # (1,) value
+        # Python floats raise where float64 gives inf or nan: OverflowError from **,
+        # ZeroDivisionError at the 0.33 anchor, TypeError on a complex state
+        (lambda t, x, u: x ** 40 + u, [2.0], "nonfinite", True, 140),
+        # the partner fails too: past 1e9 at the 0.33 anchor, nan once under 0.1
+        (lambda t, x, u: -x + 1e-3 / (t - 0.33), [0.2], "nonfinite", True, 23),
+        (lambda t, x, u: (x - 0.1) ** 0.5 - 3.0, [0.5], "nonfinite", True, 16),
     ])
-    def test_lone_run_equals_member_of_two(self, rhs, xi, outcome, scalar_fed):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # float64 on its way to inf or nan
+    def test_lone_run_equals_member_of_two(self, rhs, xi, outcome, scalar_fed, pair_steps):
         def run(t_ends, xis, us):
             shapes = []
             sysd = SystemDef(rhs=lambda t, x, u: shapes.append(np.shape(x)) or rhs(t, x, u),
@@ -453,7 +461,8 @@ class TestScalarFed:
             return sm._simulate_members(sysd, 0.1, xis, us, t_ends, 1e-2)[0], shapes
 
         lone, lone_shapes = run(1.5, [xi], [self.U])
-        member, member_shapes = run([1.5, 2.5], [xi, [0.0]], [self.U, zero_signal(1, 2.5)])
+        # a partner from 0.2, not 0, where (x - 0.1) ** 0.5 is nan and fails the row-wise check
+        member, member_shapes = run([1.5, 2.5], [xi, [0.2]], [self.U, zero_signal(1, 2.5)])
         if outcome == "nonfinite":
             assert isinstance(lone, DynamicsError)
             assert str(lone) == str(member)
@@ -464,8 +473,9 @@ class TestScalarFed:
             assert (lone.blown_up, lone.blowup_time) == (member.blown_up, member.blowup_time)
             assert lone.blown_up == (outcome == "blown up")
         # the member steps in the batch of two over its whole grid (140 steps,
-        # stopped or not), after the row-wise check's batched call
-        assert member_shapes.count((2, 1)) == 4 * 140 + 1
+        # stopped or not) or until its partner stopped too, after the row-wise
+        # check's batched call
+        assert member_shapes.count((2, 1)) == 4 * pair_steps + 1
         # after the row-wise check (a (1,) row, then the (1, 1) batch), the scalar
         # check calls rhs on the 0-d state and, if that gives a 0-d value, on the row
         head = [(1,), (1, 1), ()] + [(1, 1)] * scalar_fed
@@ -479,7 +489,7 @@ class TestScalarFed:
                          or lin(t, x, u), n=1, m=1)
         tr = simulate(sysd, 0.0, [1.0], zero_signal(1, 1.0), 1.0, 1e-2)
         assert tr.times.size == 101
-        assert seen[4:] == [(np.float64, 0, 0)] * 400
+        assert seen[4:] == [(float, 0, 0)] * 400
         assert tr.states.tobytes() == \
             simulate(linear_test_system(1.0), 0.0, [1.0], zero_signal(1, 1.0), 1.0,
                      1e-2).states.tobytes()

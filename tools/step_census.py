@@ -21,7 +21,7 @@ member_steps one_row_steps`` line per caller and a ``total`` line per config:
 - ``one_row_steps`` counts the Python steps taken with a single row left in
   the batch: those past the second-longest row's step count (all steps of a
   lone run), up to where the loop stopped.  On a scalar system whose ``rhs``
-  takes float64 scalars they run on scalars rather than ``(1, 1)`` arrays.
+  takes scalars they run on Python floats rather than ``(1, 1)`` arrays.
 
 A step loop whose ``rhs`` raises counts as a call with no steps.
 """
